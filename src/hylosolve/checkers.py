@@ -16,8 +16,8 @@ import numpy as np
 
 from .functionals import (PenaltyParams, choose_coercivity_params, gaussian_profile,
                           hylomorphy_check, nash_check, probe_states)
-from .grid import (NBE, NLS, NWE, FieldState, LatticeShift, translate,
-                   x_norm as state_x_norm)
+from .grid import (NBE, NLS, NWE, FieldState, LatticeShift, min_image_distances,
+                   translate, x_norm as state_x_norm)
 from .models import ModelSpec, charge, energy, grad_charge, grad_energy
 from .nonlinearity import (DoublePower, SinglePower, check_w_conditions,
                            critical_exponent)
@@ -184,14 +184,8 @@ def _disjoint_support_bump(spec: ModelSpec, center_frac: float) -> np.ndarray:
     center = tuple(f * center_frac for f in g.box_length)
     bump = gaussian_profile(g, 1.0, sigma, center=center)
     window = np.ones(g.n, dtype=bool)
-    for axis in range(g.dim):
-        x = g.axis_coordinates(axis)
-        L = g.box_length[axis]
-        d = np.abs(x - center[axis])
-        d = np.minimum(d, L - d)
-        shape = [1] * g.dim
-        shape[axis] = g.n[axis]
-        window &= (d.reshape(shape) < L / 4.0 - 2.0 * g.spacing[axis])
+    for axis, d in enumerate(min_image_distances(g, center)):
+        window &= (d < g.box_length[axis] / 4.0 - 2.0 * g.spacing[axis])
     return np.where(window, bump, 0.0)
 
 

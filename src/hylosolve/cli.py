@@ -30,7 +30,7 @@ from .fileio import (ConfigError, certificate_to_json, dump_json, load_config,
                      write_trace_csv, wspec_from_json)
 from .functionals import (PenaltyParams, choose_coercivity_params,
                           lambda0_estimate, penalized_probe_seed)
-from .grid import Grid
+from .grid import Grid, min_image_distances
 from .minimize import MinimizeOptions, delta_continuation
 from .models import ModelSpec
 from .stability import Perturbation, run_stability
@@ -101,9 +101,14 @@ def _now() -> str:
 
 
 def build_spec(config: dict) -> ModelSpec:
+    """The model a config describes; a grid or model the schema admits but
+    the constructors reject is a config error."""
     m = config["model"]
-    grid = Grid(tuple(m["n"]), tuple(m["box_length"]))
-    return ModelSpec(m["tag"], grid, wspec_from_json(m["w"]))
+    w = wspec_from_json(m["w"])
+    try:
+        return ModelSpec(m["tag"], Grid(tuple(m["n"]), tuple(m["box_length"])), w)
+    except ValueError as err:
+        raise ConfigError(f"invalid model: {err}") from err
 
 
 def resolve_penalty(config: dict, spec: ModelSpec, seed: int) -> tuple[PenaltyParams, list[float]]:
@@ -124,9 +129,8 @@ def resolve_penalty(config: dict, spec: ModelSpec, seed: int) -> tuple[PenaltyPa
     return params, deltas
 
 
-def resolve_options(config: dict, seed: int) -> MinimizeOptions:
-    block = dict(config.get("minimize", {}))
-    return MinimizeOptions(seed=seed, **block)
+def resolve_options(config: dict) -> MinimizeOptions:
+    return MinimizeOptions(**config.get("minimize", {}))
 
 
 def _perturbations(config: dict) -> list[Perturbation]:
@@ -213,7 +217,7 @@ def cmd_minimize(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
     if not _run_gate(run, spec, params, seed):
         return EXIT_GATE
-    opts = resolve_options(config, seed)
+    opts = resolve_options(config)
     _minimize_chain(run, spec, params, deltas, opts)
     return EXIT_OK
 
@@ -245,7 +249,7 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
     if not _run_gate(run, spec, params, seed):
         return EXIT_GATE
-    opts = resolve_options(config, seed)
+    opts = resolve_options(config)
     family = _minimize_chain(run, spec, params, deltas[:1], opts)
     result = family.results[0]
     block = config.get("stability", {})
@@ -295,7 +299,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
                     statuses[sub_dir.name] = {"label": label, "status": "gate_failed"}
                     sub_run.finish("gate_failed", failure_stage="audit-gate")
                     continue
-                opts = resolve_options(config, seed)
+                opts = resolve_options(config)
                 _minimize_chain(sub_run, sub_spec, params, [delta], opts)
                 statuses[sub_dir.name] = {"label": label, "status": "ok"}
                 sub_run.finish("ok")
@@ -315,7 +319,7 @@ def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
         return EXIT_GATE
     run.stage("lambda0")
     lam0 = lambda0_estimate(spec)
-    opts = resolve_options(config, seed)
+    opts = resolve_options(config)
     family = _minimize_chain(run, spec, params, deltas[:1], opts)
     result = family.results[0]
     run.stage("profile")
@@ -323,8 +327,7 @@ def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     x = spec.grid.axis_coordinates(0)
     psi = result.state.psi
     peak = int(np.argmax(np.abs(psi)))
-    d = np.abs(x - x[peak])
-    d = np.minimum(d, spec.grid.box_length[0] - d)
+    (d,) = min_image_distances(spec.grid, (x[peak],))
     oracle = np.sqrt(2.0 * mu) / np.cosh(np.sqrt(mu) * d) if mu > 0 else np.zeros_like(d)
     err = (np.sqrt(np.sum((np.abs(psi) - oracle) ** 2))
            / max(np.sqrt(np.sum(oracle**2)), 1e-300))

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FieldState, orbit_distance, sharp_seminorm, x_norm as state_x_norm
-from .models import ModelSpec, charge, energy, evolve_step
-from .stability_core import lyapunov_v
+from .models import ModelSpec, charge, energy, evolve_step, lyapunov_v
 
 __all__ = ["EvolutionTrace", "ConservationReport", "evolve", "conservation_report"]
 

@@ -20,14 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NearZeroCharge
-from .grid import (NBE, NLS, NWE, FieldState, Grid, integrate, random_state,
-                   spectral_derivative, x_norm as state_x_norm)
+from .grid import (NBE, NLS, NWE, FieldState, Grid, integrate, k_squared, low_pass,
+                   min_image_distances, random_state, spectral_derivative,
+                   spectral_quadratic, x_norm as state_x_norm)
 from .models import ModelSpec, charge, energy
 from .nonlinearity import DoublePower, SinglePower, critical_exponent
 from .rng import SplitMix64
 
 __all__ = [
-    "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta",
+    "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
     "bound_m", "nash_exponents", "coercivity_exponent", "nash_check",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
     "gaussian_profile", "gaussian_state", "probe_states",
@@ -56,11 +57,16 @@ class PenaltyParams:
             raise ValueError("s_exp must be >= 1")
 
 
-def lambda_ratio(spec: ModelSpec, state: FieldState) -> float:
-    """Energy per unit charge magnitude, E/|C|."""
+def _charge_above_floor(spec: ModelSpec, state: FieldState) -> float:
     c = charge(spec, state)
     if abs(c) < CHARGE_FLOOR * (1.0 + state_x_norm(state)):
         raise NearZeroCharge(f"charge magnitude {abs(c):.3e} below the ratio floor")
+    return c
+
+
+def lambda_ratio(spec: ModelSpec, state: FieldState) -> float:
+    """Energy per unit charge magnitude, E/|C|."""
+    c = _charge_above_floor(spec, state)
     return energy(spec, state) / abs(c)
 
 
@@ -69,9 +75,17 @@ def phi(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
     return energy(spec, state) + 2.0 * params.a * abs(charge(spec, state)) ** params.s_exp
 
 
+def penalized_terms(spec: ModelSpec, state: FieldState,
+                    params: PenaltyParams) -> tuple[float, float, float]:
+    """(j_delta, E, C) from one energy and one charge evaluation; C is signed."""
+    e = energy(spec, state)
+    c = _charge_above_floor(spec, state)
+    return e / abs(c) + params.delta * (e + 2.0 * params.a * abs(c) ** params.s_exp), e, c
+
+
 def j_delta(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
     """Penalized objective: ratio plus delta times the coercive bulk."""
-    return lambda_ratio(spec, state) + params.delta * phi(spec, state, params)
+    return penalized_terms(spec, state, params)[0]
 
 
 def bound_m(params: PenaltyParams, scan_points: int = 0) -> float:
@@ -120,10 +134,7 @@ def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float,
                        q: float, r: float) -> float | None:
     """||f||_p^p / (||f||_2^r ||grad f||_2^q); None when the gradient vanishes."""
     norm2_sq = integrate(grid, np.abs(f) ** 2)
-    gsq = np.zeros(grid.n)
-    for axis in range(grid.dim):
-        gsq += np.abs(spectral_derivative(grid, f, axis=axis, order=1)) ** 2
-    grad_sq = integrate(grid, gsq)
+    grad_sq = spectral_quadratic(grid, k_squared(grid), f)
     if grad_sq <= 1e-20 * max(norm2_sq, 1.0) or norm2_sq <= 0.0:
         return None
     num = integrate(grid, np.abs(f) ** p)
@@ -143,8 +154,8 @@ def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> flo
     rng = SplitMix64(seed).split("nash-check")
     best = 0.0
     for _ in range(n_random):
-        f = (np.asarray(rng.symmetric(int(np.prod(grid.n)))).reshape(grid.n))
-        f = _smooth(grid, f, band_limit=min(grid.n) // 4)
+        f = np.asarray(rng.symmetric(int(np.prod(grid.n)))).reshape(grid.n)
+        f = low_pass(grid, f, min(grid.n) // 4).real
         ratio = _lp_gradient_ratio(grid, f, p, q, r)
         if ratio is not None:
             best = max(best, ratio)
@@ -158,31 +169,12 @@ def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> flo
     return best
 
 
-def _smooth(grid: Grid, f: np.ndarray, band_limit: int) -> np.ndarray:
-    spec = np.fft.fftn(f)
-    for axis in range(grid.dim):
-        idx = np.arange(grid.n[axis])
-        mode = np.minimum(idx, grid.n[axis] - idx)
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        spec = np.where(mode.reshape(shape) <= band_limit, spec, 0.0)
-    return np.fft.ifftn(spec).real
-
-
 def gaussian_profile(grid: Grid, amplitude: float, sigma: float,
                      center: tuple[float, ...] | None = None) -> np.ndarray:
     """Periodic Gaussian bump (min-image distance to the box center)."""
     if center is None:
         center = tuple(L / 2.0 for L in grid.box_length)
-    r_sq = np.zeros(grid.n)
-    for axis in range(grid.dim):
-        x = grid.axis_coordinates(axis)
-        L = grid.box_length[axis]
-        d = np.abs(x - center[axis])
-        d = np.minimum(d, L - d)
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        r_sq = r_sq + d.reshape(shape) ** 2
+    r_sq = sum(d**2 for d in min_image_distances(grid, center))
     return amplitude * np.exp(-r_sq / (2.0 * sigma**2))
 
 

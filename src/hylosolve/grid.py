@@ -114,6 +114,93 @@ def k_squared(grid: Grid) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=64)
+def _first_derivative(grid: Grid, axis: int) -> np.ndarray:
+    """Multiplier ik along one axis, broadcastable over the grid.  The
+    Nyquist mode has no signed wavenumber and is zeroed, so real fields
+    keep real derivatives."""
+    mult = 1j * _axis_k_mesh(grid, axis)
+    idx = [slice(None)] * grid.dim
+    idx[axis] = grid.n[axis] // 2
+    mult[tuple(idx)] = 0.0
+    mult.setflags(write=False)
+    return mult
+
+
+@dataclass(frozen=True)
+class SpectralSymbols:
+    """The Fourier multipliers of one model on one grid.
+
+    The energy, its gradient, the phase-space metric, the descent
+    preconditioner and the split-step propagator all read these arrays, so
+    the discrete energy and its gradient agree on every mode.
+    """
+
+    kinetic: np.ndarray              # |k|^2 (NLS, NWE) or k_x^4 (NBE)
+    weights: tuple[np.ndarray, ...]  # metric weight per component: 1 + kinetic, then 1
+    ddx: np.ndarray                  # first derivative along axis 0
+
+
+@lru_cache(maxsize=64)
+def symbols(model_tag: str, grid: Grid) -> SpectralSymbols:
+    """The cached symbol table of a (model, grid) pair."""
+    if model_tag == NBE:
+        kinetic = np.broadcast_to(_axis_k_mesh(grid, 0) ** 4, grid.n)
+    else:
+        kinetic = k_squared(grid)
+    weights = [1.0 + kinetic] + [np.ones(grid.n)] * (len(COMPONENT_NAMES[model_tag]) - 1)
+    for w in weights:
+        w.setflags(write=False)
+    return SpectralSymbols(kinetic, tuple(weights), _first_derivative(grid, 0))
+
+
+def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """ifft(multiplier * fft(values)); real input gives real output."""
+    out = np.fft.ifftn(multiplier * np.fft.fftn(values))
+    return out if np.iscomplexobj(values) else out.real
+
+
+def spectral_quadratic(grid: Grid, multiplier: np.ndarray, values: np.ndarray) -> float:
+    """Parseval: the integral of conj(f) (multiplier f), as
+    (cell volume / N) sum multiplier |F|^2 over the discrete spectrum F."""
+    scale = grid.cell_volume / np.prod(grid.n)
+    return scale * float(np.sum(multiplier * np.abs(np.fft.fftn(values)) ** 2))
+
+
+@lru_cache(maxsize=64)
+def _band_mask(grid: Grid, band_limit: int) -> np.ndarray:
+    keep = np.ones(grid.n, dtype=bool)
+    for axis in range(grid.dim):
+        idx = np.arange(grid.n[axis])
+        mode = np.minimum(idx, grid.n[axis] - idx)
+        shape = [1] * grid.dim
+        shape[axis] = grid.n[axis]
+        keep &= (mode.reshape(shape) <= band_limit)
+    keep.setflags(write=False)
+    return keep
+
+
+def low_pass(grid: Grid, values: np.ndarray, band_limit: int) -> np.ndarray:
+    """Zero every Fourier mode whose index exceeds band_limit in magnitude
+    along some axis; the result is complex."""
+    spec = np.fft.fftn(values)
+    spec[~_band_mask(grid, band_limit)] = 0.0
+    return np.fft.ifftn(spec)
+
+
+def min_image_distances(grid: Grid, center) -> list[np.ndarray]:
+    """Per-axis periodic distance from each grid point to the center,
+    reduced to [0, L/2] and shaped to broadcast over the grid."""
+    out = []
+    for axis in range(grid.dim):
+        d = np.abs(grid.axis_coordinates(axis) - center[axis])
+        d = np.minimum(d, grid.box_length[axis] - d)
+        shape = [1] * grid.dim
+        shape[axis] = grid.n[axis]
+        out.append(d.reshape(shape))
+    return out
+
+
 @dataclass(frozen=True)
 class LatticeShift:
     """Translation by whole grid cells, one integer offset per axis."""
@@ -231,42 +318,22 @@ def spectral_derivative(grid: Grid, values: np.ndarray, axis: int | None = None,
     arr = np.asarray(values)
     if arr.shape != tuple(grid.n):
         raise GridMismatch(f"field shape {arr.shape} != grid {grid.n}")
-    was_real = not np.iscomplexobj(arr)
-    spec = np.fft.fftn(arr)
     if axis is None:
         if order == 2:
-            spec = -k_squared(grid) * spec
-        elif grid.dim == 1:
-            axis = 0
-        else:
+            return apply_multiplier(-k_squared(grid), arr)
+        if grid.dim != 1:
             raise ValueError("axis is required for orders 1 and 4 in dimension > 1")
-    if axis is not None:
-        k = _axis_k_mesh(grid, axis)
-        if order == 1:
-            mult = 1j * k.copy()
-            ny = grid.n[axis] // 2
-            idx = [slice(None)] * grid.dim
-            idx[axis] = ny
-            mult[tuple(idx)] = 0.0  # Nyquist has no signed wavenumber
-            spec = mult * spec
-        elif order == 2:
-            spec = -(k**2) * spec
-        else:
-            spec = (k**4) * spec
-    out = np.fft.ifftn(spec)
-    return out.real if was_real else out
+        axis = 0
+    if order == 1:
+        return apply_multiplier(_first_derivative(grid, axis), arr)
+    k = _axis_k_mesh(grid, axis)
+    return apply_multiplier(-(k**2) if order == 2 else k**4, arr)
 
 
 @lru_cache(maxsize=64)
 def _unit_ball_mask(grid: Grid) -> np.ndarray:
     """Indicator of the radius-1 ball around index 0, periodic metric."""
-    dist_sq = np.zeros(grid.n)
-    for axis in range(grid.dim):
-        idx = np.arange(grid.n[axis])
-        d = np.minimum(idx, grid.n[axis] - idx) * grid.spacing[axis]
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        dist_sq = dist_sq + d.reshape(shape) ** 2
+    dist_sq = sum(d**2 for d in min_image_distances(grid, (0.0,) * grid.dim))
     mask = (dist_sq <= 1.0).astype(np.float64)
     mask.setflags(write=False)
     return mask
@@ -308,17 +375,6 @@ def phase_rotate(state: FieldState, theta: float) -> FieldState:
     return state.replace_components(tuple(factor * c for c in state.components))
 
 
-def _component_weights(state: FieldState) -> list[np.ndarray]:
-    """Spectral weights so sum_c <w_c F_a, F_b> realizes the state-space product."""
-    grid = state.grid
-    if state.model_tag == NLS:
-        return [1.0 + k_squared(grid)]
-    if state.model_tag == NWE:
-        return [1.0 + k_squared(grid), np.ones(grid.n)]
-    kx = _axis_k_mesh(grid, 0)
-    return [1.0 + np.broadcast_to(kx**4, grid.n), np.ones(grid.n)]
-
-
 def x_norm(state: FieldState) -> float:
     """Phase-space norm: L2 of the components plus their defining derivatives.
 
@@ -326,12 +382,9 @@ def x_norm(state: FieldState) -> float:
     (v^2 + u_xx^2 + u^2).  Computed spectrally via Parseval.
     """
     grid = state.grid
-    weights = _component_weights(state)
     total = 0.0
-    scale = grid.cell_volume / np.prod(grid.n)
-    for comp, w in zip(state.components, weights):
-        spec = np.fft.fftn(comp)
-        total += scale * float(np.sum(w * np.abs(spec) ** 2))
+    for comp, w in zip(state.components, symbols(state.model_tag, grid).weights):
+        total += spectral_quadratic(grid, w, comp)
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -347,7 +400,7 @@ def orbit_distance(a: FieldState, b: FieldState) -> float:
     if a.grid != b.grid:
         raise GridMismatch("states live on different grids")
     grid = a.grid
-    weights = _component_weights(a)
+    weights = symbols(a.model_tag, grid).weights
     corr = np.zeros(grid.n, dtype=np.complex128)
     for ca, cb, w in zip(a.components, b.components, weights):
         corr += w * np.fft.fftn(ca) * np.conj(np.fft.fftn(cb))
@@ -390,16 +443,7 @@ def random_band_limited(grid: Grid, rng: SplitMix64, band_limit: int | None = No
     raw = rng.symmetric(total).reshape(grid.n)
     if complex_valued:
         raw = raw + 1j * rng.symmetric(total).reshape(grid.n)
-    spec = np.fft.fftn(raw)
-    keep = np.ones(grid.n, dtype=bool)
-    for axis in range(grid.dim):
-        idx = np.arange(grid.n[axis])
-        mode = np.minimum(idx, grid.n[axis] - idx)
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        keep &= (mode.reshape(shape) <= band_limit)
-    spec[~keep] = 0.0
-    out = np.fft.ifftn(spec)
+    out = low_pass(grid, raw, band_limit)
     out = out if complex_valued else out.real
     current = float(np.sqrt(np.mean(np.abs(out) ** 2)))
     if current > 0.0:

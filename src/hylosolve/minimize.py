@@ -15,9 +15,8 @@ import numpy as np
 
 from .exceptions import NearZeroCharge, NumericalFailure
 from .functionals import (PenaltyParams, choose_coercivity_params, j_delta,
-                          lambda0_estimate, penalized_probe_seed)
-from .grid import (NLS, FieldState, _component_weights, orbit_distance,
-                   x_norm as state_x_norm)
+                          lambda0_estimate, penalized_probe_seed, penalized_terms)
+from .grid import NLS, FieldState, orbit_distance, symbols, x_norm as state_x_norm
 from .models import ModelSpec, charge, energy, grad_charge, grad_energy, l2_inner, l2_norm
 
 __all__ = [
@@ -43,7 +42,6 @@ class MinimizeOptions:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     initial_step: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.max_iters, self.grad_tol, self.armijo_c1, self.initial_step) <= 0:
@@ -73,15 +71,15 @@ def _axpy(state: FieldState, t: float, direction: FieldState) -> FieldState:
 
 def _precondition(g: FieldState) -> FieldState:
     """Descent direction in the phase-space metric: divide each component's
-    spectrum by the metric weight (1 + |k|^2 for the field, 1 for the
-    velocity-like component).
+    spectrum by the metric weight (1 + the kinetic symbol for the field, 1
+    for the velocity-like component).
 
     Plain L2 steps are limited by the largest spectral curvature, so the
     highest modes hover at the stability edge and the gradient stalls well
     above tolerance; in this metric every mode contracts at an O(1) rate.
     """
     comps = []
-    for c, w in zip(g.components, _component_weights(g)):
+    for c, w in zip(g.components, symbols(g.model_tag, g.grid).weights):
         d = np.fft.ifftn(np.fft.fftn(c) / w)
         comps.append(d.real if not np.iscomplexobj(c) else d)
     return g.replace_components(tuple(comps))
@@ -95,16 +93,6 @@ def _scale_component(state: FieldState, index: int, factor: float) -> FieldState
     comps = list(state.components)
     comps[index] = comps[index] * factor
     return state.replace_components(tuple(comps))
-
-
-def _evaluate(spec: ModelSpec, state: FieldState, params: PenaltyParams):
-    """(J, E, C) with energy/charge computed once."""
-    e = energy(spec, state)
-    c = charge(spec, state)
-    if abs(c) < 1e-12 * (1.0 + state_x_norm(state)):
-        raise NearZeroCharge("charge vanished during descent")
-    j = e / abs(c) + params.delta * (e + 2.0 * params.a * abs(c) ** params.s_exp)
-    return j, e, c
 
 
 def _grad_j(spec: ModelSpec, state: FieldState, params: PenaltyParams,
@@ -149,10 +137,7 @@ def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
     if init is None:
         init, _ = penalized_probe_seed(spec, params)
     u = init
-    try:
-        ju, e, c = _evaluate(spec, u, params)
-    except NearZeroCharge:
-        raise
+    ju, e, c = penalized_terms(spec, u, params)
     step = opts.initial_step
     log: list[tuple[int, float, float, float]] = []
     converged = False
@@ -180,7 +165,7 @@ def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
                 trial = _axpy(u, -t, direction)
                 if _identical(trial, u):  # step below float resolution
                     break
-                jt, et, ct = _evaluate(spec, trial, params)
+                jt, et, ct = penalized_terms(spec, trial, params)
             except (NearZeroCharge, ValueError):
                 t *= opts.backtrack
                 continue

@@ -20,12 +20,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import grid as gridmod
-from .grid import NLS, NWE, NBE, FieldState, Grid, integrate, k_squared, spectral_derivative
+from .grid import (NLS, NWE, NBE, FieldState, Grid, apply_multiplier, integrate,
+                   spectral_quadratic, symbols)
 from .nonlinearity import WSpec, w_eval, w_prime_over_s
 
 __all__ = [
     "ModelSpec", "energy", "charge", "grad_energy", "grad_charge",
-    "evolve_step", "x_norm", "time_reverse", "l2_inner", "l2_norm",
+    "evolve_step", "x_norm", "time_reverse", "l2_inner", "l2_norm", "lyapunov_v",
 ]
 
 
@@ -52,31 +53,18 @@ def _check(spec: ModelSpec, state: FieldState):
         raise gridmod.GridMismatch("state does not match the model spec")
 
 
-def _grad_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """|grad f|^2 pointwise from spectral first derivatives."""
-    total = np.zeros(grid.n)
-    for axis in range(grid.dim):
-        d = spectral_derivative(grid, f, axis=axis, order=1)
-        total += np.abs(d) ** 2
-    return total
-
-
 def energy(spec: ModelSpec, state: FieldState) -> float:
-    """Conserved energy of the model (discrete quadrature, spectral derivatives)."""
+    """Conserved energy of the model: the kinetic part of the first
+    component by Parseval with the model's symbol, plus the quadrature of
+    the potential and of half the squared velocity-like component."""
     _check(spec, state)
     g = spec.grid
-    if spec.model_tag == NLS:
-        psi = state.psi
-        dens = 0.5 * _grad_sq(g, psi) + w_eval(spec.w, np.abs(psi))[0]
-        return integrate(g, dens)
-    if spec.model_tag == NWE:
-        psi, phi = state.components
-        dens = 0.5 * (np.abs(phi) ** 2 + _grad_sq(g, psi)) + w_eval(spec.w, np.abs(psi))[0]
-        return integrate(g, dens)
-    u, v = state.components
-    uxx = spectral_derivative(g, u, axis=0, order=2)
-    dens = 0.5 * (v**2 + uxx**2) + w_eval(spec.w, np.abs(u))[0]
-    return integrate(g, dens)
+    field = state.components[0]
+    local = w_eval(spec.w, np.abs(field))[0]
+    if len(state.components) == 2:
+        local = 0.5 * np.abs(state.components[1]) ** 2 + local
+    kinetic = 0.5 * spectral_quadratic(g, symbols(spec.model_tag, g).kinetic, field)
+    return kinetic + integrate(g, local)
 
 
 def charge(spec: ModelSpec, state: FieldState) -> float:
@@ -90,28 +78,19 @@ def charge(spec: ModelSpec, state: FieldState) -> float:
         psi, phi = state.components
         return integrate(g, (phi * np.conj(psi)).imag)
     u, v = state.components
-    ux = spectral_derivative(g, u, axis=0, order=1)
+    ux = apply_multiplier(symbols(NBE, g).ddx, u)
     return integrate(g, -v * ux)
 
 
 def grad_energy(spec: ModelSpec, state: FieldState) -> FieldState:
-    """Riesz gradient of the energy under the real L2 pairing."""
+    """Riesz gradient of the energy under the real L2 pairing: the kinetic
+    symbol applied to the first component plus the potential force; the
+    velocity-like second component is its own gradient."""
     _check(spec, state)
-    g = spec.grid
-    if spec.model_tag == NLS:
-        psi = state.psi
-        lap = spectral_derivative(g, psi, order=2)
-        force = w_prime_over_s(spec.w, np.abs(psi)) * psi
-        return state.replace_components((-lap + force,))
-    if spec.model_tag == NWE:
-        psi, phi = state.components
-        lap = spectral_derivative(g, psi, order=2)
-        force = w_prime_over_s(spec.w, np.abs(psi)) * psi
-        return state.replace_components((-lap + force, phi))
-    u, v = state.components
-    u4 = spectral_derivative(g, u, axis=0, order=4)
-    force = w_prime_over_s(spec.w, np.abs(u)) * u
-    return state.replace_components((u4 + force, v))
+    field = state.components[0]
+    kinetic = apply_multiplier(symbols(spec.model_tag, spec.grid).kinetic, field)
+    force = w_prime_over_s(spec.w, np.abs(field)) * field
+    return state.replace_components((kinetic + force,) + state.components[1:])
 
 
 def grad_charge(spec: ModelSpec, state: FieldState) -> FieldState:
@@ -124,9 +103,8 @@ def grad_charge(spec: ModelSpec, state: FieldState) -> FieldState:
         psi, phi = state.components
         return state.replace_components((-1j * phi, 1j * psi))
     u, v = state.components
-    vx = spectral_derivative(g, v, axis=0, order=1)
-    ux = spectral_derivative(g, u, axis=0, order=1)
-    return state.replace_components((vx, -ux))
+    ddx = symbols(NBE, g).ddx
+    return state.replace_components((apply_multiplier(ddx, v), -apply_multiplier(ddx, u)))
 
 
 def l2_inner(a: FieldState, b: FieldState) -> float:
@@ -141,6 +119,17 @@ def l2_inner(a: FieldState, b: FieldState) -> float:
 
 def l2_norm(a: FieldState) -> float:
     return float(np.sqrt(max(l2_inner(a, a), 0.0)))
+
+
+def lyapunov_v(spec: ModelSpec, state: FieldState, e_ref: float, c_ref: float) -> float:
+    """(E - e_ref)^2 + (C - c_ref)^2 with the charge kept signed.
+
+    Vanishes exactly on the (e_ref, c_ref) level set; along a flow that
+    conserves E and C it is constant up to integrator drift.
+    """
+    de = energy(spec, state) - e_ref
+    dc = charge(spec, state) - c_ref
+    return de * de + dc * dc
 
 
 def x_norm(spec: ModelSpec, state: FieldState) -> float:
@@ -167,17 +156,12 @@ class _Propagator:
     def __init__(self, spec: ModelSpec, dt: float):
         self.spec = spec
         self.dt = dt
-        g = spec.grid
+        kinetic = symbols(spec.model_tag, spec.grid).kinetic
         if spec.model_tag == NLS:
             # i psi_t = -(1/2) lap psi + (1/2) W'(psi): exact kinetic phase
-            self.lin = np.exp(-0.5j * dt * k_squared(g))
+            self.lin = np.exp(-0.5j * dt * kinetic)
         else:
-            if spec.model_tag == NWE:
-                lam_sq = k_squared(g) + spec.w.m_sq
-            else:
-                kx = 2.0 * np.pi * np.fft.fftfreq(g.n[0], d=g.spacing[0])
-                lam_sq = kx**4 + spec.w.m_sq
-            lam = np.sqrt(lam_sq)
+            lam = np.sqrt(kinetic + spec.w.m_sq)
             self.cos = np.cos(lam * dt)
             self.sinc = dt * np.sinc(lam * dt / np.pi)  # sin(lam dt)/lam, safe at 0
             self.lam_sin = lam * np.sin(lam * dt)

@@ -16,9 +16,8 @@ from .grid import (COMPLEX_MODELS, FieldState, LatticeShift, phase_rotate,
                    random_band_limited, translate, x_norm as state_x_norm)
 from .dynamics import EvolutionTrace, evolve
 from .minimize import MinimizeResult
-from .models import ModelSpec, charge, energy
+from .models import ModelSpec, charge, energy, lyapunov_v
 from .rng import SplitMix64
-from .stability_core import lyapunov_v
 
 __all__ = [
     "Perturbation", "StabilityRow", "StabilityReport", "lyapunov_v",

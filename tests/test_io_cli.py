@@ -138,9 +138,22 @@ def test_cli_check_happy_path(tmp_path):
     assert manifest["tool_version"]
 
 
-def test_cli_invalid_config_exits_2(tmp_path):
+def _model_config(**model):
+    cfg = _small_config()
+    cfg["model"].update(model)
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{broken", id="broken-json"),
+    # schema-valid, rejected by Grid / ModelSpec
+    pytest.param(_model_config(n=[100]), id="n-not-pow2"),
+    pytest.param(_model_config(n=[64, 64]), id="n-box-length-mismatch"),
+    pytest.param(_model_config(tag="NBE", n=[64, 64], box_length=[20.0, 20.0]), id="nbe-2d"),
+])
+def test_cli_invalid_config_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
+    bad.write_text(text)
     out = tmp_path / "out"
     code = cli_main(["check", "--config", str(bad), "--out", str(out), "--quiet"])
     assert code == 2

@@ -71,15 +71,18 @@ def test_nwe_standing_pair_charge():
     assert charge(spec, state) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("tag", list(SPECS))
-def test_gradients_match_finite_differences(tag):
+# band limit 32 on the 64-point grid keeps every mode, the Nyquist mode included
+@pytest.mark.parametrize("tag,band_limit",
+                         [pytest.param(tag, 8, id=tag) for tag in SPECS]
+                         + [pytest.param(tag, 32, id=f"{tag}-full-spectrum") for tag in SPECS])
+def test_gradients_match_finite_differences(tag, band_limit):
     spec = SPECS[tag]
     rng = SplitMix64(100).split(f"fd-{tag}")
     eps = 1e-5
     for trial in range(100):
         amp = 0.2 + 1.3 * rng.uniform()
-        state = random_state(tag, GRID, rng, amplitude=amp, band_limit=8)
-        direction = random_state(tag, GRID, rng, amplitude=0.5, band_limit=8)
+        state = random_state(tag, GRID, rng, amplitude=amp, band_limit=band_limit)
+        direction = random_state(tag, GRID, rng, amplitude=0.5, band_limit=band_limit)
         for func, grad in ((energy, grad_energy), (charge, grad_charge)):
             g = grad(spec, state)
             fd = (func(spec, _perturbed(state, direction, eps))
