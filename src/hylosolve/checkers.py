@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import (PenaltyParams, choose_coercivity_params, gaussian_profile,
-                          hylomorphy_check, nash_check, probe_states)
+                          hylomorphy_check, nash_sweep, probe_chunks)
 from .grid import (NBE, NLS, NWE, FieldState, LatticeShift, min_image_distances,
                    translate, x_norm as state_x_norm)
-from .models import ModelSpec, charge, energy, grad_charge, grad_energy
+from .models import ModelSpec, charge, charge_of, energy, energy_of, grad_charge, grad_energy
 from .nonlinearity import (DoublePower, SinglePower, check_w_conditions,
                            critical_exponent)
 from .rng import SplitMix64
@@ -89,11 +89,17 @@ def _shift_invariance_check(spec: ModelSpec, rng: SplitMix64, count: int) -> Che
 
 
 def _random_probe(spec: ModelSpec, rng: SplitMix64, amplitude: float) -> FieldState:
-    return probe_states(spec, rng, 1, amp_range=(amplitude, amplitude * 1.0000001))[0]
+    comps = next(probe_chunks(spec, rng, 1, amp_range=(amplitude, amplitude * 1.0000001)))
+    return FieldState(spec.model_tag, spec.grid, (comp[0] for comp in comps))
+
+
+def _bulk_of(params: PenaltyParams, e, c):
+    """E + a|C|^s from E and C (scalars or arrays)."""
+    return e + params.a * abs(c) ** params.s_exp
 
 
 def _bulk(spec: ModelSpec, params: PenaltyParams, state: FieldState) -> float:
-    return energy(spec, state) + params.a * abs(charge(spec, state)) ** params.s_exp
+    return _bulk_of(params, energy(spec, state), charge(spec, state))
 
 
 def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
@@ -106,12 +112,12 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
     tol = 1e-9
     worst = np.inf
     bad = None
-    for state in probe_states(spec, rng, count):
-        val = _bulk(spec, params, state)
-        if val < worst:
-            worst = val
-        if val < -tol and bad is None:
-            bad = {"source": "random-probe", "value": val}
+    for comps in probe_chunks(spec, rng, count):
+        vals = _bulk_of(params, energy_of(spec, comps), charge_of(spec, comps))
+        worst = min(worst, float(np.min(vals, initial=np.inf, where=~np.isnan(vals))))
+        below = np.flatnonzero(vals < -tol)
+        if below.size and bad is None:
+            bad = {"source": "random-probe", "value": float(vals[below[0]])}
     g = spec.grid
     sig_hi = min(g.box_length) / 8.0
     sig_lo = max(3.0 * max(g.spacing), sig_hi / 32.0)
@@ -220,8 +226,8 @@ def _nash_stability_check(spec: ModelSpec, seed: int) -> CheckResult:
     if fam.p >= critical_exponent(spec.grid.dim):
         return CheckResult("skipped", "analytic",
                            {"reason": f"supercritical p = {fam.p}"})
-    b_half = nash_check(spec.grid, fam.p, seed=seed, n_random=300)
-    b_full = nash_check(spec.grid, fam.p, seed=seed, n_random=600)
+    sweep = nash_sweep(spec.grid, fam.p, seed=seed, n_random=600)
+    b_half, b_full = float(sweep[300]), float(sweep[600])
     drift = abs(b_full - b_half) / max(b_half, 1e-30)
     ok = np.isfinite(b_full) and drift <= 0.10
     return CheckResult("pass" if ok else "fail", "sampled",
@@ -275,7 +281,8 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
     results["hh"] = CheckResult(
         "pass" if hylo.verdict else "fail", "probe-family",
         {"lambda0_estimate": hylo.lambda0_estimate, "best_ratio": hylo.best_ratio,
-         "margin": hylo.margin, "note": hylo.note},
+         "margin": hylo.margin, "note": hylo.note, "witness": hylo.witness,
+         "on_window_bound": hylo.on_window_bound},
         None if hylo.verdict else {"best_ratio": hylo.best_ratio,
                                    "lambda0_estimate": hylo.lambda0_estimate})
     return HypothesisCertificate(spec.model_tag, results, budget, seed, params_note)

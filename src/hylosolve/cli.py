@@ -229,6 +229,12 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
         raise ConfigError("evolve subcommand needs an 'evolve' config block")
     if state_path:
         state0 = read_field(state_path)
+        if state0.model_tag != spec.model_tag or state0.grid != spec.grid:
+            raise ConfigError(
+                f"--state holds a {state0.model_tag} field on grid n={list(state0.grid.n)}, "
+                f"L={list(state0.grid.box_length)}; the config describes a "
+                f"{spec.model_tag} model on n={list(spec.grid.n)}, "
+                f"L={list(spec.grid.box_length)}")
     else:
         params, _ = resolve_penalty(config, spec, seed)
         state0, _ = penalized_probe_seed(spec, params)

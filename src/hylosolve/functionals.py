@@ -20,21 +20,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NearZeroCharge
-from .grid import (NBE, NLS, NWE, FieldState, Grid, integrate, k_squared, low_pass,
-                   min_image_distances, random_state, spectral_derivative,
-                   spectral_quadratic, x_norm as state_x_norm)
-from .models import ModelSpec, charge, energy
+from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
+                   apply_multiplier, band_limited_noise, integrate, k_squared, low_pass,
+                   min_image_distances, require_finite, spectral_quadratic, symbols,
+                   x_norm as state_x_norm, x_norm_of)
+from .models import ModelSpec, charge, charge_of, energy, energy_of
 from .nonlinearity import DoublePower, SinglePower, critical_exponent
-from .rng import SplitMix64
+from .rng import SplitMix64, uniform_from_bits
 
 __all__ = [
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
-    "bound_m", "nash_exponents", "coercivity_exponent", "nash_check",
+    "bound_m", "nash_exponents", "coercivity_exponent", "nash_check", "nash_sweep",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
-    "gaussian_profile", "gaussian_state", "probe_states",
+    "gaussian_profile", "gaussian_state", "probe_chunks", "probe_states",
 ]
 
 CHARGE_FLOOR = 1e-12
+# grid points per probe stack (one probe when the grid alone is larger):
+# bounds the memory of every probe family independently of its size
+PROBE_CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -57,17 +61,42 @@ class PenaltyParams:
             raise ValueError("s_exp must be >= 1")
 
 
+def _require_charge(c, xnorm) -> None:
+    """Raise NearZeroCharge where |C| < CHARGE_FLOOR (1 + ||u||_X), per row."""
+    low = np.abs(c) < CHARGE_FLOOR * (1.0 + xnorm)
+    if np.any(low):
+        raise NearZeroCharge(
+            f"charge magnitude {float(np.min(np.abs(c)[low])):.3e} below the ratio floor")
+
+
 def _charge_above_floor(spec: ModelSpec, state: FieldState) -> float:
     c = charge(spec, state)
-    if abs(c) < CHARGE_FLOOR * (1.0 + state_x_norm(state)):
-        raise NearZeroCharge(f"charge magnitude {abs(c):.3e} below the ratio floor")
+    _require_charge(c, state_x_norm(state))
     return c
+
+
+def _stack_terms(spec: ModelSpec, components) -> tuple[np.ndarray, np.ndarray]:
+    """(E, C) per row of a probe stack, under the ratio's charge floor."""
+    e = energy_of(spec, components)
+    c = charge_of(spec, components)
+    _require_charge(c, x_norm_of(spec.model_tag, spec.grid, components))
+    return e, c
+
+
+def _ratio(e, c):
+    """E/|C| from E and signed C (scalars or arrays)."""
+    return e / abs(c)
+
+
+def _penalized(e, c, params: PenaltyParams):
+    """j_delta from E and signed C (scalars or arrays)."""
+    return _ratio(e, c) + params.delta * (e + 2.0 * params.a * abs(c) ** params.s_exp)
 
 
 def lambda_ratio(spec: ModelSpec, state: FieldState) -> float:
     """Energy per unit charge magnitude, E/|C|."""
     c = _charge_above_floor(spec, state)
-    return energy(spec, state) / abs(c)
+    return _ratio(energy(spec, state), c)
 
 
 def phi(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
@@ -80,7 +109,7 @@ def penalized_terms(spec: ModelSpec, state: FieldState,
     """(j_delta, E, C) from one energy and one charge evaluation; C is signed."""
     e = energy(spec, state)
     c = _charge_above_floor(spec, state)
-    return e / abs(c) + params.delta * (e + 2.0 * params.a * abs(c) ** params.s_exp), e, c
+    return _penalized(e, c, params), e, c
 
 
 def j_delta(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
@@ -148,17 +177,17 @@ def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> flo
     adversarial Gaussians of 30 widths; near-constant fields (vanishing
     gradient) are excluded.
     """
+    return float(nash_sweep(grid, p, seed, n_random)[-1])
+
+
+def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.ndarray:
+    """The running constant of nash_check: entry k is its value with the
+    first k random fields of the stream (k = 0..n_random), so one sweep
+    gives the constant at every smaller sample count."""
     if p >= critical_exponent(grid.dim):
         raise ValueError(f"p must be below {critical_exponent(grid.dim)} in dim {grid.dim}")
     q, r = nash_exponents(p, grid.dim)
-    rng = SplitMix64(seed).split("nash-check")
     best = 0.0
-    for _ in range(n_random):
-        f = np.asarray(rng.symmetric(int(np.prod(grid.n)))).reshape(grid.n)
-        f = low_pass(grid, f, min(grid.n) // 4).real
-        ratio = _lp_gradient_ratio(grid, f, p, q, r)
-        if ratio is not None:
-            best = max(best, ratio)
     sig_hi = min(grid.box_length) / 8.0
     sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
     for sigma in np.geomspace(sig_lo, sig_hi, 30):
@@ -166,7 +195,16 @@ def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> flo
         ratio = _lp_gradient_ratio(grid, f, p, q, r)
         if ratio is not None:
             best = max(best, ratio)
-    return best
+    rng = SplitMix64(seed).split("nash-check")
+    running = [best]
+    for _ in range(n_random):
+        f = np.asarray(rng.symmetric(grid.size)).reshape(grid.n)
+        f = low_pass(grid, f, min(grid.n) // 4).real
+        ratio = _lp_gradient_ratio(grid, f, p, q, r)
+        if ratio is not None:
+            best = max(best, ratio)
+        running.append(best)
+    return np.array(running)
 
 
 def gaussian_profile(grid: Grid, amplitude: float, sigma: float,
@@ -178,24 +216,31 @@ def gaussian_profile(grid: Grid, amplitude: float, sigma: float,
     return amplitude * np.exp(-r_sq / (2.0 * sigma**2))
 
 
+def _gaussian_components(spec: ModelSpec, bump: np.ndarray, pair_param) -> tuple:
+    """The components of Gaussian probes with the given bumps (leading axes
+    are a batch) and pair parameter (a scalar or one per bump)."""
+    if spec.model_tag == NLS:
+        return (bump.astype(np.complex128),)
+    pair = np.asarray(pair_param)
+    pair = pair.reshape(pair.shape + (1,) * spec.grid.dim)
+    if spec.model_tag == NWE:
+        return bump.astype(np.complex128), -1j * pair * bump
+    ux = apply_multiplier(symbols(NBE, spec.grid).ddx, bump)
+    return bump, -pair * ux
+
+
 def gaussian_state(spec: ModelSpec, amplitude: float, sigma: float,
                    pair_param: float | None = None) -> FieldState:
     """Gaussian probe state; the pair parameter is the rotation rate (NWE)
     or travel speed (NBE) of the second component."""
-    g = spec.grid
-    bump = gaussian_profile(g, amplitude, sigma)
-    if spec.model_tag == NLS:
-        return FieldState.nls(g, bump.astype(np.complex128))
-    if spec.model_tag == NWE:
-        omega = 0.0 if pair_param is None else pair_param
-        return FieldState.nwe(g, bump, -1j * omega * bump)
-    c = 0.0 if pair_param is None else pair_param
-    ux = spectral_derivative(g, bump, axis=0, order=1)
-    return FieldState.nbe(g, bump, -c * ux)
+    bump = gaussian_profile(spec.grid, amplitude, sigma)
+    pair = 0.0 if pair_param is None else pair_param
+    return FieldState(spec.model_tag, spec.grid, _gaussian_components(spec, bump, pair))
 
 
-def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray) -> float:
-    """Closed-form minimizer of the ratio over the second-component scale.
+def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray):
+    """Closed-form minimizer of the ratio over the second-component scale,
+    one per bump (leading axes of bump are a batch).
 
     The ratio as a function of the pair parameter w is w/2 + B/(w P) with
     B the frozen-field energy and P the relevant quadratic weight, so the
@@ -203,36 +248,85 @@ def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray) -> float:
     """
     g = spec.grid
     if spec.model_tag == NWE:
-        rest = energy(spec, FieldState.nwe(g, bump, np.zeros_like(bump)))
+        field = bump.astype(np.complex128)
+        rest = energy_of(spec, (field, np.zeros_like(field)))
         weight = integrate(g, np.abs(bump) ** 2)
     else:
-        ux = spectral_derivative(g, bump, axis=0, order=1)
-        rest = energy(spec, FieldState.nbe(g, bump, np.zeros_like(bump)))
+        ux = apply_multiplier(symbols(NBE, g).ddx, bump)
+        rest = energy_of(spec, (bump, np.zeros_like(bump)))
         weight = integrate(g, ux**2)
     floor = 1e-4 * max(1.0, np.sqrt(spec.w.m_sq))
-    if rest <= 0.0 or weight <= 0.0:
-        return floor
-    return max(float(np.sqrt(2.0 * rest / weight)), floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = np.maximum(np.sqrt(2.0 * rest / weight), floor)
+    return np.where((rest <= 0.0) | (weight <= 0.0), floor, best)
+
+
+def _probe_rows(spec: ModelSpec, amps, sigma: float) -> tuple:
+    """Stacked Gaussian probes of one width, one row per amplitude, with the
+    closed-form optimal pair parameter for the wave/beam pairs."""
+    g = spec.grid
+    amps = np.asarray(amps, dtype=np.float64)
+    bump = amps.reshape(amps.shape + (1,) * g.dim) * gaussian_profile(g, 1.0, sigma)
+    pair = None if spec.model_tag == NLS else _optimal_pair_param(spec, bump)
+    comps = _gaussian_components(spec, bump, pair)
+    for comp in comps:
+        require_finite(comp)
+    return comps
 
 
 def _probe_state(spec: ModelSpec, amplitude: float, sigma: float) -> FieldState:
-    bump = gaussian_profile(spec.grid, amplitude, sigma)
-    if spec.model_tag == NLS:
-        return FieldState.nls(spec.grid, bump.astype(np.complex128))
-    return gaussian_state(spec, amplitude, sigma, _optimal_pair_param(spec, bump))
+    """The one probe of _probe_rows at this amplitude."""
+    return FieldState(spec.model_tag, spec.grid, _probe_rows(spec, amplitude, sigma))
+
+
+def _chunk_rows(grid: Grid) -> int:
+    """Probes per stack: PROBE_CHUNK_POINTS grid points, at least one probe."""
+    return max(1, PROBE_CHUNK_POINTS // grid.size)
+
+
+def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> np.ndarray:
+    """value(E, C) of the Gaussian probes of one width, one per amplitude,
+    evaluated one stack of at most PROBE_CHUNK_POINTS grid points at a time."""
+    rows = _chunk_rows(spec.grid)
+    return np.concatenate([value(*_stack_terms(spec, _probe_rows(spec, amps[i:i + rows], sigma)))
+                           for i in range(0, len(amps), rows)])
+
+
+def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
+                 amp_range: tuple[float, float] = (1e-2, 3.0)):
+    """Seeded random smooth states with log-uniform amplitudes, yielded as
+    component stacks of at most PROBE_CHUNK_POINTS grid points (one probe
+    per stack when a single field is larger).
+
+    Each probe takes a fixed number of draws: its log-amplitude, its band
+    limit, then the noise of each component.  One block of the stream per
+    stack therefore gives every probe the draws it would get alone.
+    """
+    g = spec.grid
+    complex_valued = spec.model_tag in COMPLEX_MODELS
+    ncomp = len(COMPONENT_NAMES[spec.model_tag])
+    per_field = g.size * (2 if complex_valued else 1)
+    per_probe = 2 + ncomp * per_field
+    rows = _chunk_rows(g)
+    lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
+    for start in range(0, count, rows):
+        bits = rng.next_block_u64(min(rows, count - start) * per_probe).reshape(-1, per_probe)
+        amp = np.exp(lo + (hi - lo) * uniform_from_bits(bits[:, 0]))
+        band = 2 + (bits[:, 1] % np.uint64(min(g.n) // 4 - 1)).astype(np.int64)
+        comps = tuple(
+            band_limited_noise(g, bits[:, 2 + i * per_field:2 + (i + 1) * per_field],
+                               band, amp, complex_valued)
+            for i in range(ncomp))
+        for comp in comps:
+            require_finite(comp)
+        yield comps
 
 
 def probe_states(spec: ModelSpec, rng: SplitMix64, count: int,
                  amp_range: tuple[float, float] = (1e-2, 3.0)) -> list[FieldState]:
-    """Seeded random smooth states with log-uniform amplitudes."""
-    lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
-    out = []
-    for _ in range(count):
-        amp = float(np.exp(lo + (hi - lo) * rng.uniform()))
-        band = 2 + int(rng.integers(1, min(spec.grid.n) // 4 - 1)[0])
-        out.append(random_state(spec.model_tag, spec.grid, rng, amplitude=amp,
-                                band_limit=band))
-    return out
+    """The probes of probe_chunks, one state each."""
+    return [FieldState(spec.model_tag, spec.grid, row)
+            for comps in probe_chunks(spec, rng, count, amp_range) for row in zip(*comps)]
 
 
 def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02,
@@ -269,15 +363,20 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02,
 
 def _probe_supremum(spec: ModelSpec, rng: SplitMix64, s_exp: float,
                     n_probes: int) -> float:
+    """sup of -E/|C|^s over the random probes with E < 0, skipping those
+    whose charge is negligible against their norm."""
     worst = 0.0
-    for state in probe_states(spec, rng, n_probes):
-        e = energy(spec, state)
-        if e >= 0.0:
+    for comps in probe_chunks(spec, rng, n_probes):
+        e = energy_of(spec, comps)
+        neg = e < 0.0
+        if not np.any(neg):
             continue
-        c = abs(charge(spec, state))
-        if c < 1e-9 * (1.0 + state_x_norm(state)):
-            continue
-        worst = max(worst, -e / c**s_exp)
+        comps = tuple(comp[neg] for comp in comps)
+        e = e[neg]
+        c = np.abs(charge_of(spec, comps))
+        keep = c >= 1e-9 * (1.0 + x_norm_of(spec.model_tag, spec.grid, comps))
+        if np.any(keep):
+            worst = max(worst, float(np.max(-e[keep] / c[keep] ** s_exp)))
     return worst
 
 
@@ -311,7 +410,7 @@ def lambda0_estimate(spec: ModelSpec, n_scales: int = 8, fit_tail: int = 4) -> f
     amps = 0.05 * 2.0 ** (-np.arange(4))
     per_sigma = []
     for sigma in sigmas:
-        vals = np.array([lambda_ratio(spec, _probe_state(spec, a, sigma)) for a in amps])
+        vals = _gaussian_values(spec, amps, sigma, _ratio)
         per_sigma.append(_richardson_limit(vals, amps**amp_power, tail=4))
     per_sigma = np.asarray(per_sigma)
     best = float(per_sigma.min())
@@ -331,24 +430,32 @@ class HylomorphyReport:
     verdict: bool = False
     margin: float = 0.0
     note: str = "probe-family estimate (empirical, not certified)"
+    # search-window bounds the witness sits on, e.g. "amplitude_upper": an
+    # estimate there is a window edge, not an interior optimum
+    on_window_bound: list[str] = field(default_factory=list)
 
 
-def _family_search(spec: ModelSpec, objective, amp_bounds: tuple[float, float],
+def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
                    sig_bounds: tuple[float, float], grid_size: int = 40,
                    refinements: int = 2):
-    """Coordinate grid search over (amplitude, width), log-spaced, refined
-    around the incumbent; returns (best value, amplitude, width)."""
+    """Coordinate grid search of value(E, C) over Gaussian probes in
+    (amplitude, width), log-spaced, refined around the incumbent; returns
+    (best value, amplitude, width).
+
+    Each width column is evaluated as stacks of probes.  The winner is the
+    first strict minimum in amplitude-major order; NaN never wins.
+    """
     a_lo, a_hi = amp_bounds
     s_lo, s_hi = sig_bounds
     best = (np.inf, a_lo, s_lo)
     for _ in range(refinements + 1):
         amps = np.geomspace(a_lo, a_hi, grid_size)
         sigs = np.geomspace(s_lo, s_hi, grid_size)
-        for amp in amps:
-            for sig in sigs:
-                val = objective(amp, sig)
-                if val < best[0]:
-                    best = (val, float(amp), float(sig))
+        table = np.column_stack([_gaussian_values(spec, amps, sig, value) for sig in sigs])
+        table[np.isnan(table)] = np.inf
+        i, j = np.unravel_index(np.argmin(table), table.shape)
+        if table[i, j] < best[0]:
+            best = (float(table[i, j]), float(amps[i]), float(sigs[j]))
         # shrink the window two cells around the incumbent, inside the bounds
         ra = (a_hi / a_lo) ** (2.0 / (grid_size - 1))
         rs = (s_hi / s_lo) ** (2.0 / (grid_size - 1))
@@ -364,6 +471,17 @@ def default_probe_bounds(spec: ModelSpec) -> tuple[tuple[float, float], tuple[fl
     return (0.05, 2.0), (sig_lo, sig_hi)
 
 
+def _window_bounds_hit(amp: float, sigma: float, amp_bounds, sig_bounds) -> list[str]:
+    """Names of the search-window bounds that (amp, sigma) sits on."""
+    hits = []
+    for name, value, (lo, hi) in (("amplitude", amp, amp_bounds), ("width", sigma, sig_bounds)):
+        if np.isclose(value, lo, rtol=1e-12, atol=0.0):
+            hits.append(f"{name}_lower")
+        if np.isclose(value, hi, rtol=1e-12, atol=0.0):
+            hits.append(f"{name}_upper")
+    return hits
+
+
 def hylomorphy_check(spec: ModelSpec, params: PenaltyParams,
                      margin: float | None = None, grid_size: int = 40,
                      refinements: int = 2) -> HylomorphyReport:
@@ -376,22 +494,19 @@ def hylomorphy_check(spec: ModelSpec, params: PenaltyParams,
     if margin is None:
         margin = 1e-3 * abs(lam0)
     amp_bounds, sig_bounds = default_probe_bounds(spec)
-
-    def objective(amp, sig):
-        return lambda_ratio(spec, _probe_state(spec, amp, sig))
-
     best_val, best_amp, best_sig = _family_search(
-        spec, objective, amp_bounds, sig_bounds, grid_size, refinements)
+        spec, _ratio, amp_bounds, sig_bounds, grid_size, refinements)
     witness = {"amplitude": best_amp, "width": best_sig}
     if spec.model_tag in (NWE, NBE):
         bump = gaussian_profile(spec.grid, best_amp, best_sig)
-        witness["pair_param"] = _optimal_pair_param(spec, bump)
+        witness["pair_param"] = float(_optimal_pair_param(spec, bump))
     return HylomorphyReport(
         lambda0_estimate=lam0,
         best_ratio=best_val,
         witness=witness,
         verdict=bool(best_val < lam0 - margin),
         margin=margin,
+        on_window_bound=_window_bounds_hit(best_amp, best_sig, amp_bounds, sig_bounds),
     )
 
 
@@ -410,10 +525,7 @@ def penalized_probe_seed(spec: ModelSpec, params: PenaltyParams,
     the usable delta range far below its true extent.
     """
     amp_bounds, sig_bounds = default_probe_bounds(spec)
-
-    def objective(amp, sig):
-        return j_delta(spec, _probe_state(spec, amp, sig), params)
-
     best_val, best_amp, best_sig = _family_search(
-        spec, objective, amp_bounds, sig_bounds, grid_size, refinements)
+        spec, lambda e, c: _penalized(e, c, params), amp_bounds, sig_bounds,
+        grid_size, refinements)
     return _probe_state(spec, best_amp, best_sig), best_val

@@ -9,12 +9,12 @@ operations (no interpolation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exceptions import GridMismatch
-from .rng import SplitMix64
+from .rng import SplitMix64, symmetric_from_bits
 
 MAX_TOTAL_POINTS = 2**22
 
@@ -54,8 +54,8 @@ class Grid:
         for li in box:
             if not li > 0:
                 raise ValueError("box lengths must be positive")
-        if int(np.prod(n)) > MAX_TOTAL_POINTS:
-            raise ValueError(f"total points {np.prod(n)} exceed {MAX_TOTAL_POINTS}")
+        if self.size > MAX_TOTAL_POINTS:
+            raise ValueError(f"total points {self.size} exceed {MAX_TOTAL_POINTS}")
 
     @property
     def dim(self) -> int:
@@ -65,9 +65,19 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / ni for L, ni in zip(self.box_length, self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
+
+    @cached_property
+    def size(self) -> int:
+        """Total number of grid points."""
+        return int(np.prod(self.n))
+
+    @cached_property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing array axes a field occupies; leading axes are a batch."""
+        return tuple(range(-self.dim, 0))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return _axis_coordinates(self, axis)
@@ -154,28 +164,54 @@ def symbols(model_tag: str, grid: Grid) -> SpectralSymbols:
     return SpectralSymbols(kinetic, tuple(weights), _first_derivative(grid, 0))
 
 
+def _on_grid(grid: Grid, values) -> np.ndarray:
+    """values as an array whose trailing axes are the grid (leading axes are a batch)."""
+    arr = np.asarray(values)
+    if arr.shape[arr.ndim - grid.dim:] != grid.n:
+        raise GridMismatch(f"field shape {arr.shape} != grid {grid.n}")
+    return arr
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise ValueError unless every sample (both parts, if complex) is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field samples must be finite")
+
+
 def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """ifft(multiplier * fft(values)); real input gives real output."""
-    out = np.fft.ifftn(multiplier * np.fft.fftn(values))
+    """ifft(multiplier * fft(values)) over the multiplier's (trailing) axes;
+    real input gives real output."""
+    axes = tuple(range(-multiplier.ndim, 0))
+    out = np.fft.ifftn(multiplier * np.fft.fftn(values, axes=axes), axes=axes)
     return out if np.iscomplexobj(values) else out.real
 
 
-def spectral_quadratic(grid: Grid, multiplier: np.ndarray, values: np.ndarray) -> float:
+def spectral_quadratic(grid: Grid, multiplier: np.ndarray, values: np.ndarray):
     """Parseval: the integral of conj(f) (multiplier f), as
-    (cell volume / N) sum multiplier |F|^2 over the discrete spectrum F."""
-    scale = grid.cell_volume / np.prod(grid.n)
-    return scale * float(np.sum(multiplier * np.abs(np.fft.fftn(values)) ** 2))
+    (cell volume / N) sum multiplier |F|^2 over the discrete spectrum F;
+    one value per leading (batch) index."""
+    arr = _on_grid(grid, values)
+    spec = np.fft.fftn(arr, axes=grid.axes)
+    return grid.cell_volume / grid.size * np.sum(multiplier * np.abs(spec) ** 2, axis=grid.axes)
 
 
 @lru_cache(maxsize=64)
-def _band_mask(grid: Grid, band_limit: int) -> np.ndarray:
-    keep = np.ones(grid.n, dtype=bool)
+def _max_mode(grid: Grid) -> np.ndarray:
+    """Largest Fourier mode index magnitude over the axes, per spectral point."""
+    top = np.zeros(grid.n, dtype=np.int64)
     for axis in range(grid.dim):
         idx = np.arange(grid.n[axis])
         mode = np.minimum(idx, grid.n[axis] - idx)
         shape = [1] * grid.dim
         shape[axis] = grid.n[axis]
-        keep &= (mode.reshape(shape) <= band_limit)
+        top = np.maximum(top, mode.reshape(shape))
+    top.setflags(write=False)
+    return top
+
+
+@lru_cache(maxsize=64)
+def _band_mask(grid: Grid, band_limit: int) -> np.ndarray:
+    keep = _max_mode(grid) <= band_limit
     keep.setflags(write=False)
     return keep
 
@@ -235,8 +271,7 @@ class FieldState:
             arr = np.array(arr, dtype=dtype)
             if arr.shape != tuple(grid.n):
                 raise ValueError(f"component shape {arr.shape} != grid {grid.n}")
-            if not np.all(np.isfinite(arr.view(np.float64))):
-                raise ValueError("field samples must be finite")
+            require_finite(arr)
             arr.setflags(write=False)
             stored.append(arr)
         object.__setattr__(self, "model_tag", model_tag)
@@ -293,16 +328,15 @@ class FieldState:
         return FieldState(self.model_tag, self.grid, components)
 
 
-def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Discrete box integral: cell volume times the sample sum.
+def integrate(grid: Grid, values: np.ndarray):
+    """Discrete box integral: cell volume times the sample sum, one value
+    per leading (batch) index.
 
     On a periodic grid this is the trapezoid rule, which is spectrally
     exact for band-limited integrands.
     """
-    arr = np.asarray(values)
-    if arr.shape != tuple(grid.n):
-        raise GridMismatch(f"field shape {arr.shape} != grid {grid.n}")
-    return grid.cell_volume * float(np.sum(arr.real))
+    arr = _on_grid(grid, values)
+    return grid.cell_volume * np.sum(arr.real, axis=grid.axes)
 
 
 def spectral_derivative(grid: Grid, values: np.ndarray, axis: int | None = None,
@@ -375,17 +409,22 @@ def phase_rotate(state: FieldState, theta: float) -> FieldState:
     return state.replace_components(tuple(factor * c for c in state.components))
 
 
-def x_norm(state: FieldState) -> float:
+def x_norm_of(model_tag: str, grid: Grid, components):
     """Phase-space norm: L2 of the components plus their defining derivatives.
 
     NLS: (|grad psi|^2 + |psi|^2); NWE adds |phi|^2; NBE uses
-    (v^2 + u_xx^2 + u^2).  Computed spectrally via Parseval.
+    (v^2 + u_xx^2 + u^2).  Computed spectrally via Parseval, one value per
+    leading (batch) index of the component arrays.
     """
-    grid = state.grid
     total = 0.0
-    for comp, w in zip(state.components, symbols(state.model_tag, grid).weights):
-        total += spectral_quadratic(grid, w, comp)
-    return float(np.sqrt(max(total, 0.0)))
+    for comp, w in zip(components, symbols(model_tag, grid).weights):
+        total = total + spectral_quadratic(grid, w, comp)
+    return np.sqrt(np.maximum(total, 0.0))
+
+
+def x_norm(state: FieldState) -> float:
+    """The phase-space norm of one state (see x_norm_of)."""
+    return float(x_norm_of(state.model_tag, state.grid, state.components))
 
 
 def orbit_distance(a: FieldState, b: FieldState) -> float:
@@ -439,16 +478,32 @@ def random_band_limited(grid: Grid, rng: SplitMix64, band_limit: int | None = No
     """
     if band_limit is None:
         band_limit = min(grid.n) // 4
-    total = int(np.prod(grid.n))
-    raw = rng.symmetric(total).reshape(grid.n)
+    bits = rng.next_block_u64(grid.size * (2 if complex_valued else 1))
+    return band_limited_noise(grid, bits, band_limit, rms, complex_valued)
+
+
+def band_limited_noise(grid: Grid, bits: np.ndarray, band_limit, rms,
+                       complex_valued: bool) -> np.ndarray:
+    """The fields random_band_limited makes from raw stream outputs.
+
+    The last axis of bits holds one field's draws (the real parts, then the
+    imaginary parts); leading axes are a batch, and band_limit and rms are
+    scalars or one value per batch index.
+    """
+    batch = bits.shape[:-1]
+    planes = symmetric_from_bits(bits).reshape(batch + (-1, grid.size))
+    raw = planes[..., 0, :]
     if complex_valued:
-        raw = raw + 1j * rng.symmetric(total).reshape(grid.n)
-    out = low_pass(grid, raw, band_limit)
+        raw = raw + 1j * planes[..., 1, :]
+    raw = raw.reshape(batch + grid.n)
+    per_field = batch + (1,) * grid.dim
+    spec = np.fft.fftn(raw, axes=grid.axes)
+    spec[~(_max_mode(grid) <= np.reshape(band_limit, per_field))] = 0.0
+    out = np.fft.ifftn(spec, axes=grid.axes)
     out = out if complex_valued else out.real
-    current = float(np.sqrt(np.mean(np.abs(out) ** 2)))
-    if current > 0.0:
-        out = out * (rms / current)
-    return out
+    current = np.sqrt(np.mean(np.abs(out) ** 2, axis=grid.axes))
+    scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
+    return out * np.reshape(scale, per_field)
 
 
 def random_state(model_tag: str, grid: Grid, rng: SplitMix64,

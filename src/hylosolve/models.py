@@ -22,10 +22,10 @@ import numpy as np
 from . import grid as gridmod
 from .grid import (NLS, NWE, NBE, FieldState, Grid, apply_multiplier, integrate,
                    spectral_quadratic, symbols)
-from .nonlinearity import WSpec, w_eval, w_prime_over_s
+from .nonlinearity import WSpec, w_prime_over_s, w_value
 
 __all__ = [
-    "ModelSpec", "energy", "charge", "grad_energy", "grad_charge",
+    "ModelSpec", "energy", "energy_of", "charge", "charge_of", "grad_energy", "grad_charge",
     "evolve_step", "x_norm", "time_reverse", "l2_inner", "l2_norm", "lyapunov_v",
 ]
 
@@ -53,33 +53,52 @@ def _check(spec: ModelSpec, state: FieldState):
         raise gridmod.GridMismatch("state does not match the model spec")
 
 
-def energy(spec: ModelSpec, state: FieldState) -> float:
+def energy_of(spec: ModelSpec, components):
     """Conserved energy of the model: the kinetic part of the first
     component by Parseval with the model's symbol, plus the quadrature of
-    the potential and of half the squared velocity-like component."""
-    _check(spec, state)
+    the potential and of half the squared velocity-like component.
+
+    The component arrays may carry leading batch axes; the result has one
+    value per batch index."""
     g = spec.grid
-    field = state.components[0]
-    local = w_eval(spec.w, np.abs(field))[0]
-    if len(state.components) == 2:
-        local = 0.5 * np.abs(state.components[1]) ** 2 + local
+    field = components[0]
+    local = w_value(spec.w, np.abs(field))
+    if len(components) == 2:
+        local = 0.5 * np.abs(components[1]) ** 2 + local
     kinetic = 0.5 * spectral_quadratic(g, symbols(spec.model_tag, g).kinetic, field)
     return kinetic + integrate(g, local)
 
 
-def charge(spec: ModelSpec, state: FieldState) -> float:
-    """Conserved charge: L2 mass (NLS), Im of the pair product (NWE),
-    or momentum (NBE).  Signed for the latter two."""
+def energy(spec: ModelSpec, state: FieldState) -> float:
+    """The energy of one state (see energy_of)."""
     _check(spec, state)
+    return float(energy_of(spec, state.components))
+
+
+def charge_of(spec: ModelSpec, components):
+    """Conserved charge: L2 mass (NLS), Im of the pair product (NWE),
+    or momentum (NBE).  Signed for the latter two.  One value per leading
+    batch index of the component arrays."""
     g = spec.grid
     if spec.model_tag == NLS:
-        return integrate(g, np.abs(state.psi) ** 2)
+        return integrate(g, np.abs(components[0]) ** 2)
     if spec.model_tag == NWE:
-        psi, phi = state.components
-        return integrate(g, (phi * np.conj(psi)).imag)
-    u, v = state.components
+        psi, phi = components
+        # an explicit in-place product: numpy's own reuse of a large
+        # temporary rounds complex products differently, which would make a
+        # stack of states disagree with the same states one by one
+        prod = np.conj(psi)
+        np.multiply(phi, prod, out=prod)
+        return integrate(g, prod.imag)
+    u, v = components
     ux = apply_multiplier(symbols(NBE, g).ddx, u)
     return integrate(g, -v * ux)
+
+
+def charge(spec: ModelSpec, state: FieldState) -> float:
+    """The charge of one state (see charge_of)."""
+    _check(spec, state)
+    return float(charge_of(spec, state.components))
 
 
 def grad_energy(spec: ModelSpec, state: FieldState) -> FieldState:

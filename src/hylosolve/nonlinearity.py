@@ -13,7 +13,7 @@ import numpy as np
 
 __all__ = [
     "SinglePower", "DoublePower", "Saturating", "WSpec",
-    "w_eval", "w_prime_over_s", "ConditionVerdict", "WConditionReport",
+    "w_value", "w_eval", "w_prime_over_s", "ConditionVerdict", "WConditionReport",
     "check_w_conditions", "critical_exponent", "sobolev_critical",
 ]
 
@@ -83,6 +83,26 @@ class WSpec:
             raise ValueError("m_sq must be >= 0")
 
 
+def _saturation(spec: WSpec, s) -> tuple[float, np.ndarray]:
+    """(beta, exp(-beta s^2)) of the saturating family."""
+    m2 = spec.m_sq
+    beta = m2 / (2.0 * spec.family.m_bar) if m2 > 0 else 0.0
+    return beta, np.exp(-beta * s**2)
+
+
+def w_value(spec: WSpec, s):
+    """W at s >= 0, vectorized and unchecked: the potential formula that the
+    energy and w_eval share."""
+    m2 = spec.m_sq
+    fam = spec.family
+    if isinstance(fam, SinglePower):
+        return 0.5 * m2 * s**2 - (fam.b / fam.p) * s**fam.p
+    if isinstance(fam, DoublePower):
+        return (0.5 * m2 * s**2 - (fam.b / fam.p) * s**fam.p
+                + (fam.c / fam.q_tilde) * s**fam.q_tilde)
+    return fam.m_bar * (1.0 - _saturation(spec, s)[1])
+
+
 def w_eval(spec: WSpec, s):
     """(W, W', W'') at s >= 0, vectorized; all three by closed formula."""
     s = np.asarray(s, dtype=np.float64)
@@ -90,21 +110,16 @@ def w_eval(spec: WSpec, s):
         raise ValueError("w_eval expects s >= 0")
     m2 = spec.m_sq
     fam = spec.family
+    w = w_value(spec, s)
     if isinstance(fam, SinglePower):
-        sp = s**fam.p
-        w = 0.5 * m2 * s**2 - (fam.b / fam.p) * sp
         w1 = m2 * s - fam.b * s ** (fam.p - 1)
         w2 = m2 - fam.b * (fam.p - 1) * s ** (fam.p - 2)
     elif isinstance(fam, DoublePower):
-        w = (0.5 * m2 * s**2 - (fam.b / fam.p) * s**fam.p
-             + (fam.c / fam.q_tilde) * s**fam.q_tilde)
         w1 = m2 * s - fam.b * s ** (fam.p - 1) + fam.c * s ** (fam.q_tilde - 1)
         w2 = (m2 - fam.b * (fam.p - 1) * s ** (fam.p - 2)
               + fam.c * (fam.q_tilde - 1) * s ** (fam.q_tilde - 2))
     else:
-        beta = m2 / (2.0 * fam.m_bar) if m2 > 0 else 0.0
-        decay = np.exp(-beta * s**2)
-        w = fam.m_bar * (1.0 - decay)
+        beta, decay = _saturation(spec, s)
         w1 = m2 * s * decay
         w2 = m2 * decay * (1.0 - 2.0 * beta * s**2)
     if s.ndim == 0:
@@ -125,8 +140,7 @@ def w_prime_over_s(spec: WSpec, s):
         return m2 - fam.b * s ** (fam.p - 2)
     if isinstance(fam, DoublePower):
         return m2 - fam.b * s ** (fam.p - 2) + fam.c * s ** (fam.q_tilde - 2)
-    beta = m2 / (2.0 * fam.m_bar) if m2 > 0 else 0.0
-    return m2 * np.exp(-beta * s**2)
+    return m2 * _saturation(spec, s)[1]
 
 
 def sobolev_critical(dim: int) -> float:

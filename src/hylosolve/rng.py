@@ -38,7 +38,9 @@ class SplitMix64:
     """splitmix64 stream: state advances by the golden gamma per draw.
 
     The k-th output is mix(seed + (k+1)*gamma), which lets blocks of
-    outputs be produced vectorized without changing the stream.
+    outputs be produced vectorized without changing the stream: a consumer
+    that takes a fixed number of draws per item can take one block for many
+    items and split it, and gets the values it would get item by item.
     """
 
     def __init__(self, seed: int):
@@ -62,12 +64,11 @@ class SplitMix64:
         """Uniforms in [0, 1) with 53-bit mantissas (scalar if n is None)."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0**-53
-        block = self.next_block_u64(n) >> np.uint64(11)
-        return block.astype(np.float64) * 2.0**-53
+        return uniform_from_bits(self.next_block_u64(n))
 
     def symmetric(self, n: int) -> np.ndarray:
         """Uniforms in [-1, 1)."""
-        return 2.0 * self.uniform(n) - 1.0
+        return symmetric_from_bits(self.next_block_u64(n))
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers in [0, bound) by 64-bit modular reduction."""
@@ -78,3 +79,13 @@ class SplitMix64:
     def split(self, stream: str) -> "SplitMix64":
         """Independent child stream identified by name."""
         return SplitMix64(_mix((self._seed ^ fnv1a64(stream)) & _MASK64))
+
+
+def uniform_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from raw uint64 outputs (the top 53 bits)."""
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def symmetric_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Uniforms in [-1, 1) from raw uint64 outputs."""
+    return 2.0 * uniform_from_bits(bits) - 1.0

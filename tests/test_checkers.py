@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hylosolve import (Grid, ModelSpec, PenaltyParams, SinglePower, WSpec,
-                       audit, gate_passed)
+                       audit, gate_passed, nash_check)
 from hylosolve.checkers import GATE_IDS
 from hylosolve.fileio import certificate_to_json
 
@@ -73,3 +73,19 @@ def test_explicit_params_recorded():
     cert = audit(FOCUSING, params, budget=100, seed=3)
     assert cert.params["a"] == 0.1
     assert cert.params["delta"] == 0.05
+
+
+def test_nash_single_sweep_matches_separate_checks(focusing_cert):
+    # one 600-field sweep gives the constants of the 300- and 600-field checks
+    b_half = nash_check(GRID, 4.0, seed=1, n_random=300)
+    b_full = nash_check(GRID, 4.0, seed=1, n_random=600)
+    params = focusing_cert.results["Nash"].parameters
+    assert params["b_emp"] == b_full
+    assert params["sample_doubling_drift"] == abs(b_full - b_half) / max(b_half, 1e-30)
+
+
+def test_hh_records_witness_and_window_bounds(focusing_cert):
+    params = focusing_cert.results["hh"].parameters
+    assert set(params["witness"]) == {"amplitude", "width"}
+    assert set(params["on_window_bound"]) <= {"amplitude_lower", "amplitude_upper",
+                                              "width_lower", "width_upper"}

@@ -210,6 +210,26 @@ def test_cli_minimize_and_evolve(tmp_path):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("tag,n", [("NLS", 128), ("NWE", 64)],
+                         ids=["grid-mismatch", "tag-mismatch"])
+def test_cli_evolve_state_mismatch_exits_2(tmp_path, tag, n):
+    # the config describes NLS on 64 points
+    cfg = _small_config()
+    cfg["model"]["n"] = [64]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    state_path = tmp_path / "state.field"
+    write_field(random_state(tag, Grid((n,), (40.0,)), SplitMix64(4)), state_path)
+    out = tmp_path / "evo"
+    code = cli_main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                     "--state", str(state_path), "--quiet"])
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert manifest["failure_stage"] == "config"
+    assert not (out / "trace.csv").exists()
+
+
 def test_cli_requires_config_for_non_demo(tmp_path):
     code = cli_main(["lambda0", "--out", str(tmp_path / "x"), "--quiet"])
     assert code == 2

@@ -1,0 +1,156 @@
+"""Stacked probe families against one-state-at-a-time references.
+
+The references below rebuild every probe as its own FieldState and
+evaluate it with the per-state functionals, in the loop order the searches
+define (amplitude-major, refined around the incumbent).
+"""
+
+import numpy as np
+import pytest
+
+from hylosolve import (DoublePower, FieldState, Grid, ModelSpec, PenaltyParams,
+                       Saturating, SinglePower, WSpec, energy, hylomorphy_check,
+                       integrate, j_delta, lambda_ratio)
+from hylosolve import functionals
+from hylosolve.checkers import _coercivity_floor_check
+from hylosolve.functionals import (PROBE_CHUNK_POINTS, choose_coercivity_params,
+                                   default_probe_bounds, gaussian_profile, gaussian_state,
+                                   penalized_probe_seed, probe_chunks, probe_states)
+from hylosolve.grid import random_state, spectral_derivative
+from hylosolve.rng import SplitMix64
+
+SPECS = {
+    "NLS": ModelSpec("NLS", Grid((64,), (20.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+    # 4096 points: 8 probes per stack, so a 12-amplitude column takes two stacks
+    "NLS-split-column": ModelSpec("NLS", Grid((4096,), (40.0,)),
+                                  WSpec(1.0, SinglePower(1.0, 4.0))),
+    "NWE-double-power": ModelSpec("NWE", Grid((64,), (20.0,)),
+                                  WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))),
+    "NBE-saturating": ModelSpec("NBE", Grid((64,), (20.0,)), WSpec(1.0, Saturating(0.0, 2.0))),
+}
+PARAMS = PenaltyParams(delta=0.03, a=0.05, s_exp=2.0)
+
+
+def _reference_probe(spec, amp, sigma):
+    """The Gaussian probe with the closed-form optimal pair parameter."""
+    g = spec.grid
+    if spec.model_tag == "NLS":
+        return gaussian_state(spec, amp, sigma)
+    bump = gaussian_profile(g, amp, sigma)
+    if spec.model_tag == "NWE":
+        rest = energy(spec, FieldState.nwe(g, bump, np.zeros_like(bump)))
+        weight = integrate(g, np.abs(bump) ** 2)
+    else:
+        ux = spectral_derivative(g, bump, axis=0, order=1)
+        rest = energy(spec, FieldState.nbe(g, bump, np.zeros_like(bump)))
+        weight = integrate(g, ux**2)
+    floor = 1e-4 * max(1.0, np.sqrt(spec.w.m_sq))
+    pair = floor if rest <= 0.0 or weight <= 0.0 else max(float(np.sqrt(2.0 * rest / weight)),
+                                                            floor)
+    return gaussian_state(spec, amp, sigma, pair), pair
+
+
+def _reference_search(spec, objective, grid_size, refinements):
+    amp_bounds, sig_bounds = default_probe_bounds(spec)
+    (a_lo, a_hi), (s_lo, s_hi) = amp_bounds, sig_bounds
+    best = (np.inf, a_lo, s_lo)
+    for _ in range(refinements + 1):
+        amps = np.geomspace(a_lo, a_hi, grid_size)
+        sigs = np.geomspace(s_lo, s_hi, grid_size)
+        for amp in amps:
+            for sig in sigs:
+                probe = _reference_probe(spec, amp, sig)
+                val = objective(probe if spec.model_tag == "NLS" else probe[0])
+                if val < best[0]:
+                    best = (val, float(amp), float(sig))
+        ra = (a_hi / a_lo) ** (2.0 / (grid_size - 1))
+        rs = (s_hi / s_lo) ** (2.0 / (grid_size - 1))
+        a_lo, a_hi = max(amp_bounds[0], best[1] / ra), min(amp_bounds[1], best[1] * ra)
+        s_lo, s_hi = max(sig_bounds[0], best[2] / rs), min(sig_bounds[1], best[2] * rs)
+    return best
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_hylomorphy_search_matches_per_state_reference(name):
+    spec = SPECS[name]
+    size = 12 if name == "NLS-split-column" else 6
+    ref_val, ref_amp, ref_sig = _reference_search(
+        spec, lambda st: lambda_ratio(spec, st), size, 1)
+    rep = hylomorphy_check(spec, PARAMS, grid_size=size, refinements=1)
+    assert (rep.witness["amplitude"], rep.witness["width"]) == (ref_amp, ref_sig)
+    assert rep.best_ratio == pytest.approx(ref_val, rel=1e-12, abs=0)
+    if spec.model_tag != "NLS":
+        assert rep.witness["pair_param"] == _reference_probe(spec, ref_amp, ref_sig)[1]
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_penalized_seed_matches_per_state_reference(name):
+    spec = SPECS[name]
+    size = 12 if name == "NLS-split-column" else 6
+    ref_val, ref_amp, ref_sig = _reference_search(
+        spec, lambda st: j_delta(spec, st, PARAMS), size, 1)
+    state, val = penalized_probe_seed(spec, PARAMS, grid_size=size, refinements=1)
+    ref = _reference_probe(spec, ref_amp, ref_sig)
+    ref_state = ref if spec.model_tag == "NLS" else ref[0]
+    for a, b in zip(state.components, ref_state.components):
+        assert np.array_equal(a, b)
+    assert val == pytest.approx(ref_val, rel=1e-12, abs=0)
+
+
+def _reference_probe_states(spec, rng, count, amp_range=(1e-2, 3.0)):
+    """One probe at a time: amplitude draw, band draw, then random_state."""
+    lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
+    out = []
+    for _ in range(count):
+        amp = float(np.exp(lo + (hi - lo) * rng.uniform()))
+        band = 2 + int(rng.integers(1, min(spec.grid.n) // 4 - 1)[0])
+        out.append(random_state(spec.model_tag, spec.grid, rng, amplitude=amp,
+                                band_limit=band))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    SPECS["NLS"],
+    ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+    ModelSpec("NWE", Grid((32, 16), (5.0, 3.0)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))),
+    SPECS["NBE-saturating"],
+], ids=["NLS-64", "NLS-512", "NWE-2d", "NBE-64"])
+def test_probe_chunks_reproduce_one_probe_at_a_time(spec):
+    count = 150  # 64 probes per stack at n = 512: two full stacks and a partial one
+    rng_a, rng_b, rng_c = (SplitMix64(17).split("chunks") for _ in range(3))
+    rows = [row for comps in probe_chunks(spec, rng_a, count) for row in zip(*comps)]
+    states = probe_states(spec, rng_b, count)
+    reference = _reference_probe_states(spec, rng_c, count)
+    assert len(rows) == len(states) == len(reference) == count
+    for row, st, ref in zip(rows, states, reference):
+        for x, y, z in zip(row, st.components, ref.components):
+            assert np.array_equal(x, z) and np.array_equal(y, z)
+    # the stream continues where the one-probe-at-a-time loop leaves it
+    assert rng_a.next_u64() == rng_b.next_u64() == rng_c.next_u64()
+
+
+def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
+    spec = ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)),
+                     WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
+    seen = []
+    energy_of = functionals.energy_of
+
+    def recording_energy_of(spec_, comps):
+        seen.append(comps[0].size)
+        return energy_of(spec_, comps)
+
+    monkeypatch.setattr(functionals, "energy_of", recording_energy_of)
+    monkeypatch.setattr("hylosolve.checkers.energy_of", recording_energy_of)
+    params = choose_coercivity_params(spec, n_probes=3)
+    penalized_probe_seed(spec, params, grid_size=3, refinements=0)
+    _coercivity_floor_check(spec, params, SplitMix64(1).split("ec3i"), count=3)
+    assert len(seen) > 5
+    assert max(seen) <= PROBE_CHUNK_POINTS
+    for comps in probe_chunks(spec, SplitMix64(2), 3):
+        assert all(c.size <= PROBE_CHUNK_POINTS for c in comps)
+
+
+def test_demo_witness_sits_on_the_window_corner(nls_acceptance_spec, nls_params):
+    rep = hylomorphy_check(nls_acceptance_spec, nls_params)
+    assert (rep.witness["amplitude"], rep.witness["width"]) == (2.0, 5.0)
+    assert rep.on_window_bound == ["amplitude_upper", "width_upper"]
