@@ -2,9 +2,9 @@
 
 Subcommands: check, lambda0, minimize, evolve, stability, sweep, demo.
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 hypothesis
-gate failed.  Every run writes a manifest (config echo, version, wall
-times, sha256 of each output, certificate summary), also on failure with
-the failing stage recorded.
+gate failed.  Every run writes a manifest (config echo, version, start
+and end times, wall seconds per stage, sha256 of each output, certificate
+summary), also on failure with the failing stage recorded.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import sys
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,15 +72,24 @@ class _Run:
             "started": _now(),
             "outputs": {},
             "stages": [],
+            "stage_seconds": [],
             "status": "running",
         }
+        self._stage_start = None
 
     def say(self, msg: str):
         if not self.quiet:
             print(msg)
 
     def stage(self, name: str):
+        self._close_stage()
         self.manifest["stages"].append(name)
+        self._stage_start = time.perf_counter()
+
+    def _close_stage(self):
+        if self._stage_start is not None:
+            self.manifest["stage_seconds"].append(time.perf_counter() - self._stage_start)
+            self._stage_start = None
 
     def register(self, path: Path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -87,6 +97,7 @@ class _Run:
 
     def finish(self, status: str, failure_stage: str | None = None,
                error: str | None = None):
+        self._close_stage()
         self.manifest["status"] = status
         self.manifest["ended"] = _now()
         if failure_stage:

@@ -81,26 +81,19 @@ def read_field(path) -> FieldState:
         complex_valued = tag in COMPLEX_MODELS
         total = int(np.prod(grid.n))
         width = grid.dim + len(names) * (2 if complex_valued else 1)
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ValueError(f"row width {len(parts)} != expected {width}")
-            rows.append(parts)
-        if len(rows) != total:
-            raise ValueError(f"file has {len(rows)} rows for a {total}-point grid")
-    dtype = np.complex128 if complex_valued else np.float64
-    comps = [np.empty(total, dtype=dtype) for _ in names]
-    for lin, parts in enumerate(rows):
-        vals = [float(v) for v in parts[grid.dim:]]
-        for ci in range(len(names)):
-            if complex_valued:
-                comps[ci][lin] = vals[2 * ci] + 1j * vals[2 * ci + 1]
-            else:
-                comps[ci][lin] = vals[ci]
+        # a row whose width differs from the first row's raises ValueError here
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if table.shape[0] != total:
+        raise ValueError(f"file has {table.shape[0]} rows for a {total}-point grid")
+    if table.shape[1] != width:
+        raise ValueError(f"row width {table.shape[1]} != expected {width}")
+    values = table[:, grid.dim:]
+    if complex_valued:
+        # adjacent (re, im) columns are the bits of one complex sample
+        comps = [np.ascontiguousarray(values[:, 2 * ci:2 * ci + 2]).view(np.complex128)
+                 for ci in range(len(names))]
+    else:
+        comps = [values[:, ci] for ci in range(len(names))]
     return FieldState(tag, grid, tuple(c.reshape(grid.n) for c in comps))
 
 

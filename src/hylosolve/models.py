@@ -170,7 +170,15 @@ def time_reverse(state: FieldState) -> FieldState:
 
 
 class _Propagator:
-    """Precomputed split-step kernels for one (spec, dt)."""
+    """Precomputed split-step kernels for one (spec, dt).
+
+    step advances a number of Strang steps on raw arrays.  Adjacent half
+    nonlinear substeps of consecutive steps merge into one full substep:
+    for NLS the half phase rotations commute because |psi| is invariant
+    under them, and for NWE/NBE both half-kicks see the same field (the
+    kick-drift-kick merge).  Only the first and the last substep stay half,
+    so one step is exactly the unmerged Strang step.
+    """
 
     def __init__(self, spec: ModelSpec, dt: float):
         self.spec = spec
@@ -183,31 +191,56 @@ class _Propagator:
             lam = np.sqrt(kinetic + spec.w.m_sq)
             self.cos = np.cos(lam * dt)
             self.sinc = dt * np.sinc(lam * dt / np.pi)  # sin(lam dt)/lam, safe at 0
-            self.lam_sin = lam * np.sin(lam * dt)
+            self.neg_lam_sin = -(lam * np.sin(lam * dt))
 
-    def step(self, comps: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        spec, dt = self.spec, self.dt
-        if spec.model_tag == NLS:
-            (psi,) = comps
-            half = np.exp(-0.25j * dt * w_prime_over_s(spec.w, np.abs(psi)))
-            psi = half * psi
+    def step(self, comps: tuple[np.ndarray, ...], steps: int) -> tuple[np.ndarray, ...]:
+        """Advance `steps` Strang steps.  Fields that overflow mid-way turn
+        non-finite and stay so; the caller detects that on the result."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.spec.model_tag == NLS:
+                return (self._nls(comps[0], steps),)
+            return self._wave(*comps, steps)
+
+    def _nls(self, psi: np.ndarray, steps: int) -> np.ndarray:
+        dt = self.dt
+        psi = self._rotate(psi, -0.25j * dt)
+        for i in range(steps):
             psi = np.fft.ifftn(self.lin * np.fft.fftn(psi))
-            half = np.exp(-0.25j * dt * w_prime_over_s(spec.w, np.abs(psi)))
-            return (half * psi,)
-        a, b = comps  # (psi, phi) or (u, v)
-        b = b - 0.5 * dt * self._kick(a)
-        fa, fb = np.fft.fftn(a), np.fft.fftn(b)
-        fa, fb = self.cos * fa + self.sinc * fb, -self.lam_sin * fa + self.cos * fb
-        a, b = np.fft.ifftn(fa), np.fft.ifftn(fb)
-        if spec.model_tag == NBE:
-            a, b = a.real, b.real
-        b = b - 0.5 * dt * self._kick(a)
+            psi = self._rotate(psi, -0.5j * dt if i < steps - 1 else -0.25j * dt)
+        return psi
+
+    def _rotate(self, psi: np.ndarray, coef: complex) -> np.ndarray:
+        # exp(coef W'(|psi|)/|psi|) psi, built in one buffer
+        rot = coef * w_prime_over_s(self.spec.w, np.abs(psi))
+        np.exp(rot, out=rot)
+        return np.multiply(rot, psi, out=rot)
+
+    def _wave(self, a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        dt = self.dt
+        real = self.spec.model_tag == NBE
+        b = self._kicked(b, a, 0.5 * dt)
+        for i in range(steps):
+            # exact linear flow: (a, b) <- (cos a + sinc b, -lam sin a + cos b)
+            fa, fb = np.fft.fftn(a), np.fft.fftn(b)
+            a = self.cos * fa
+            a += self.sinc * fb
+            np.multiply(self.neg_lam_sin, fa, out=fa)
+            np.multiply(self.cos, fb, out=fb)
+            fb += fa
+            a, b = np.fft.ifftn(a), np.fft.ifftn(fb)
+            if real:
+                a, b = a.real, b.real
+            b = self._kicked(b, a, dt if i < steps - 1 else 0.5 * dt)
         return (a, b)
 
-    def _kick(self, a: np.ndarray) -> np.ndarray:
-        # force beyond the quadratic part already in the linear flow
+    def _kicked(self, b: np.ndarray, a: np.ndarray, tau: float) -> np.ndarray:
+        # b - tau * (force beyond the quadratic part already in the linear flow)
         w = self.spec.w
-        return (w_prime_over_s(w, np.abs(a)) - w.m_sq) * a
+        kick = w_prime_over_s(w, np.abs(a))
+        np.subtract(kick, w.m_sq, out=kick)
+        kick = kick * a
+        np.multiply(tau, kick, out=kick)
+        return np.subtract(b, kick, out=kick)
 
 
 @lru_cache(maxsize=16)
@@ -215,16 +248,21 @@ def _propagator(spec: ModelSpec, dt: float) -> _Propagator:
     return _Propagator(spec, dt)
 
 
-def evolve_step(spec: ModelSpec, state: FieldState, dt: float) -> FieldState:
-    """One Strang step of the model flow.
+def evolve_step(spec: ModelSpec, state: FieldState, dt: float, steps: int = 1) -> FieldState:
+    """`steps` Strang steps of the model flow, returned as one validated state.
 
     NLS: half nonlinear phase rotation (exact, |psi|-preserving), exact
     Fourier kinetic step, half phase.  NWE/NBE: half force kick, exact
     trigonometric linear flow including the m^2 term, half kick.  The
     linear flow being exact removes any stiff step-size restriction; the
-    splitting is accurate while dt * max|W''| stays below ~0.5.
+    splitting is accurate while dt * max|W''| stays below ~0.5.  Between
+    consecutive steps the two half substeps are applied as one full one,
+    which agrees with repeated single steps to roundoff; a non-finite
+    result raises ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     _check(spec, state)
-    return state.replace_components(_propagator(spec, dt).step(state.components))
+    return state.replace_components(_propagator(spec, dt).step(state.components, steps))

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,37 @@ def test_field_read_rejects_mismatch(tmp_path):
     wrong.write_text(json.dumps(header) + "\n" + "\n".join(lines[1:]) + "\n")
     with pytest.raises(ValueError):
         read_field(wrong)
+
+
+def _bytes_equal(a: FieldState, b: FieldState) -> bool:
+    return (a.model_tag == b.model_tag and a.grid == b.grid
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a.components, b.components)))
+
+
+@pytest.mark.parametrize("tag,grid", [
+    ("NWE", Grid((32, 32, 32), (8.0, 8.0, 8.0))),
+    ("NBE", Grid((128,), (20.0,))),
+], ids=["nwe-32cubed", "nbe-1d"])
+def test_field_roundtrip_bytes(tag, grid, tmp_path):
+    state = random_state(tag, grid, SplitMix64(10), amplitude=0.9, band_limit=4)
+    path = tmp_path / f"{tag}.field"
+    write_field(state, path)
+    assert _bytes_equal(read_field(path), state)
+
+
+def test_field_read_rejects_bad_row_width_and_missing_row(tmp_path):
+    g = Grid((16,), (5.0,))
+    path = tmp_path / "state.field"
+    write_field(random_state("NWE", g, SplitMix64(11)), path)
+    lines = path.read_text().splitlines()
+    short_row = tmp_path / "short_row.field"
+    short_row.write_text("\n".join(lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]) + "\n")
+    with pytest.raises(ValueError):
+        read_field(short_row)
+    missing = tmp_path / "missing.field"
+    missing.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError):
+        read_field(missing)
 
 
 def test_trace_csv_schema(tmp_path):
@@ -252,6 +284,24 @@ def test_cli_stability_subcommand(tmp_path):
     assert "empirical" in data["note"]
     assert (out / "stability_trace_00.csv").exists()
     assert (out / "stability_trace_01.csv").exists()
+
+
+@pytest.mark.parametrize("delta,status", [(0.03, "ok"), (5.0, "numerical_failure")])
+def test_cli_manifest_stage_seconds(tmp_path, delta, status):
+    cfg = _small_config()
+    cfg["penalty"]["delta"] = delta
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "min"
+    t0 = time.perf_counter()
+    cli_main(["minimize", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    wall = time.perf_counter() - t0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == status
+    seconds = manifest["stage_seconds"]
+    assert len(seconds) == len(manifest["stages"]) >= 2
+    assert all(isinstance(s, float) and s >= 0.0 for s in seconds)
+    assert sum(seconds) <= wall
 
 
 def test_cli_demo_and_out_dir_from_config(tmp_path):
