@@ -87,8 +87,11 @@ class _Run:
         self._stage_start = time.perf_counter()
 
     def _close_stage(self):
+        # Fixed-width strings ('%.6e'), so the manifest's byte length does
+        # not depend on the measured times.
         if self._stage_start is not None:
-            self.manifest["stage_seconds"].append(time.perf_counter() - self._stage_start)
+            seconds = time.perf_counter() - self._stage_start
+            self.manifest["stage_seconds"].append(f"{seconds:.6e}")
             self._stage_start = None
 
     def register(self, path: Path):
@@ -108,7 +111,7 @@ class _Run:
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
 def build_spec(config: dict) -> ModelSpec:

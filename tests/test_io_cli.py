@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -298,9 +299,11 @@ def test_cli_manifest_stage_seconds(tmp_path, delta, status):
     wall = time.perf_counter() - t0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == status
-    seconds = manifest["stage_seconds"]
-    assert len(seconds) == len(manifest["stages"]) >= 2
-    assert all(isinstance(s, float) and s >= 0.0 for s in seconds)
+    stamps = manifest["stage_seconds"]
+    assert len(stamps) == len(manifest["stages"]) >= 2
+    assert all(re.fullmatch(r"\d\.\d{6}e[+-]\d\d", s) for s in stamps)
+    seconds = [float(s) for s in stamps]
+    assert all(s >= 0.0 for s in seconds)
     assert sum(seconds) <= wall
 
 
