@@ -31,6 +31,8 @@ __all__ = [
 
 TRACE_HEADER = "t,E,C,V,sharp,xnorm,orbit_dist"
 _FMT = "%.17g"
+# rows of a field file formatted by one % operation (bounds the writer's memory)
+_ROW_BLOCK = 2**15
 
 
 class ConfigError(ValueError):
@@ -52,20 +54,17 @@ def write_field(state: FieldState, path) -> None:
         "box_length": list(grid.box_length),
         "components": list(COMPONENT_NAMES[state.model_tag]),
     }
-    complex_valued = state.model_tag in COMPLEX_MODELS
+    # per component one float column per real number (re, im adjacent)
+    columns = [c.reshape(grid.size, -1).view(np.float64) for c in state.components]
+    width = sum(col.shape[1] for col in columns)
+    row = ",".join(["%d"] * grid.dim + [_FMT] * width) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        flat = [c.reshape(-1) for c in state.components]
-        for lin, idx in enumerate(np.ndindex(*grid.n)):
-            cells = [str(i) for i in idx]
-            for comp in flat:
-                val = comp[lin]
-                if complex_valued:
-                    cells.append(_fmt(val.real))
-                    cells.append(_fmt(val.imag))
-                else:
-                    cells.append(_fmt(val))
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, grid.size, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, grid.size)
+            index = np.unravel_index(np.arange(start, stop), grid.n)
+            block = np.column_stack(index + tuple(col[start:stop] for col in columns))
+            fh.write((row * (stop - start)) % tuple(block.ravel().tolist()))
 
 
 def read_field(path) -> FieldState:

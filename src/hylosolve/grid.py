@@ -178,12 +178,20 @@ def require_finite(values: np.ndarray) -> None:
         raise ValueError("field samples must be finite")
 
 
+def _work_array(values) -> np.ndarray:
+    """An empty complex array shaped like values, for a transform's out=
+    (without it numpy allocates one output per transformed axis)."""
+    return np.empty(np.shape(values), np.complex128)
+
+
 def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
     """ifft(multiplier * fft(values)) over the multiplier's (trailing) axes;
     real input gives real output."""
     axes = tuple(range(-multiplier.ndim, 0))
-    out = np.fft.ifftn(multiplier * np.fft.fftn(values, axes=axes), axes=axes)
-    return out if np.iscomplexobj(values) else out.real
+    spec = np.fft.fftn(values, axes=axes, out=_work_array(values))
+    np.multiply(multiplier, spec, out=spec)
+    np.fft.ifftn(spec, axes=axes, out=spec)
+    return spec if np.iscomplexobj(values) else spec.real
 
 
 def spectral_quadratic(grid: Grid, multiplier: np.ndarray, values: np.ndarray):
@@ -191,7 +199,7 @@ def spectral_quadratic(grid: Grid, multiplier: np.ndarray, values: np.ndarray):
     (cell volume / N) sum multiplier |F|^2 over the discrete spectrum F;
     one value per leading (batch) index."""
     arr = _on_grid(grid, values)
-    spec = np.fft.fftn(arr, axes=grid.axes)
+    spec = np.fft.fftn(arr, axes=grid.axes, out=_work_array(arr))
     return grid.cell_volume / grid.size * np.sum(multiplier * np.abs(spec) ** 2, axis=grid.axes)
 
 
@@ -219,9 +227,9 @@ def _band_mask(grid: Grid, band_limit: int) -> np.ndarray:
 def low_pass(grid: Grid, values: np.ndarray, band_limit: int) -> np.ndarray:
     """Zero every Fourier mode whose index exceeds band_limit in magnitude
     along some axis; the result is complex."""
-    spec = np.fft.fftn(values)
+    spec = np.fft.fftn(values, out=_work_array(values))
     spec[~_band_mask(grid, band_limit)] = 0.0
-    return np.fft.ifftn(spec)
+    return np.fft.ifftn(spec, out=spec)
 
 
 def min_image_distances(grid: Grid, center) -> list[np.ndarray]:
@@ -365,12 +373,13 @@ def spectral_derivative(grid: Grid, values: np.ndarray, axis: int | None = None,
 
 
 @lru_cache(maxsize=64)
-def _unit_ball_mask(grid: Grid) -> np.ndarray:
-    """Indicator of the radius-1 ball around index 0, periodic metric."""
+def _unit_ball_spectrum(grid: Grid) -> np.ndarray:
+    """Transform of the indicator of the radius-1 ball around index 0,
+    periodic metric."""
     dist_sq = sum(d**2 for d in min_image_distances(grid, (0.0,) * grid.dim))
-    mask = (dist_sq <= 1.0).astype(np.float64)
-    mask.setflags(write=False)
-    return mask
+    spec = np.fft.fftn((dist_sq <= 1.0).astype(np.float64))
+    spec.setflags(write=False)
+    return spec
 
 
 def sharp_seminorm(state: FieldState) -> float:
@@ -386,8 +395,9 @@ def sharp_seminorm(state: FieldState) -> float:
     if min(grid.box_length) <= 2.0:
         raise ValueError("unit ball wraps around: every box length must exceed 2")
     density = np.abs(state.psi) ** 2
-    mask = _unit_ball_mask(grid)
-    conv = np.fft.ifftn(np.fft.fftn(density) * np.fft.fftn(mask)).real
+    spec = np.fft.fftn(density, out=_work_array(density))
+    spec *= _unit_ball_spectrum(grid)
+    conv = np.fft.ifftn(spec, out=spec).real
     best = max(float(conv.max()) * grid.cell_volume, 0.0)
     return float(np.sqrt(best))
 
@@ -497,9 +507,9 @@ def band_limited_noise(grid: Grid, bits: np.ndarray, band_limit, rms,
         raw = raw + 1j * planes[..., 1, :]
     raw = raw.reshape(batch + grid.n)
     per_field = batch + (1,) * grid.dim
-    spec = np.fft.fftn(raw, axes=grid.axes)
+    spec = np.fft.fftn(raw, axes=grid.axes, out=_work_array(raw))
     spec[~(_max_mode(grid) <= np.reshape(band_limit, per_field))] = 0.0
-    out = np.fft.ifftn(spec, axes=grid.axes)
+    out = np.fft.ifftn(spec, axes=grid.axes, out=spec)
     out = out if complex_valued else out.real
     current = np.sqrt(np.mean(np.abs(out) ** 2, axis=grid.axes))
     scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)

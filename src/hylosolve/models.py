@@ -216,29 +216,46 @@ class _Propagator:
         return np.multiply(rot, psi, out=rot)
 
     def _wave(self, a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        # The block stays in Fourier space: after the first half-kick each
+        # component is transformed once; a step mixes the transforms and
+        # brings back only the field, whose force kicks the second transform.
+        # 2 * steps + 2 FFTs per block, all into the three work arrays.
         dt = self.dt
         real = self.spec.model_tag == NBE
-        b = self._kicked(b, a, 0.5 * dt)
+        fa = np.fft.fftn(a, out=np.empty(a.shape, np.complex128))
+        fb = np.fft.fftn(self._kicked(b, a, 0.5 * dt), out=np.empty(a.shape, np.complex128))
+        field = np.empty(a.shape, np.complex128)
         for i in range(steps):
-            # exact linear flow: (a, b) <- (cos a + sinc b, -lam sin a + cos b)
-            fa, fb = np.fft.fftn(a), np.fft.fftn(b)
-            a = self.cos * fa
-            a += self.sinc * fb
-            np.multiply(self.neg_lam_sin, fa, out=fa)
+            # exact linear flow: (fa, fb) <- (cos fa + sinc fb, -lam sin fa + cos fb)
+            mixed = np.multiply(self.neg_lam_sin, fa)
+            np.multiply(self.sinc, fb, out=field)
+            np.multiply(self.cos, fa, out=fa)
+            fa += field
             np.multiply(self.cos, fb, out=fb)
-            fb += fa
-            a, b = np.fft.ifftn(a), np.fft.ifftn(fb)
+            fb += mixed
+            del mixed  # not alive while the force is computed: bounds peak memory
+            a = np.fft.ifftn(fa, out=field)
             if real:
-                a, b = a.real, b.real
-            b = self._kicked(b, a, dt if i < steps - 1 else 0.5 * dt)
-        return (a, b)
+                a = a.real
+            if i < steps - 1:
+                # full kick on the transform: fb -= dt * fft(force(a))
+                np.multiply(self._force_factor(a), a, out=field)
+                np.fft.fftn(field, out=field)
+                field *= dt
+                fb -= field
+        del fa  # likewise for the last half-kick
+        b = np.fft.ifftn(fb, out=fb)
+        return (a, self._kicked(b.real if real else b, a, 0.5 * dt))
+
+    def _force_factor(self, a: np.ndarray) -> np.ndarray:
+        # the force beyond the quadratic part already in the linear flow, per unit field
+        w = self.spec.w
+        factor = w_prime_over_s(w, np.abs(a))
+        return np.subtract(factor, w.m_sq, out=factor)
 
     def _kicked(self, b: np.ndarray, a: np.ndarray, tau: float) -> np.ndarray:
-        # b - tau * (force beyond the quadratic part already in the linear flow)
-        w = self.spec.w
-        kick = w_prime_over_s(w, np.abs(a))
-        np.subtract(kick, w.m_sq, out=kick)
-        kick = kick * a
+        # b - tau * force(a)
+        kick = self._force_factor(a) * a
         np.multiply(tau, kick, out=kick)
         return np.subtract(b, kick, out=kick)
 
