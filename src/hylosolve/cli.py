@@ -99,14 +99,19 @@ class _Run:
         self.manifest["outputs"][path.name] = digest
 
     def finish(self, status: str, failure_stage: str | None = None,
-               error: str | None = None):
+               error: Exception | str | None = None):
+        """Write the manifest; an error's diagnosis, if it carries one
+        (NumericalFailure.detail), is recorded as failure_detail."""
         self._close_stage()
         self.manifest["status"] = status
         self.manifest["ended"] = _now()
         if failure_stage:
             self.manifest["failure_stage"] = failure_stage
         if error:
-            self.manifest["error"] = error
+            self.manifest["error"] = str(error)
+            detail = getattr(error, "detail", None)
+            if detail:
+                self.manifest["failure_detail"] = detail
         dump_json(self.manifest, self.out / "manifest.json")
 
 
@@ -177,22 +182,31 @@ def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams, seed: int,
     return ok
 
 
+def _write_descent_log(run: _Run, result, link: int):
+    path = run.out / f"descent_{link:02d}.csv"
+    write_descent_log(result, path)
+    run.register(path)
+
+
 def _minimize_chain(run: _Run, spec: ModelSpec, params: PenaltyParams,
                     deltas: list[float], opts: MinimizeOptions):
     run.stage("minimize")
-    family = delta_continuation(spec, deltas, opts=opts, params=params)
+    try:
+        family = delta_continuation(spec, deltas, opts=opts, params=params)
+    except NumericalFailure as err:
+        if err.partial is not None:  # keep the failing link's descent log
+            _write_descent_log(run, err.partial, err.detail["link"])
+        raise
     rows = []
-    for i, (d, res) in enumerate(zip(family.deltas, family.results)):
-        tag = f"{i:02d}"
-        state_path = run.out / f"state_{tag}.field"
+    for i, (d, res, free_iters) in enumerate(zip(family.deltas, family.results,
+                                                 family.free_iters)):
+        state_path = run.out / f"state_{i:02d}.field"
         write_field(res.state, state_path)
         run.register(state_path)
-        log_path = run.out / f"descent_{tag}.csv"
-        write_descent_log(res, log_path)
-        run.register(log_path)
-        rows.append({"delta": d, **minimize_result_to_json(res)})
+        _write_descent_log(run, res, i)
+        rows.append({"delta": d, **minimize_result_to_json(res), "free_iters": free_iters})
         run.say(f"delta={d:g}: e={res.e_delta:.6g} c={res.c_delta:.6g} "
-                f"kkt={res.kkt_residual:.2e} iters={res.iters}")
+                f"kkt={res.kkt_residual:.2e} iters={res.iters} free_iters={free_iters}")
     out = {
         "penalty": penalty_to_json(params),
         "lambda0": family.lambda0,
@@ -325,7 +339,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
                 sub_run.finish("ok")
             except Exception as err:  # per-run isolation: record and continue
                 statuses[sub_dir.name] = {"label": label, "status": f"failed: {err}"}
-                sub_run.finish("failed", failure_stage="minimize", error=str(err))
+                sub_run.finish("failed", failure_stage="minimize", error=err)
         except ConfigError as err:
             statuses[sub_dir.name] = {"label": label, "status": f"invalid: {err}"}
     run.manifest["sweep_runs"] = statuses
@@ -424,7 +438,7 @@ def cli_main(argv=None) -> int:
     except (NumericalFailure, NearZeroCharge, ValueError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         stage = run.manifest["stages"][-1] if run.manifest["stages"] else "setup"
-        run.finish("numerical_failure", failure_stage=stage, error=str(err))
+        run.finish("numerical_failure", failure_stage=stage, error=err)
         return EXIT_NUMERICAL
     if code == EXIT_GATE:
         run.finish("gate_failed", failure_stage="audit-gate")

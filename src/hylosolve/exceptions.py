@@ -10,4 +10,13 @@ class NearZeroCharge(ArithmeticError):
 
 
 class NumericalFailure(RuntimeError):
-    """A run produced non-finite values or failed to converge where required."""
+    """A run produced non-finite values or failed to converge where required.
+
+    detail: an optional diagnosis of JSON scalars (the CLI records it in the
+    manifest as failure_detail); partial: the unconverged result, if any,
+    whose descent log the CLI keeps."""
+
+    def __init__(self, message: str, detail: dict | None = None, partial=None):
+        super().__init__(message)
+        self.detail = detail
+        self.partial = partial

@@ -1,10 +1,15 @@
 """Descent machinery for the penalized objective and its constrained refinement.
 
 Two phases mirror the structure of the existence argument: free descent on
-j_delta globalizes toward the right charge level, then projected descent on
-the energy at that fixed charge sharpens the multiplier residual.  The
-charge is restored after every constrained step by rescaling the component
-the charge is linear (NWE/NBE) or quadratic (NLS) in, which is exact.
+j_delta globalizes toward the right charge level, then descent on the
+energy at that fixed charge sharpens the multiplier residual.  Both run
+through one line-search driver, `_descend`: preconditioned nonlinear
+conjugate gradients (Polak-Ribiere+ in the phase-space metric of
+`_precondition`, restarted at the preconditioned gradient) with Armijo
+backtracking, after Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017).
+The constrained phase passes the exact charge restoration as a retraction:
+every trial step is followed by a rescale of the component the charge is
+linear (NWE/NBE) or quadratic (NLS) in.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class MinimizeResult:
     converged: bool
     log: list[tuple[int, float, float, float]] = field(default_factory=list)
     # log rows: (iteration, objective, accepted step, gradient norm)
+    grad_norm: float = float("nan")  # L2 norm of the descent gradient at state
 
 
 def _axpy(state: FieldState, t: float, direction: FieldState) -> FieldState:
@@ -70,19 +76,18 @@ def _axpy(state: FieldState, t: float, direction: FieldState) -> FieldState:
 
 
 def _precondition(g: FieldState) -> FieldState:
-    """Descent direction in the phase-space metric: divide each component's
-    spectrum by the metric weight (1 + the kinetic symbol for the field, 1
-    for the velocity-like component).
+    """Descent direction in the phase-space metric: divide the field
+    component's spectrum by its metric weight, 1 + the kinetic symbol.  The
+    velocity-like component has weight 1, so it is passed through as is.
 
     Plain L2 steps are limited by the largest spectral curvature, so the
     highest modes hover at the stability edge and the gradient stalls well
     above tolerance; in this metric every mode contracts at an O(1) rate.
     """
-    comps = []
-    for c, w in zip(g.components, symbols(g.model_tag, g.grid).weights):
-        d = np.fft.ifftn(np.fft.fftn(c) / w)
-        comps.append(d.real if not np.iscomplexobj(c) else d)
-    return g.replace_components(tuple(comps))
+    field_g = g.components[0]
+    d = np.fft.ifftn(np.fft.fftn(field_g) / symbols(g.model_tag, g.grid).weights[0])
+    d = d if np.iscomplexobj(field_g) else d.real
+    return g.replace_components((d,) + g.components[1:])
 
 
 def _identical(a: FieldState, b: FieldState) -> bool:
@@ -107,13 +112,19 @@ def _grad_j(spec: ModelSpec, state: FieldState, params: PenaltyParams,
         coef_e * a + coef_c * b for a, b in zip(ge.components, gc.components)))
 
 
-def _kkt(spec: ModelSpec, state: FieldState) -> tuple[float, float]:
-    """(multiplier, residual) of the stationarity system gradE = lam gradC."""
+def _projected_gradient(spec: ModelSpec, state: FieldState
+                        ) -> tuple[float, FieldState, FieldState]:
+    """(lam, gradE, gradE - lam gradC) with the least-squares multiplier."""
     ge = grad_energy(spec, state)
     gc = grad_charge(spec, state)
     gc_sq = l2_inner(gc, gc)
     lam = l2_inner(ge, gc) / gc_sq if gc_sq > 0 else 0.0
-    resid = _axpy(ge, -lam, gc)
+    return lam, ge, _axpy(ge, -lam, gc)
+
+
+def _kkt(spec: ModelSpec, state: FieldState) -> tuple[float, float]:
+    """(multiplier, residual) of the stationarity system gradE = lam gradC."""
+    lam, ge, resid = _projected_gradient(spec, state)
     return lam, l2_norm(resid) / (1.0 + l2_norm(ge))
 
 
@@ -125,71 +136,102 @@ def _stall_converged(spec: ModelSpec, u: FieldState, opts: MinimizeOptions) -> b
     return kkt <= 10.0 * opts.grad_tol * (1.0 + state_x_norm(u))
 
 
-def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
-                    init: FieldState | None = None,
-                    opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
-    """Armijo-backtracked gradient descent on the penalized objective.
+def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: MinimizeOptions,
+             retract=None, what: str = "descent") -> MinimizeResult:
+    """Armijo-backtracked Polak-Ribiere+ conjugate gradients in the metric P
+    of `_precondition`, reported with the objective value as j_value.
 
-    The accepted step seeds the next trial (doubled), so the search settles
-    near the local curvature limit without rescanning from the initial
-    step.  init=None seeds from the best Gaussian probe of the objective.
+    objective(u) -> (value, E, C) raises NearZeroCharge, NumericalFailure
+    or ValueError on an inadmissible state, and the trial step is shortened;
+    gradient(u, E, C) is its Riesz gradient (the projected one under a
+    constraint); retract maps every stepped state back onto the constraint.
+
+    The step is u <- retract(u - t d) with d = Pg + beta d_prev and
+    beta = max(0, <g - g_prev, Pg> / <g_prev, P g_prev>).  d restarts at Pg
+    when <g, d> <= 0 or when the search along d fails; only a failed search
+    along Pg is a stall, judged by `_stall_converged`.  The accepted step
+    over the backtrack factor seeds the next search, so it settles near the
+    local curvature limit without rescanning from the initial step.
     """
-    if init is None:
-        init, _ = penalized_probe_seed(spec, params)
-    u = init
-    ju, e, c = penalized_terms(spec, u, params)
+    value, e, c = objective(u)
     step = opts.initial_step
     log: list[tuple[int, float, float, float]] = []
-    converged = False
-    iters = 0
-    stalled = 0
-    for it in range(opts.max_iters):
-        gj = _grad_j(spec, u, params, e, c)
-        gnorm = l2_norm(gj)
-        if it == 0:
-            log.append((0, ju, 0.0, gnorm))
-        if not np.isfinite(gnorm):
-            raise NumericalFailure("non-finite gradient in penalized descent")
-        if gnorm <= opts.grad_tol * (1.0 + state_x_norm(u)):
-            converged = True
-            break
-        if stalled >= _STALL_LIMIT:
-            converged = _stall_converged(spec, u, opts)
-            break
-        direction = _precondition(gj)
-        slope = l2_inner(gj, direction)  # > 0: the metric is positive
+    iters = stalled = 0
+    g_prev = d_prev = None  # and gpg_prev = <g_prev, P g_prev>, once a step is taken
+
+    def search(direction: FieldState, slope: float):
         t = step
-        accepted = None
         while t >= _MIN_STEP:
             try:
                 trial = _axpy(u, -t, direction)
                 if _identical(trial, u):  # step below float resolution
-                    break
-                jt, et, ct = penalized_terms(spec, trial, params)
-            except (NearZeroCharge, ValueError):
+                    return None
+                if retract is not None:
+                    trial = retract(trial)
+                terms = objective(trial)
+            except (NearZeroCharge, NumericalFailure, ValueError):
                 t *= opts.backtrack
                 continue
-            if jt <= ju - opts.armijo_c1 * t * slope:
-                accepted = (trial, jt, et, ct)
-                break
+            if terms[0] <= value - opts.armijo_c1 * t * slope:
+                return trial, terms, t
             t *= opts.backtrack
+        return None
+
+    while True:
+        g = gradient(u, e, c)
+        gnorm = l2_norm(g)
+        if not log:
+            log.append((0, value, 0.0, gnorm))
+        if not np.isfinite(gnorm):
+            raise NumericalFailure(f"non-finite gradient in {what}")
+        converged = gnorm <= opts.grad_tol * (1.0 + state_x_norm(u))
+        if converged or iters == opts.max_iters:
+            break
+        if stalled >= _STALL_LIMIT:
+            converged = _stall_converged(spec, u, opts)
+            break
+        pg = _precondition(g)
+        gpg = l2_inner(g, pg)  # > 0: the metric is positive
+        candidates = [(pg, gpg)]
+        if d_prev is not None:
+            beta = max(0.0, (gpg - l2_inner(g_prev, pg)) / gpg_prev)
+            if beta > 0.0:
+                conj = _axpy(pg, beta, d_prev)
+                slope = l2_inner(g, conj)
+                if slope > 0.0:
+                    candidates.insert(0, (conj, slope))
+        for d, slope in candidates:
+            accepted = search(d, slope)
+            if accepted is not None:
+                break
         if accepted is None:
             # objective improvements fell below float resolution: stationary
             # up to the measurable floor
             converged = _stall_converged(spec, u, opts)
             break
-        stalled = stalled + 1 if ju - accepted[1] <= _noise_level(ju) else 0
-        u, ju, e, c = accepted
-        iters = it + 1
+        u, terms, t = accepted
+        stalled = stalled + 1 if value - terms[0] <= _noise_level(value) else 0
+        value, e, c = terms
+        g_prev, d_prev, gpg_prev = g, d, gpg
+        iters += 1
         step = t / opts.backtrack
-        log.append((iters, ju, t, gnorm))
-    else:
-        gj = _grad_j(spec, u, params, e, c)
-        converged = l2_norm(gj) <= opts.grad_tol * (1.0 + state_x_norm(u))
+        log.append((iters, value, t, gnorm))
     lam, kkt = _kkt(spec, u)
-    return MinimizeResult(state=u, e_delta=e, c_delta=abs(c), j_value=ju,
+    return MinimizeResult(state=u, e_delta=e, c_delta=abs(c), j_value=value,
                           lambda_mult=lam, kkt_residual=kkt, iters=iters,
-                          converged=converged, log=log)
+                          converged=converged, log=log, grad_norm=gnorm)
+
+
+def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
+                    init: FieldState | None = None,
+                    opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
+    """Descent on the penalized objective (see `_descend`); init=None seeds
+    from the best Gaussian probe of the objective."""
+    if init is None:
+        init, _ = penalized_probe_seed(spec, params)
+    return _descend(spec, lambda u: penalized_terms(spec, u, params),
+                    lambda u, e, c: _grad_j(spec, u, params, e, c), init, opts,
+                    what="penalized descent")
 
 
 def _restore_charge(spec: ModelSpec, state: FieldState, c_target: float) -> FieldState:
@@ -209,12 +251,12 @@ def _restore_charge(spec: ModelSpec, state: FieldState, c_target: float) -> Fiel
 def refine_constrained(spec: ModelSpec, c_target: float, init: FieldState,
                        opts: MinimizeOptions = MinimizeOptions(),
                        params: PenaltyParams | None = None) -> MinimizeResult:
-    """Projected gradient flow for the energy at fixed charge magnitude.
+    """Descent on the energy at fixed charge magnitude (see `_descend`).
 
-    Steps along gradE - lam gradC with the least-squares multiplier, then
-    restores |C| = c_target exactly; Armijo acceptance on the restored
-    energy.  The reported multiplier and KKT residual come from the final
-    iterate.
+    The gradient is gradE - lam gradC with the least-squares multiplier,
+    and every trial step is retracted onto |C| = c_target by the exact
+    charge rescale, so Armijo acceptance is on the restored energy.  The
+    reported multiplier and KKT residual come from the final iterate.
     """
     if c_target <= 0:
         raise ValueError("c_target must be a positive charge magnitude")
@@ -222,63 +264,17 @@ def refine_constrained(spec: ModelSpec, c_target: float, init: FieldState,
     if abs(abs(c0) - c_target) > 0.2 * c_target:
         raise ValueError(f"init charge {abs(c0):.6g} not within 20% of target {c_target:.6g}")
     signed_target = c_target if (c0 >= 0 or spec.model_tag == NLS) else -c_target
-    u = _restore_charge(spec, init, signed_target)
-    e = energy(spec, u)
-    step = opts.initial_step
-    log: list[tuple[int, float, float, float]] = []
-    converged = False
-    iters = 0
-    lam = 0.0
-    stalled = 0
-    for it in range(opts.max_iters):
-        ge = grad_energy(spec, u)
-        gc = grad_charge(spec, u)
-        gc_sq = l2_inner(gc, gc)
-        lam = l2_inner(ge, gc) / gc_sq if gc_sq > 0 else 0.0
-        gperp = _axpy(ge, -lam, gc)
-        gnorm = l2_norm(gperp)
-        if it == 0:
-            log.append((0, e, 0.0, gnorm))
-        if not np.isfinite(gnorm):
-            raise NumericalFailure("non-finite gradient in constrained refinement")
-        if gnorm <= opts.grad_tol * (1.0 + state_x_norm(u)):
-            converged = True
-            break
-        if stalled >= _STALL_LIMIT:
-            converged = _stall_converged(spec, u, opts)
-            break
-        direction = _precondition(gperp)
-        slope = l2_inner(gperp, direction)
-        t = step
-        accepted = None
-        while t >= _MIN_STEP:
-            try:
-                stepped = _axpy(u, -t, direction)
-                if _identical(stepped, u):
-                    break
-                trial = _restore_charge(spec, stepped, signed_target)
-                et = energy(spec, trial)
-            except (NumericalFailure, ValueError):
-                t *= opts.backtrack
-                continue
-            if et <= e - opts.armijo_c1 * t * slope:
-                accepted = (trial, et)
-                break
-            t *= opts.backtrack
-        if accepted is None:
-            converged = _stall_converged(spec, u, opts)
-            break
-        stalled = stalled + 1 if e - accepted[1] <= _noise_level(e) else 0
-        u, e = accepted
-        iters = it + 1
-        step = t / opts.backtrack
-        log.append((iters, e, t, gnorm))
-    lam, kkt = _kkt(spec, u)
-    c_final = charge(spec, u)
-    jv = j_delta(spec, u, params) if params is not None else float("nan")
-    return MinimizeResult(state=u, e_delta=e, c_delta=abs(c_final), j_value=jv,
-                          lambda_mult=lam, kkt_residual=kkt, iters=iters,
-                          converged=converged, log=log)
+
+    def objective(u: FieldState):
+        e = energy(spec, u)
+        return e, e, charge(spec, u)
+
+    result = _descend(spec, objective, lambda u, e, c: _projected_gradient(spec, u)[2],
+                      _restore_charge(spec, init, signed_target), opts,
+                      retract=lambda u: _restore_charge(spec, u, signed_target),
+                      what="constrained refinement")
+    result.j_value = j_delta(spec, result.state, params) if params is not None else float("nan")
+    return result
 
 
 @dataclass
@@ -289,6 +285,19 @@ class ContinuationResult:
     deltas: list[float]
     orbit_distances: np.ndarray  # pairwise, between refined states
     lambda0: float
+    free_iters: list[int]  # free-descent iterations of each link
+
+
+def _require_converged(result: MinimizeResult, link: int, delta: float, phase: str) -> None:
+    """Raise a diagnosed NumericalFailure, carrying the partial result, for
+    a link phase ('free' or 'refine') that stopped unconverged."""
+    if result.converged:
+        return
+    detail = {"link": link, "delta": delta, "phase": phase, "iters": result.iters,
+              "grad_norm": result.grad_norm, "last_step": result.log[-1][2],
+              "kkt_residual": result.kkt_residual}
+    raise NumericalFailure(f"continuation link at delta = {delta} did not converge: {detail}",
+                           detail=detail, partial=result)
 
 
 def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = MinimizeOptions(),
@@ -300,7 +309,8 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     Every link is gated by the penalized infimum test: the best available
     probe (Gaussian family for the first link, the previous refined
     minimizer afterwards) must undercut the vanishing-ratio floor at that
-    delta, otherwise the delta is rejected as too large.
+    delta, otherwise the delta is rejected as too large.  A link that does
+    not converge raises a diagnosed NumericalFailure (`_require_converged`).
     """
     deltas = [float(d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
@@ -312,8 +322,9 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     if lam0 is None:
         lam0 = lambda0_estimate(spec)
     results: list[MinimizeResult] = []
+    free_iters: list[int] = []
     seed_state: FieldState | None = None
-    for d in deltas:
+    for link, d in enumerate(deltas):
         pd = replace(params, delta=d)
         if seed_state is None:
             seed_state, seed_val = penalized_probe_seed(spec, pd)
@@ -324,15 +335,16 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
                 f"delta = {d} too large: penalized value {seed_val:.6g} does not "
                 f"undercut the vanishing floor {lam0:.6g}")
         free = minimize_jdelta(spec, pd, init=seed_state, opts=opts)
+        _require_converged(free, link, d, "free")
         refined = refine_constrained(spec, free.c_delta, free.state, opts=opts, params=pd)
-        if not (free.converged and refined.converged):
-            raise NumericalFailure(f"continuation link at delta = {d} did not converge")
+        _require_converged(refined, link, d, "refine")
         results.append(refined)
+        free_iters.append(free.iters)
         seed_state = refined.state
     k = len(results)
     dists = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
             dists[i, j] = dists[j, i] = orbit_distance(results[i].state, results[j].state)
-    return ContinuationResult(results=results, deltas=deltas,
-                              orbit_distances=dists, lambda0=lam0)
+    return ContinuationResult(results=results, deltas=deltas, orbit_distances=dists,
+                              lambda0=lam0, free_iters=free_iters)

@@ -223,6 +223,29 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     assert "failure_stage" in manifest
 
 
+def test_cli_unconverged_link_is_diagnosed(tmp_path):
+    cfg = _small_config(minimize={"max_iters": 3, "grad_tol": 1e-7})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = cli_main(["minimize", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_failure"
+    assert manifest["failure_stage"] == "minimize"
+    detail = manifest["failure_detail"]
+    assert set(detail) == {"link", "delta", "phase", "iters", "grad_norm",
+                           "last_step", "kkt_residual"}
+    assert (detail["link"], detail["delta"], detail["phase"]) == (0, 0.03, "free")
+    assert detail["iters"] == 3
+    # the failing link's partial descent log: header, the start and 3 steps
+    rows = (out / "descent_00.csv").read_text().splitlines()
+    assert rows[0] == "iteration,objective,step,grad_norm"
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+    assert float(rows[-1].split(",")[2]) == detail["last_step"]
+    assert "descent_00.csv" in manifest["outputs"]
+
+
 def test_cli_minimize_and_evolve(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_small_config()))
@@ -231,6 +254,7 @@ def test_cli_minimize_and_evolve(tmp_path):
     assert code == 0
     data = json.loads((out / "minimize.json").read_text())
     assert data["results"][0]["converged"]
+    assert data["results"][0]["free_iters"] > 0
     assert (out / "state_00.field").exists()
     state = read_field(out / "state_00.field")
     assert state.model_tag == "NLS"

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from hylosolve import (Grid, LatticeShift, MinimizeOptions,
-                       ModelSpec, PenaltyParams, SinglePower, WSpec, charge,
-                       delta_continuation, energy, grad_charge, grad_energy,
-                       lambda0_estimate, minimize_jdelta,
+from hylosolve import (FieldState, Grid, LatticeShift, MinimizeOptions,
+                       ModelSpec, NumericalFailure, PenaltyParams, SinglePower,
+                       WSpec, charge, delta_continuation, energy, grad_charge,
+                       grad_energy, lambda0_estimate, minimize_jdelta,
                        orbit_distance, refine_constrained, translate)
 from hylosolve.functionals import gaussian_state, penalized_probe_seed
-from hylosolve.grid import x_norm
+from hylosolve.grid import symbols, x_norm
+from hylosolve.minimize import _precondition
 from hylosolve.models import l2_inner
 
 GRID = Grid((256,), (40.0,))
@@ -23,6 +24,74 @@ def converged():
                                  params=PARAMS)
     assert free.converged and refined.converged
     return free, refined
+
+
+# Plain preconditioned gradient descent, the method before conjugate
+# gradients, needed 249 free-descent iterations for the fixture above.
+GD_FREE_ITERS = 249
+
+
+def test_conjugate_gradients_halve_free_iterations(converged):
+    free, _ = converged
+    assert free.iters <= GD_FREE_ITERS // 2
+
+
+# The fixture model at the CLI's default tolerance, grad_tol = 1e-8, as
+# minimized by plain preconditioned gradient descent: (e_delta, c_delta,
+# lambda_mult) after refinement, and the free-descent iteration count.
+GD_REFERENCE = (-0.09620118295281488, 7.022471693905743, -1.041097146148291)
+GD_REFERENCE_FREE_ITERS = 287
+
+
+def test_outputs_agree_with_gradient_descent_reference():
+    # Both methods stop at the same gradient tolerance, so they differ only
+    # in where they stop along the nearly flat direction of the family:
+    # e_delta and c_delta within 1e-4 relative, the multiplier within 1e-5.
+    # (At the fixture's looser grad_tol = 1e-7 the two methods stop on
+    # opposite sides of the minimizer and e_delta, a near-cancellation of
+    # 3.51 and -3.61, differs by 1.3e-4 relative while c_delta differs by
+    # 1.7e-6.)
+    opts = MinimizeOptions(max_iters=20000, grad_tol=1e-8)
+    free = minimize_jdelta(SPEC, PARAMS, opts=opts)
+    refined = refine_constrained(SPEC, free.c_delta, free.state, opts=opts,
+                                 params=PARAMS)
+    assert free.converged and refined.converged
+    e_ref, c_ref, lam_ref = GD_REFERENCE
+    assert refined.e_delta == pytest.approx(e_ref, rel=1e-4)
+    assert refined.c_delta == pytest.approx(c_ref, rel=1e-4)
+    assert refined.lambda_mult == pytest.approx(lam_ref, rel=1e-5)
+    assert free.iters <= GD_REFERENCE_FREE_ITERS // 2
+
+
+def test_unconverged_link_is_diagnosed():
+    opts = MinimizeOptions(max_iters=3, grad_tol=1e-7)
+    with pytest.raises(NumericalFailure, match="did not converge") as info:
+        delta_continuation(SPEC, [PARAMS.delta], opts=opts, params=PARAMS)
+    detail, partial = info.value.detail, info.value.partial
+    assert detail["link"] == 0 and detail["delta"] == PARAMS.delta
+    assert detail["phase"] == "free"
+    assert detail["iters"] == partial.iters == 3
+    assert not partial.converged
+    assert len(partial.log) == 4
+    assert detail["last_step"] == partial.log[-1][2] > 0.0
+    assert detail["grad_norm"] == partial.grad_norm > opts.grad_tol
+    assert detail["kkt_residual"] == partial.kkt_residual > 0.0
+
+
+@pytest.mark.parametrize("tag", ["NWE", "NBE"])
+def test_precondition_transforms_only_the_field(tag):
+    rng = np.random.default_rng(5)
+    comps = [rng.standard_normal(GRID.n) for _ in range(2)]
+    if tag == "NWE":
+        comps = [c + 1j * rng.standard_normal(GRID.n) for c in comps]
+    g = FieldState(tag, GRID, comps)
+    d = _precondition(g)
+    # the velocity-like component has metric weight 1: passed through as is
+    assert np.array_equal(d.components[1], g.components[1])
+    weight = symbols(tag, GRID).weights[0]
+    expected = np.fft.ifftn(np.fft.fftn(comps[0]) / weight)
+    np.testing.assert_allclose(d.components[0], expected if tag == "NWE" else expected.real,
+                               rtol=0, atol=1e-14)
 
 
 def test_descent_log_non_increasing(converged):

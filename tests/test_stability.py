@@ -44,6 +44,24 @@ def test_perturbation_validation():
         apply_perturbation(spec, state, Perturbation.shift_and_phase((1,), 0.3))
 
 
+# The session soliton (tests/conftest.py) as minimized by plain
+# preconditioned gradient descent, the method before conjugate gradients:
+# (e_delta, c_delta, lambda_mult), and the max_orbit_dist of the noise row
+# of test_run_stability_short below.
+GD_SOLITON = (-0.1562718353469732, 7.079484060624601, -1.0662217048481342)
+GD_NOISE_MAX_ORBIT_DIST = 0.07509966495342309
+
+
+def test_soliton_agrees_with_gradient_descent_reference(soliton):
+    # both methods stop at grad_tol = 1e-8, at different points of the
+    # nearly flat direction along the family
+    refined = soliton["refined"]
+    e_ref, c_ref, lam_ref = GD_SOLITON
+    assert refined.e_delta == pytest.approx(e_ref, rel=1e-4)
+    assert refined.c_delta == pytest.approx(c_ref, rel=1e-4)
+    assert refined.lambda_mult == pytest.approx(lam_ref, rel=1e-5)
+
+
 def test_run_stability_short(nls_acceptance_spec, soliton):
     spec = nls_acceptance_spec
     refined = soliton["refined"]
@@ -56,6 +74,7 @@ def test_run_stability_short(nls_acceptance_spec, soliton):
     noise_row, scale0_row, noise0_row = report.rows
     assert noise_row.verdict == "stable"
     assert noise_row.max_v <= report.kappa * noise_row.v0 + report.abs_tol
+    assert noise_row.max_orbit_dist == pytest.approx(GD_NOISE_MAX_ORBIT_DIST, rel=1e-5)
     # eps = 0 rows are the unperturbed run: identical trajectories
     assert scale0_row.v0 == 0.0
     assert scale0_row.max_v == noise0_row.max_v
