@@ -8,7 +8,7 @@ stability experiments around the computed minimizers.
 
 __version__ = "0.1.0"
 
-from .exceptions import GridMismatch, NearZeroCharge, NumericalFailure
+from .exceptions import GridMismatch, NearZeroCharge, NonFinite, NumericalFailure
 from .grid import (Grid, FieldState, LatticeShift, NLS, NWE, NBE,
                    integrate, spectral_derivative, sharp_seminorm, translate,
                    phase_rotate, orbit_distance, random_state)
@@ -48,5 +48,5 @@ __all__ = [
     "apply_perturbation", "run_stability", "v_separation_scan",
     "HypothesisCertificate", "CheckResult", "audit", "gate_passed",
     "SplitMix64",
-    "GridMismatch", "NearZeroCharge", "NumericalFailure",
+    "GridMismatch", "NearZeroCharge", "NonFinite", "NumericalFailure",
 ]

@@ -20,3 +20,9 @@ class NumericalFailure(RuntimeError):
         super().__init__(message)
         self.detail = detail
         self.partial = partial
+
+
+class NonFinite(NumericalFailure, ValueError):
+    """A field holds a non-finite sample: a state cannot be built from it,
+    and an evolved row has blown up.  Still a ValueError, as field
+    validation has always raised."""

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exceptions import GridMismatch
+from .exceptions import GridMismatch, NonFinite
 from .rng import SplitMix64, symmetric_from_bits
 
 MAX_TOTAL_POINTS = 2**22
@@ -173,9 +173,9 @@ def _on_grid(grid: Grid, values) -> np.ndarray:
 
 
 def require_finite(values: np.ndarray) -> None:
-    """Raise ValueError unless every sample (both parts, if complex) is finite."""
+    """Raise NonFinite unless every sample (both parts, if complex) is finite."""
     if not np.all(np.isfinite(values)):
-        raise ValueError("field samples must be finite")
+        raise NonFinite("field samples must be finite")
 
 
 def _work_array(values) -> np.ndarray:

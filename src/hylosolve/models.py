@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import grid as gridmod
+from .exceptions import NonFinite
 from .grid import (NLS, NWE, NBE, FieldState, Grid, apply_multiplier, integrate,
                    spectral_quadratic, symbols)
 from .nonlinearity import WSpec, w_prime_over_s, w_value
@@ -27,6 +28,7 @@ from .nonlinearity import WSpec, w_prime_over_s, w_value
 __all__ = [
     "ModelSpec", "energy", "energy_of", "charge", "charge_of", "grad_energy", "grad_charge",
     "evolve_step", "x_norm", "time_reverse", "l2_inner", "l2_norm", "lyapunov_v",
+    "lyapunov_v_of",
 ]
 
 
@@ -140,15 +142,21 @@ def l2_norm(a: FieldState) -> float:
     return float(np.sqrt(max(l2_inner(a, a), 0.0)))
 
 
+def lyapunov_v_of(e, c, e_ref: float, c_ref: float):
+    """(E - e_ref)^2 + (C - c_ref)^2 of given energy and signed charge
+    values; elementwise on arrays of them."""
+    de = e - e_ref
+    dc = c - c_ref
+    return de * de + dc * dc
+
+
 def lyapunov_v(spec: ModelSpec, state: FieldState, e_ref: float, c_ref: float) -> float:
-    """(E - e_ref)^2 + (C - c_ref)^2 with the charge kept signed.
+    """(E - e_ref)^2 + (C - c_ref)^2 of one state, with the charge kept signed.
 
     Vanishes exactly on the (e_ref, c_ref) level set; along a flow that
     conserves E and C it is constant up to integrator drift.
     """
-    de = energy(spec, state) - e_ref
-    dc = charge(spec, state) - c_ref
-    return de * de + dc * dc
+    return lyapunov_v_of(energy(spec, state), charge(spec, state), e_ref, c_ref)
 
 
 def x_norm(spec: ModelSpec, state: FieldState) -> float:
@@ -172,17 +180,21 @@ def time_reverse(state: FieldState) -> FieldState:
 class _Propagator:
     """Precomputed split-step kernels for one (spec, dt).
 
-    step advances a number of Strang steps on raw arrays.  Adjacent half
-    nonlinear substeps of consecutive steps merge into one full substep:
-    for NLS the half phase rotations commute because |psi| is invariant
-    under them, and for NWE/NBE both half-kicks see the same field (the
-    kick-drift-kick merge).  Only the first and the last substep stay half,
-    so one step is exactly the unmerged Strang step.
+    step advances a number of Strang steps on raw arrays whose trailing
+    axes are the grid; a leading axis is a stack of independent rows, each
+    transformed over the grid axes alone, so every row evolves as it would
+    on its own.  Adjacent half nonlinear substeps of consecutive steps
+    merge into one full substep: for NLS the half phase rotations commute
+    because |psi| is invariant under them, and for NWE/NBE both half-kicks
+    see the same field (the kick-drift-kick merge).  Only the first and
+    the last substep stay half, so one step is exactly the unmerged Strang
+    step.
     """
 
     def __init__(self, spec: ModelSpec, dt: float):
         self.spec = spec
         self.dt = dt
+        self.axes = spec.grid.axes
         kinetic = symbols(spec.model_tag, spec.grid).kinetic
         if spec.model_tag == NLS:
             # i psi_t = -(1/2) lap psi + (1/2) W'(psi): exact kinetic phase
@@ -202,10 +214,10 @@ class _Propagator:
             return self._wave(*comps, steps)
 
     def _nls(self, psi: np.ndarray, steps: int) -> np.ndarray:
-        dt = self.dt
+        dt, axes = self.dt, self.axes
         psi = self._rotate(psi, -0.25j * dt)
         for i in range(steps):
-            psi = np.fft.ifftn(self.lin * np.fft.fftn(psi))
+            psi = np.fft.ifftn(self.lin * np.fft.fftn(psi, axes=axes), axes=axes)
             psi = self._rotate(psi, -0.5j * dt if i < steps - 1 else -0.25j * dt)
         return psi
 
@@ -220,10 +232,11 @@ class _Propagator:
         # component is transformed once; a step mixes the transforms and
         # brings back only the field, whose force kicks the second transform.
         # 2 * steps + 2 FFTs per block, all into the three work arrays.
-        dt = self.dt
+        dt, axes = self.dt, self.axes
         real = self.spec.model_tag == NBE
-        fa = np.fft.fftn(a, out=np.empty(a.shape, np.complex128))
-        fb = np.fft.fftn(self._kicked(b, a, 0.5 * dt), out=np.empty(a.shape, np.complex128))
+        fa = np.fft.fftn(a, axes=axes, out=np.empty(a.shape, np.complex128))
+        fb = np.fft.fftn(self._kicked(b, a, 0.5 * dt), axes=axes,
+                         out=np.empty(a.shape, np.complex128))
         field = np.empty(a.shape, np.complex128)
         for i in range(steps):
             # exact linear flow: (fa, fb) <- (cos fa + sinc fb, -lam sin fa + cos fb)
@@ -234,17 +247,17 @@ class _Propagator:
             np.multiply(self.cos, fb, out=fb)
             fb += mixed
             del mixed  # not alive while the force is computed: bounds peak memory
-            a = np.fft.ifftn(fa, out=field)
+            a = np.fft.ifftn(fa, axes=axes, out=field)
             if real:
                 a = a.real
             if i < steps - 1:
                 # full kick on the transform: fb -= dt * fft(force(a))
                 np.multiply(self._force_factor(a), a, out=field)
-                np.fft.fftn(field, out=field)
+                np.fft.fftn(field, axes=axes, out=field)
                 field *= dt
                 fb -= field
         del fa  # likewise for the last half-kick
-        b = np.fft.ifftn(fb, out=fb)
+        b = np.fft.ifftn(fb, axes=axes, out=fb)
         return (a, self._kicked(b.real if real else b, a, 0.5 * dt))
 
     def _force_factor(self, a: np.ndarray) -> np.ndarray:
@@ -265,8 +278,8 @@ def _propagator(spec: ModelSpec, dt: float) -> _Propagator:
     return _Propagator(spec, dt)
 
 
-def evolve_step(spec: ModelSpec, state: FieldState, dt: float, steps: int = 1) -> FieldState:
-    """`steps` Strang steps of the model flow, returned as one validated state.
+def evolve_step(spec: ModelSpec, state, dt: float, steps: int = 1):
+    """`steps` Strang steps of the model flow.
 
     NLS: half nonlinear phase rotation (exact, |psi|-preserving), exact
     Fourier kinetic step, half phase.  NWE/NBE: half force kick, exact
@@ -274,12 +287,32 @@ def evolve_step(spec: ModelSpec, state: FieldState, dt: float, steps: int = 1) -
     linear flow being exact removes any stiff step-size restriction; the
     splitting is accurate while dt * max|W''| stays below ~0.5.  Between
     consecutive steps the two half substeps are applied as one full one,
-    which agrees with repeated single steps to roundoff; a non-finite
-    result raises ValueError.
+    which agrees with repeated single steps to roundoff.
+
+    One FieldState gives one validated state, and a non-finite result
+    raises NonFinite.  A sequence of states is stacked and advanced in one
+    kernel call, each row bitwise as if alone; the result is a list with,
+    per row, its validated state or the NonFinite its validation raised,
+    so a row that blew up does not stop the others.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    _check(spec, state)
-    return state.replace_components(_propagator(spec, dt).step(state.components, steps))
+    rows = [state] if isinstance(state, FieldState) else list(state)
+    for row in rows:
+        _check(spec, row)
+    if len(rows) == 1:  # a view: one state is never copied into a stack
+        stack = tuple(c[None] for c in rows[0].components)
+    else:
+        stack = tuple(np.stack(cs) for cs in zip(*(row.components for row in rows)))
+    out = _propagator(spec, dt).step(stack, steps)
+    if isinstance(state, FieldState):
+        return state.replace_components(tuple(c[0] for c in out))
+    results = []
+    for i, row in enumerate(rows):
+        try:
+            results.append(row.replace_components(tuple(c[i] for c in out)))
+        except NonFinite as err:
+            results.append(err)
+    return results

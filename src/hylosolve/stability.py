@@ -1,6 +1,10 @@
 """Stability lab: perturb a computed minimizer, evolve, and audit the
 quadratic level-set functional and the orbit distance.
 
+All perturbed copies evolve together as one stack (one evolve call), each
+row with the trace it would get alone; the static V scan evaluates its
+probes of one radius as one stack as well.
+
 Verdict thresholds are engineering constants recorded in the report; the
 whole lab is sampled evidence, never a certificate, and every report says
 so.
@@ -15,8 +19,9 @@ import numpy as np
 from .grid import (COMPLEX_MODELS, FieldState, LatticeShift, phase_rotate,
                    random_band_limited, translate, x_norm as state_x_norm)
 from .dynamics import EvolutionTrace, evolve
+from .functionals import _chunk_rows
 from .minimize import MinimizeResult
-from .models import ModelSpec, charge, energy, lyapunov_v
+from .models import ModelSpec, charge, charge_of, energy, energy_of, lyapunov_v, lyapunov_v_of
 from .rng import SplitMix64
 
 __all__ = [
@@ -127,27 +132,30 @@ def run_stability(spec: ModelSpec, result: MinimizeResult, perturbations,
                   T: float, dt: float, record_every: int = 100,
                   kappa: float = 4.0, abs_tol: float = 1e-6,
                   seed: int = 0) -> StabilityReport:
-    """Evolve each perturbed copy of the minimizer and classify.
+    """Evolve every perturbed copy of the minimizer and classify.
 
-    Stable means max_t V <= kappa V(0) + abs_tol and no blow-up; blow-up is
-    reported as its own verdict rather than an error.  Per-perturbation
-    seeds derive from seed + index, so rows are independent and
-    reproducible.
+    The copies are built first and evolved as one stack by a single evolve
+    call; each row's trace equals its solo run, and a row that blows up
+    stops alone.  Stable means max_t V <= kappa V(0) + abs_tol and no
+    blow-up; blow-up is reported as its own verdict rather than an error.
+    Per-perturbation seeds derive from seed + index, so rows are
+    independent and reproducible.
     """
     if not result.converged:
         raise ValueError("stability lab needs a converged minimizer")
     reference = result.state
     e_ref = energy(spec, reference)
     c_ref = charge(spec, reference)
+    perturbations = list(perturbations)
+    perturbed = [apply_perturbation(spec, reference, pert, seed_offset=seed + index)
+                 for index, pert in enumerate(perturbations)]
+    traces: list[EvolutionTrace] = evolve(spec, perturbed, T, dt, record_every=record_every,
+                                          reference=reference)
     rows: list[StabilityRow] = []
-    traces: list[EvolutionTrace] = []
-    for index, pert in enumerate(perturbations):
-        perturbed = apply_perturbation(spec, reference, pert, seed_offset=seed + index)
+    for pert, state, trace in zip(perturbations, perturbed, traces):
         diff = reference.replace_components(tuple(
-            a - b for a, b in zip(perturbed.components, reference.components)))
+            a - b for a, b in zip(state.components, reference.components)))
         pert_norm = state_x_norm(diff)
-        trace = evolve(spec, perturbed, T, dt, record_every=record_every,
-                       reference=reference)
         v0 = float(trace.v[0]) if trace.v.size else float("nan")
         max_v = float(trace.v.max()) if trace.v.size else float("inf")
         max_od = float(trace.orbit_dist.max()) if trace.orbit_dist.size else float("inf")
@@ -159,7 +167,6 @@ def run_stability(spec: ModelSpec, result: MinimizeResult, perturbations,
             verdict = "unstable"
         rows.append(StabilityRow(pert.describe(), v0, max_v, max_od,
                                  pert_norm, verdict, trace.blew_up))
-        traces.append(trace)
     return StabilityReport(rows=rows, e_ref=e_ref, c_ref=c_ref, kappa=kappa,
                            abs_tol=abs_tol, T=T, dt=dt, traces=traces)
 
@@ -171,7 +178,10 @@ def v_separation_scan(spec: ModelSpec, result: MinimizeResult, radius_list,
     Static scan (no evolution): evidence that V separates from zero as the
     perturbation radius grows.  The K unit directions are drawn once and
     rescaled per radius, so the min column reflects the radius dependence
-    rather than per-shell sampling noise.  Returns (radius, min V) rows.
+    rather than per-shell sampling noise.  The K probes of one radius are
+    evaluated as stacks of at most PROBE_CHUNK_POINTS grid points (all K at
+    once on small grids), with the values of one probe at a time.  Returns
+    (radius, min V) rows.
     """
     reference = result.state
     e_ref = energy(spec, reference)
@@ -181,16 +191,19 @@ def v_separation_scan(spec: ModelSpec, result: MinimizeResult, radius_list,
                     band_limit, 1.0)
         for k in range(K)
     ]
+    step = _chunk_rows(spec.grid)
+    stacks = [[np.stack(cs) for cs in zip(*(d.components for d in directions[i:i + step]))]
+              for i in range(0, K, step)]
+    del directions  # the stacks hold the same fields
     rows = []
     for radius in radius_list:
         if radius == 0.0:
             rows.append((0.0, lyapunov_v(spec, reference, e_ref, c_ref)))
             continue
         best = np.inf
-        for d in directions:
-            probe = reference.replace_components(tuple(
-                a + float(radius) * b
-                for a, b in zip(reference.components, d.components)))
-            best = min(best, lyapunov_v(spec, probe, e_ref, c_ref))
-        rows.append((float(radius), float(best)))
+        for stack in stacks:
+            probes = [a + float(radius) * b for a, b in zip(reference.components, stack)]
+            v = lyapunov_v_of(energy_of(spec, probes), charge_of(spec, probes), e_ref, c_ref)
+            best = min(best, float(v.min()))
+        rows.append((float(radius), best))
     return rows

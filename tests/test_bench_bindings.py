@@ -47,3 +47,35 @@ def test_continuation_calls_descent_through_module_globals(monkeypatch):
     assert seen["minimize_jdelta"] == family.free_iters
     assert seen["refine_constrained"] == [r.iters for r in family.results]
     assert family.free_iters[0] > 0
+
+
+def test_stability_lab_evolves_one_stack_through_module_globals(monkeypatch,
+                                                               nls_acceptance_spec,
+                                                               soliton):
+    """The tracer's dynamics.evolve_s, dynamics.steps and models.evolve_step_*
+    come from rebinding evolve in hylosolve.stability and evolve_step in
+    hylosolve.dynamics; run_stability must evolve all its rows with one
+    evolve call, which must advance them with one evolve_step call per
+    record block."""
+    from hylosolve import Perturbation
+    stability = importlib.import_module("hylosolve.stability")
+    dynamics = importlib.import_module("hylosolve.dynamics")
+    evolve_rows, step_rows = [], []
+
+    def counting_evolve(spec, states, *args, _original=stability.evolve, **kwargs):
+        evolve_rows.append(len(states))
+        return _original(spec, states, *args, **kwargs)
+
+    def counting_step(spec, states, *args, _original=dynamics.evolve_step, **kwargs):
+        step_rows.append(len(states))
+        return _original(spec, states, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "evolve", counting_evolve)
+    monkeypatch.setattr(dynamics, "evolve_step", counting_step)
+    perts = [Perturbation.additive_noise(1e-2, seed=3), Perturbation.amplitude_scale(1e-2)]
+    # 500 steps in record blocks of 150, 150, 150 and 50
+    report = stability.run_stability(nls_acceptance_spec, soliton["refined"], perts,
+                                     T=0.5, dt=1e-3, record_every=150)
+    assert len(report.rows) == 2
+    assert evolve_rows == [2]
+    assert step_rows == [2, 2, 2, 2]

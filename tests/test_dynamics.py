@@ -112,6 +112,21 @@ def test_blow_up_guard_flags_and_truncates():
                for c in trace.final_state.components)
 
 
+def test_kernel_value_error_is_not_blow_up(monkeypatch):
+    # only NonFinite marks a row as blown up; any other error propagates
+    from hylosolve import models
+
+    def failing(self, comps, steps):
+        raise ValueError("kernel failure")
+
+    monkeypatch.setattr(models._Propagator, "step", failing)
+    state = gaussian_state(SPEC, 0.8, 2.0)
+    with pytest.raises(ValueError, match="kernel failure"):
+        evolve(SPEC, state, T=0.1, dt=1e-2)
+    with pytest.raises(ValueError, match="kernel failure"):
+        evolve(SPEC, [state, state], T=0.1, dt=1e-2)
+
+
 def test_soliton_profile_stationary(nls_acceptance_spec, soliton):
     # the computed minimizer evolves as a standing wave: amplitude profile
     # stationary over the long horizon, up to phase (removed by the orbit

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hylosolve import (FieldState, Grid, GridMismatch, LatticeShift, NBE, NLS,
-                       integrate, orbit_distance, phase_rotate, sharp_seminorm,
+                       NonFinite, NumericalFailure, integrate, orbit_distance, phase_rotate, sharp_seminorm,
                        spectral_derivative, translate)
 from hylosolve.grid import random_state, x_norm
 from hylosolve.rng import SplitMix64
@@ -167,3 +167,13 @@ def test_field_state_validation():
     state = FieldState.nls(g, np.ones(16, complex))
     with pytest.raises(ValueError):
         state.components[0][0] = 5.0  # stored arrays are read-only
+
+
+def test_non_finite_samples_raise_non_finite():
+    # a numerical failure that is still the ValueError field validation raised
+    assert issubclass(NonFinite, NumericalFailure) and issubclass(NonFinite, ValueError)
+    g = Grid((16,), (3.0,))
+    psi = np.zeros(16, complex)
+    psi[3] = complex(0.0, np.inf)
+    with pytest.raises(NonFinite):
+        FieldState.nls(g, psi)

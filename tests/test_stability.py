@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hylosolve import (Grid, LatticeShift, ModelSpec, Perturbation,
-                       SinglePower, WSpec, apply_perturbation, charge, energy,
+from hylosolve import (DoublePower, Grid, LatticeShift, ModelSpec, Perturbation,
+                       Saturating, SinglePower, WSpec, apply_perturbation, charge, energy,
                        lyapunov_v, orbit_distance, run_stability, translate,
                        v_separation_scan)
 from hylosolve.functionals import gaussian_state
-from hylosolve.grid import x_norm
-from hylosolve.stability import EMPIRICAL_BANNER
+from hylosolve.grid import random_state, x_norm
+from hylosolve.rng import SplitMix64
+from hylosolve.stability import EMPIRICAL_BANNER, noise_state
 
 
 def test_lyapunov_basics(nls_acceptance_spec, soliton):
@@ -115,6 +118,42 @@ def test_v_separation_scan_properties(nls_acceptance_spec, soliton):
     big = v_separation_scan(spec, refined, [0.1, 0.3, 1.0], K=64, seed=2)
     for (r1, v1), (r2, v2) in zip(rows[2:], big):
         assert abs(v2 - v1) <= 0.5 * max(v1, 1e-300)
+
+
+def per_probe_scan(spec, reference, radius_list, K, seed, band_limit):
+    """The V scan one FieldState and one lyapunov_v call per probe."""
+    e_ref, c_ref = energy(spec, reference), charge(spec, reference)
+    directions = [noise_state(spec, reference, SplitMix64(seed + k).split("v-scan"),
+                              band_limit, 1.0) for k in range(K)]
+    rows = []
+    for radius in radius_list:
+        if radius == 0.0:
+            rows.append((0.0, lyapunov_v(spec, reference, e_ref, c_ref)))
+            continue
+        best = np.inf
+        for d in directions:
+            probe = reference.replace_components(tuple(
+                a + float(radius) * b for a, b in zip(reference.components, d.components)))
+            best = min(best, lyapunov_v(spec, probe, e_ref, c_ref))
+        rows.append((float(radius), float(best)))
+    return rows
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+    # 4096 points: the 64 probes are evaluated in stacks of 8
+    ModelSpec("NLS", Grid((64, 64), (16.0, 16.0)), WSpec(1.0, SinglePower(1.0, 4.0))),
+    ModelSpec("NWE", Grid((512,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))),
+    ModelSpec("NBE", Grid((512,), (40.0,)), WSpec(1.0, Saturating(0.0, 0.5))),
+], ids=["NLS", "NLS-2d", "NWE", "NBE"])
+def test_v_separation_scan_rows_equal_per_probe_loop(spec):
+    reference = random_state(spec.model_tag, spec.grid, SplitMix64(8), amplitude=0.7,
+                             band_limit=6)
+    radii = [0.0, 0.01, 0.1, 1.0]
+    rows = v_separation_scan(spec, SimpleNamespace(state=reference), radii, K=64, seed=3)
+    expected = per_probe_scan(spec, reference, radii, K=64, seed=3, band_limit=8)
+    assert [(r, np.float64(v).tobytes()) for r, v in rows] == \
+        [(r, np.float64(v).tobytes()) for r, v in expected]
 
 
 def test_free_field_gaussian_negative_control(nls_acceptance_spec):
