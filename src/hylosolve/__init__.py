@@ -8,14 +8,14 @@ stability experiments around the computed minimizers.
 
 __version__ = "0.1.0"
 
-from .exceptions import GridMismatch, NearZeroCharge, NonFinite, NumericalFailure
+from .exceptions import GridMismatch, Inadmissible, NearZeroCharge, NonFinite, NumericalFailure
 from .grid import (Grid, FieldState, LatticeShift, NLS, NWE, NBE,
                    integrate, spectral_derivative, sharp_seminorm, translate,
-                   phase_rotate, orbit_distance, random_state)
+                   phase_rotate, orbit_distance, random_state, x_norm)
 from .nonlinearity import (WSpec, SinglePower, DoublePower, Saturating,
                            w_eval, check_w_conditions, WConditionReport)
 from .models import (ModelSpec, energy, charge, grad_energy, grad_charge,
-                     evolve_step, x_norm, time_reverse)
+                     evolve_step, time_reverse)
 from .functionals import (PenaltyParams, HylomorphyReport, lambda_ratio, phi,
                           j_delta, bound_m, nash_check, nash_exponents,
                           coercivity_exponent, choose_coercivity_params,
@@ -33,11 +33,11 @@ __all__ = [
     "__version__",
     "Grid", "FieldState", "LatticeShift", "NLS", "NWE", "NBE",
     "integrate", "spectral_derivative", "sharp_seminorm", "translate",
-    "phase_rotate", "orbit_distance", "random_state",
+    "phase_rotate", "orbit_distance", "random_state", "x_norm",
     "WSpec", "SinglePower", "DoublePower", "Saturating", "w_eval",
     "check_w_conditions", "WConditionReport",
     "ModelSpec", "energy", "charge", "grad_energy", "grad_charge",
-    "evolve_step", "x_norm", "time_reverse",
+    "evolve_step", "time_reverse",
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta",
     "bound_m", "nash_check", "nash_exponents", "coercivity_exponent",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
@@ -48,5 +48,5 @@ __all__ = [
     "apply_perturbation", "run_stability", "v_separation_scan",
     "HypothesisCertificate", "CheckResult", "audit", "gate_passed",
     "SplitMix64",
-    "GridMismatch", "NearZeroCharge", "NonFinite", "NumericalFailure",
+    "GridMismatch", "Inadmissible", "NearZeroCharge", "NonFinite", "NumericalFailure",
 ]

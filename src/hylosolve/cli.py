@@ -31,7 +31,7 @@ from .fileio import (ConfigError, certificate_to_json, dump_json, load_config,
                      write_trace_csv, wspec_from_json)
 from .functionals import (PenaltyParams, choose_coercivity_params,
                           lambda0_estimate, penalized_probe_seed)
-from .grid import Grid, min_image_distances
+from .grid import NBE, Grid, min_image_distances
 from .minimize import MinimizeOptions, delta_continuation
 from .models import ModelSpec
 from .stability import Perturbation, run_stability
@@ -152,7 +152,9 @@ def resolve_options(config: dict) -> MinimizeOptions:
     return MinimizeOptions(**config.get("minimize", {}))
 
 
-def _perturbations(config: dict) -> list[Perturbation]:
+def _perturbations(config: dict, spec: ModelSpec) -> list[Perturbation]:
+    """The configured perturbations; a shift of the wrong length, or a
+    phase offset on the real beam model, is a config error."""
     block = config.get("stability", {})
     out = []
     for p in block.get("perturbations", [{"kind": "additive_noise", "eps": 0.01}]):
@@ -164,7 +166,12 @@ def _perturbations(config: dict) -> list[Perturbation]:
         elif kind == "amplitude_scale":
             out.append(Perturbation.amplitude_scale(p.get("eps", 0.01)))
         else:
-            out.append(Perturbation.shift_and_phase(p.get("z", [0]), p.get("theta", 0.0)))
+            z = p.get("z", [0] * spec.grid.dim)
+            if len(z) != spec.grid.dim:
+                raise ConfigError(f"shift z has {len(z)} entries for a {spec.grid.dim}-d grid")
+            if p.get("theta", 0.0) != 0.0 and spec.model_tag == NBE:
+                raise ConfigError("phase offset is undefined for the real beam model")
+            out.append(Perturbation.shift_and_phase(z, p.get("theta", 0.0)))
     return out
 
 
@@ -256,7 +263,11 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     if block is None:
         raise ConfigError("evolve subcommand needs an 'evolve' config block")
     if state_path:
-        state0 = read_field(state_path)
+        try:
+            state0 = read_field(state_path)
+        except (OSError, KeyError, ValueError) as err:
+            raise ConfigError(f"--state {state_path} is not a readable field file: "
+                              f"{err!r}") from err
         if state0.model_tag != spec.model_tag or state0.grid != spec.grid:
             raise ConfigError(
                 f"--state holds a {state0.model_tag} field on grid n={list(state0.grid.n)}, "
@@ -280,6 +291,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
 
 
 def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
+    perturbations = _perturbations(config, spec)
     params, deltas = resolve_penalty(config, spec, seed)
     if not _run_gate(run, spec, params, seed):
         return EXIT_GATE
@@ -288,7 +300,7 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     result = family.results[0]
     block = config.get("stability", {})
     run.stage("stability")
-    report = run_stability(spec, result, _perturbations(config),
+    report = run_stability(spec, result, perturbations,
                            T=block.get("T", 10.0), dt=block.get("dt", 1e-3),
                            record_every=block.get("record_every", 100),
                            kappa=block.get("kappa", 4.0),
@@ -435,7 +447,7 @@ def cli_main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         run.finish("config_error", failure_stage="config", error=str(err))
         return EXIT_CONFIG
-    except (NumericalFailure, NearZeroCharge, ValueError) as err:
+    except (NumericalFailure, NearZeroCharge) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         stage = run.manifest["stages"][-1] if run.manifest["stages"] else "setup"
         run.finish("numerical_failure", failure_stage=stage, error=err)

@@ -65,10 +65,12 @@ def evolve(spec: ModelSpec, state0, T: float, dt: float,
         e_ref = energy(spec, reference)
         c_ref = charge(spec, reference)
     samples = [([], [], [], [], [], [], []) for _ in states]
-    norm0 = [state_x_norm(st) for st in states]
+    norm0 = [None] * len(states)  # each row's initial norm, from its t = 0 record
 
     def record(row: int, t: float, st: FieldState) -> bool:
         xn = state_x_norm(st)
+        if norm0[row] is None:
+            norm0[row] = xn
         if not xn <= abort_factor * (1.0 + norm0[row]):
             return False
         times, es, cs, sharps, xns, vs, ods = samples[row]

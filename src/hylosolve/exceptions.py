@@ -26,3 +26,11 @@ class NonFinite(NumericalFailure, ValueError):
     """A field holds a non-finite sample: a state cannot be built from it,
     and an evolved row has blown up.  Still a ValueError, as field
     validation has always raised."""
+
+
+class Inadmissible(NumericalFailure, ValueError):
+    """The model, grid or penalty weight admits no run of the requested
+    construction: a penalty weight whose probe does not undercut the
+    vanishing floor, a supercritical power, or a grid or box outside a
+    probe family's range.  A diagnosed failure, still a ValueError, as
+    these checks have always raised."""

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NearZeroCharge
+from .exceptions import Inadmissible, NearZeroCharge
 from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
                    apply_multiplier, band_limited_noise, integrate, k_squared, low_pass,
-                   min_image_distances, require_finite, spectral_quadratic, symbols,
-                   x_norm as state_x_norm, x_norm_of)
-from .models import ModelSpec, charge, charge_of, energy, energy_of
+                   min_image_distances, require_finite, spectral_sum, symbols, transform,
+                   x_norm_of)
+from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
+                     evaluate)
 from .nonlinearity import DoublePower, SinglePower, critical_exponent
 from .rng import SplitMix64, uniform_from_bits
 
@@ -69,18 +70,12 @@ def _require_charge(c, xnorm) -> None:
             f"charge magnitude {float(np.min(np.abs(c)[low])):.3e} below the ratio floor")
 
 
-def _charge_above_floor(spec: ModelSpec, state: FieldState) -> float:
-    c = charge(spec, state)
-    _require_charge(c, state_x_norm(state))
-    return c
-
-
-def _stack_terms(spec: ModelSpec, components) -> tuple[np.ndarray, np.ndarray]:
-    """(E, C) per row of a probe stack, under the ratio's charge floor."""
-    e = energy_of(spec, components)
-    c = charge_of(spec, components)
-    _require_charge(c, x_norm_of(spec.model_tag, spec.grid, components))
-    return e, c
+def _floored(spec: ModelSpec, components) -> Evaluation:
+    """The evaluation (models.evaluate) of a state's components or of a
+    probe stack, under the ratio's charge floor per row."""
+    ev = evaluate(spec, components)
+    _require_charge(ev.charge, ev.x_norm)
+    return ev
 
 
 def _ratio(e, c):
@@ -95,8 +90,9 @@ def _penalized(e, c, params: PenaltyParams):
 
 def lambda_ratio(spec: ModelSpec, state: FieldState) -> float:
     """Energy per unit charge magnitude, E/|C|."""
-    c = _charge_above_floor(spec, state)
-    return _ratio(energy(spec, state), c)
+    check_state(spec, state)
+    ev = _floored(spec, state.components)
+    return _ratio(float(ev.energy), float(ev.charge))
 
 
 def phi(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
@@ -105,11 +101,12 @@ def phi(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
 
 
 def penalized_terms(spec: ModelSpec, state: FieldState,
-                    params: PenaltyParams) -> tuple[float, float, float]:
-    """(j_delta, E, C) from one energy and one charge evaluation; C is signed."""
-    e = energy(spec, state)
-    c = _charge_above_floor(spec, state)
-    return _penalized(e, c, params), e, c
+                    params: PenaltyParams) -> tuple[float, Evaluation]:
+    """(j_delta, the state's evaluation) from one evaluate call, under the
+    ratio's charge floor; the evaluation's charge is signed."""
+    check_state(spec, state)
+    ev = _floored(spec, state.components)
+    return _penalized(float(ev.energy), float(ev.charge), params), ev
 
 
 def j_delta(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
@@ -155,7 +152,7 @@ def coercivity_exponent(p: float, dim: int) -> float:
     """Mass exponent s = r/(2-q) closing the Young split of the inequality."""
     q, r = nash_exponents(p, dim)
     if q >= 2.0:
-        raise ValueError(f"supercritical power p = {p} in dimension {dim}")
+        raise Inadmissible(f"supercritical power p = {p} in dimension {dim}")
     return r / (2.0 - q)
 
 
@@ -163,7 +160,7 @@ def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float,
                        q: float, r: float) -> float | None:
     """||f||_p^p / (||f||_2^r ||grad f||_2^q); None when the gradient vanishes."""
     norm2_sq = integrate(grid, np.abs(f) ** 2)
-    grad_sq = spectral_quadratic(grid, k_squared(grid), f)
+    grad_sq = spectral_sum(grid, k_squared(grid), transform(grid, f))
     if grad_sq <= 1e-20 * max(norm2_sq, 1.0) or norm2_sq <= 0.0:
         return None
     num = integrate(grid, np.abs(f) ** p)
@@ -185,7 +182,7 @@ def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.
     first k random fields of the stream (k = 0..n_random), so one sweep
     gives the constant at every smaller sample count."""
     if p >= critical_exponent(grid.dim):
-        raise ValueError(f"p must be below {critical_exponent(grid.dim)} in dim {grid.dim}")
+        raise Inadmissible(f"p must be below {critical_exponent(grid.dim)} in dim {grid.dim}")
     q, r = nash_exponents(p, grid.dim)
     best = 0.0
     sig_hi = min(grid.box_length) / 8.0
@@ -288,8 +285,11 @@ def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> 
     """value(E, C) of the Gaussian probes of one width, one per amplitude,
     evaluated one stack of at most PROBE_CHUNK_POINTS grid points at a time."""
     rows = _chunk_rows(spec.grid)
-    return np.concatenate([value(*_stack_terms(spec, _probe_rows(spec, amps[i:i + rows], sigma)))
-                           for i in range(0, len(amps), rows)])
+    values = []
+    for i in range(0, len(amps), rows):
+        ev = _floored(spec, _probe_rows(spec, amps[i:i + rows], sigma))
+        values.append(value(ev.energy, ev.charge))
+    return np.concatenate(values)
 
 
 def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
@@ -345,7 +345,7 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02,
     rng = SplitMix64(seed).split("coercivity-probes")
     if spec.model_tag == NLS and isinstance(fam, (SinglePower, DoublePower)):
         if fam.p >= critical_exponent(spec.grid.dim):
-            raise ValueError(
+            raise Inadmissible(
                 f"supercritical power p = {fam.p}: no coercivity exponent exists")
         q, r = nash_exponents(fam.p, spec.grid.dim)
         s_exp = r / (2.0 - q)
@@ -403,7 +403,7 @@ def lambda0_estimate(spec: ModelSpec, n_scales: int = 8, fit_tail: int = 4) -> f
     sig_hi = min(g.box_length) / 8.0
     sig_lo = max(4.0 * max(g.spacing), sig_hi / 8.0)
     if sig_lo >= sig_hi:
-        raise ValueError("grid too coarse for the probe widths (sigma > L/8 needed)")
+        raise Inadmissible("grid too coarse for the probe widths (sigma > L/8 needed)")
     sigmas = np.geomspace(sig_lo, sig_hi, n_scales)
     fam = spec.w.family
     amp_power = fam.p - 2.0 if isinstance(fam, (SinglePower, DoublePower)) else 2.0

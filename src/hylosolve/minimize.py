@@ -18,11 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import NearZeroCharge, NumericalFailure
+from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .functionals import (PenaltyParams, choose_coercivity_params, j_delta,
                           lambda0_estimate, penalized_probe_seed, penalized_terms)
 from .grid import NLS, FieldState, orbit_distance, symbols, x_norm as state_x_norm
-from .models import ModelSpec, charge, energy, grad_charge, grad_energy, l2_inner, l2_norm
+from .models import (Evaluation, ModelSpec, charge, evaluate, grad_charge_of, grad_energy_of,
+                     l2_inner_of, l2_norm_of)
 
 __all__ = [
     "MinimizeOptions", "MinimizeResult", "ContinuationResult",
@@ -70,24 +71,25 @@ class MinimizeResult:
     grad_norm: float = float("nan")  # L2 norm of the descent gradient at state
 
 
-def _axpy(state: FieldState, t: float, direction: FieldState) -> FieldState:
-    return state.replace_components(tuple(
-        a + t * d for a, d in zip(state.components, direction.components)))
+def _axpy(a: tuple, t: float, d: tuple) -> tuple:
+    """a + t d on component tuples."""
+    return tuple(x + t * y for x, y in zip(a, d))
 
 
-def _precondition(g: FieldState) -> FieldState:
+def _precondition(weight: np.ndarray, g: tuple) -> tuple:
     """Descent direction in the phase-space metric: divide the field
-    component's spectrum by its metric weight, 1 + the kinetic symbol.  The
-    velocity-like component has weight 1, so it is passed through as is.
+    component's spectrum by its metric weight, 1 + the kinetic symbol
+    (`symbols(...).weights[0]`).  The velocity-like component has weight 1,
+    so it is passed through as is.
 
     Plain L2 steps are limited by the largest spectral curvature, so the
     highest modes hover at the stability edge and the gradient stalls well
     above tolerance; in this metric every mode contracts at an O(1) rate.
     """
-    field_g = g.components[0]
-    d = np.fft.ifftn(np.fft.fftn(field_g) / symbols(g.model_tag, g.grid).weights[0])
+    field_g = g[0]
+    d = np.fft.ifftn(np.fft.fftn(field_g) / weight)
     d = d if np.iscomplexobj(field_g) else d.real
-    return g.replace_components((d,) + g.components[1:])
+    return (d,) + tuple(g[1:])
 
 
 def _identical(a: FieldState, b: FieldState) -> bool:
@@ -100,40 +102,41 @@ def _scale_component(state: FieldState, index: int, factor: float) -> FieldState
     return state.replace_components(tuple(comps))
 
 
-def _grad_j(spec: ModelSpec, state: FieldState, params: PenaltyParams,
-            e: float, c: float) -> FieldState:
-    ge = grad_energy(spec, state)
-    gc = grad_charge(spec, state)
+def _grad_j(spec: ModelSpec, components, params: PenaltyParams, ev: Evaluation) -> tuple:
+    e, c = float(ev.energy), float(ev.charge)
+    ge = grad_energy_of(spec, components, ev.spectrum)
+    gc = grad_charge_of(spec, components)
     sgn = 1.0 if c >= 0 else -1.0
     coef_e = 1.0 / abs(c) + params.delta
     coef_c = sgn * (-e / c**2
                     + params.delta * 2.0 * params.a * params.s_exp * abs(c) ** (params.s_exp - 1.0))
-    return state.replace_components(tuple(
-        coef_e * a + coef_c * b for a, b in zip(ge.components, gc.components)))
+    return tuple(coef_e * a + coef_c * b for a, b in zip(ge, gc))
 
 
-def _projected_gradient(spec: ModelSpec, state: FieldState
-                        ) -> tuple[float, FieldState, FieldState]:
-    """(lam, gradE, gradE - lam gradC) with the least-squares multiplier."""
-    ge = grad_energy(spec, state)
-    gc = grad_charge(spec, state)
-    gc_sq = l2_inner(gc, gc)
-    lam = l2_inner(ge, gc) / gc_sq if gc_sq > 0 else 0.0
+def _projected_gradient(spec: ModelSpec, components, field_spec: np.ndarray
+                        ) -> tuple[float, tuple, tuple]:
+    """(lam, gradE, gradE - lam gradC) with the least-squares multiplier;
+    field_spec is the field component's spectrum."""
+    ge = grad_energy_of(spec, components, field_spec)
+    gc = grad_charge_of(spec, components)
+    gc_sq = l2_inner_of(spec.grid, gc, gc)
+    lam = l2_inner_of(spec.grid, ge, gc) / gc_sq if gc_sq > 0 else 0.0
     return lam, ge, _axpy(ge, -lam, gc)
 
 
-def _kkt(spec: ModelSpec, state: FieldState) -> tuple[float, float]:
+def _kkt(spec: ModelSpec, u: FieldState, ev: Evaluation) -> tuple[float, float]:
     """(multiplier, residual) of the stationarity system gradE = lam gradC."""
-    lam, ge, resid = _projected_gradient(spec, state)
-    return lam, l2_norm(resid) / (1.0 + l2_norm(ge))
+    lam, ge, resid = _projected_gradient(spec, u.components, ev.spectrum)
+    return lam, l2_norm_of(spec.grid, resid) / (1.0 + l2_norm_of(spec.grid, ge))
 
 
-def _stall_converged(spec: ModelSpec, u: FieldState, opts: MinimizeOptions) -> bool:
+def _stall_converged(spec: ModelSpec, u: FieldState, ev: Evaluation,
+                     opts: MinimizeOptions) -> bool:
     """Descent stopped at the float-resolution floor of the objective; call
     it converged iff the stationarity residual meets the result contract
     (kkt <= 10 grad_tol (1 + x_norm))."""
-    _, kkt = _kkt(spec, u)
-    return kkt <= 10.0 * opts.grad_tol * (1.0 + state_x_norm(u))
+    _, kkt = _kkt(spec, u, ev)
+    return kkt <= 10.0 * opts.grad_tol * (1.0 + float(ev.x_norm))
 
 
 def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: MinimizeOptions,
@@ -141,10 +144,15 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
     """Armijo-backtracked Polak-Ribiere+ conjugate gradients in the metric P
     of `_precondition`, reported with the objective value as j_value.
 
-    objective(u) -> (value, E, C) raises NearZeroCharge, NumericalFailure
-    or ValueError on an inadmissible state, and the trial step is shortened;
-    gradient(u, E, C) is its Riesz gradient (the projected one under a
-    constraint); retract maps every stepped state back onto the constraint.
+    objective(u) -> (value, ev), with ev the `evaluate` result of u (E, C,
+    X-norm and the field's spectrum from one transform), raises
+    NearZeroCharge, NumericalFailure or ValueError on an inadmissible
+    state, and the trial step is shortened; gradient(u, ev) is its Riesz
+    gradient (the projected one under a constraint), its kinetic term
+    taken from ev's spectrum; retract maps every stepped state back onto
+    the constraint.  Gradients and directions are component tuples; every
+    trial iterate is a validated FieldState, so a non-finite one is
+    rejected like an inadmissible one.
 
     The step is u <- retract(u - t d) with d = Pg + beta d_prev and
     beta = max(0, <g - g_prev, Pg> / <g_prev, P g_prev>).  d restarts at Pg
@@ -153,17 +161,19 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
     over the backtrack factor seeds the next search, so it settles near the
     local curvature limit without rescanning from the initial step.
     """
-    value, e, c = objective(u)
+    grid = spec.grid
+    weight = symbols(spec.model_tag, grid).weights[0]
+    value, ev = objective(u)
     step = opts.initial_step
     log: list[tuple[int, float, float, float]] = []
     iters = stalled = 0
     g_prev = d_prev = None  # and gpg_prev = <g_prev, P g_prev>, once a step is taken
 
-    def search(direction: FieldState, slope: float):
+    def search(direction: tuple, slope: float):
         t = step
         while t >= _MIN_STEP:
             try:
-                trial = _axpy(u, -t, direction)
+                trial = u.replace_components(_axpy(u.components, -t, direction))
                 if _identical(trial, u):  # step below float resolution
                     return None
                 if retract is not None:
@@ -178,26 +188,26 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
         return None
 
     while True:
-        g = gradient(u, e, c)
-        gnorm = l2_norm(g)
+        g = gradient(u, ev)
+        gnorm = l2_norm_of(grid, g)
         if not log:
             log.append((0, value, 0.0, gnorm))
         if not np.isfinite(gnorm):
             raise NumericalFailure(f"non-finite gradient in {what}")
-        converged = gnorm <= opts.grad_tol * (1.0 + state_x_norm(u))
+        converged = gnorm <= opts.grad_tol * (1.0 + float(ev.x_norm))
         if converged or iters == opts.max_iters:
             break
         if stalled >= _STALL_LIMIT:
-            converged = _stall_converged(spec, u, opts)
+            converged = _stall_converged(spec, u, ev, opts)
             break
-        pg = _precondition(g)
-        gpg = l2_inner(g, pg)  # > 0: the metric is positive
+        pg = _precondition(weight, g)
+        gpg = l2_inner_of(grid, g, pg)  # > 0: the metric is positive
         candidates = [(pg, gpg)]
         if d_prev is not None:
-            beta = max(0.0, (gpg - l2_inner(g_prev, pg)) / gpg_prev)
+            beta = max(0.0, (gpg - l2_inner_of(grid, g_prev, pg)) / gpg_prev)
             if beta > 0.0:
                 conj = _axpy(pg, beta, d_prev)
-                slope = l2_inner(g, conj)
+                slope = l2_inner_of(grid, g, conj)
                 if slope > 0.0:
                     candidates.insert(0, (conj, slope))
         for d, slope in candidates:
@@ -207,18 +217,18 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
         if accepted is None:
             # objective improvements fell below float resolution: stationary
             # up to the measurable floor
-            converged = _stall_converged(spec, u, opts)
+            converged = _stall_converged(spec, u, ev, opts)
             break
         u, terms, t = accepted
         stalled = stalled + 1 if value - terms[0] <= _noise_level(value) else 0
-        value, e, c = terms
+        value, ev = terms
         g_prev, d_prev, gpg_prev = g, d, gpg
         iters += 1
         step = t / opts.backtrack
         log.append((iters, value, t, gnorm))
-    lam, kkt = _kkt(spec, u)
-    return MinimizeResult(state=u, e_delta=e, c_delta=abs(c), j_value=value,
-                          lambda_mult=lam, kkt_residual=kkt, iters=iters,
+    lam, kkt = _kkt(spec, u, ev)
+    return MinimizeResult(state=u, e_delta=float(ev.energy), c_delta=abs(float(ev.charge)),
+                          j_value=value, lambda_mult=lam, kkt_residual=kkt, iters=iters,
                           converged=converged, log=log, grad_norm=gnorm)
 
 
@@ -230,7 +240,7 @@ def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
     if init is None:
         init, _ = penalized_probe_seed(spec, params)
     return _descend(spec, lambda u: penalized_terms(spec, u, params),
-                    lambda u, e, c: _grad_j(spec, u, params, e, c), init, opts,
+                    lambda u, ev: _grad_j(spec, u.components, params, ev), init, opts,
                     what="penalized descent")
 
 
@@ -266,10 +276,11 @@ def refine_constrained(spec: ModelSpec, c_target: float, init: FieldState,
     signed_target = c_target if (c0 >= 0 or spec.model_tag == NLS) else -c_target
 
     def objective(u: FieldState):
-        e = energy(spec, u)
-        return e, e, charge(spec, u)
+        ev = evaluate(spec, u.components)
+        return float(ev.energy), ev
 
-    result = _descend(spec, objective, lambda u, e, c: _projected_gradient(spec, u)[2],
+    result = _descend(spec, objective,
+                      lambda u, ev: _projected_gradient(spec, u.components, ev.spectrum)[2],
                       _restore_charge(spec, init, signed_target), opts,
                       retract=lambda u: _restore_charge(spec, u, signed_target),
                       what="constrained refinement")
@@ -310,7 +321,9 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     probe (Gaussian family for the first link, the previous refined
     minimizer afterwards) must undercut the vanishing-ratio floor at that
     delta, otherwise the delta is rejected as too large.  A link that does
-    not converge raises a diagnosed NumericalFailure (`_require_converged`).
+    not converge raises a diagnosed NumericalFailure (`_require_converged`);
+    a rejected delta raises Inadmissible with link, delta, seed value and
+    lambda0 as its detail.
     """
     deltas = [float(d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
@@ -331,9 +344,11 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
         else:
             seed_val = j_delta(spec, seed_state, pd)
         if not seed_val < lam0:
-            raise ValueError(
+            raise Inadmissible(
                 f"delta = {d} too large: penalized value {seed_val:.6g} does not "
-                f"undercut the vanishing floor {lam0:.6g}")
+                f"undercut the vanishing floor {lam0:.6g}",
+                detail={"link": link, "delta": d, "seed_value": float(seed_val),
+                        "lambda0": float(lam0)})
         free = minimize_jdelta(spec, pd, init=seed_state, opts=opts)
         _require_converged(free, link, d, "free")
         refined = refine_constrained(spec, free.c_delta, free.state, opts=opts, params=pd)

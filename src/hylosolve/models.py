@@ -16,18 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import grid as gridmod
 from .exceptions import NonFinite
-from .grid import (NLS, NWE, NBE, FieldState, Grid, apply_multiplier, integrate,
-                   spectral_quadratic, symbols)
+from .grid import (NLS, NWE, NBE, FieldState, Grid, apply_multiplier, apply_to_spectrum,
+                   integrate, spectral_sum, symbols, transform)
 from .nonlinearity import WSpec, w_prime_over_s, w_value
 
 __all__ = [
-    "ModelSpec", "energy", "energy_of", "charge", "charge_of", "grad_energy", "grad_charge",
-    "evolve_step", "x_norm", "time_reverse", "l2_inner", "l2_norm", "lyapunov_v",
+    "ModelSpec", "Evaluation", "evaluate", "check_state", "energy", "energy_of", "charge",
+    "charge_of", "grad_energy", "grad_energy_of", "grad_charge", "grad_charge_of",
+    "evolve_step", "time_reverse", "l2_inner", "l2_inner_of", "l2_norm_of", "lyapunov_v",
     "lyapunov_v_of",
 ]
 
@@ -50,37 +52,69 @@ class ModelSpec:
         return FieldState.zero(self.model_tag, self.grid)
 
 
-def _check(spec: ModelSpec, state: FieldState):
+def check_state(spec: ModelSpec, state: FieldState):
+    """Raise GridMismatch unless the state has the spec's model and grid."""
     if state.model_tag != spec.model_tag or state.grid != spec.grid:
         raise gridmod.GridMismatch("state does not match the model spec")
 
 
-def energy_of(spec: ModelSpec, components):
+class Evaluation(NamedTuple):
+    """E, signed C and the phase-space norm of a state (or one value per
+    leading batch index of a stack), with the spectrum of the field
+    component they were computed from."""
+
+    energy: np.ndarray
+    charge: np.ndarray
+    x_norm: np.ndarray
+    spectrum: np.ndarray
+
+
+def evaluate(spec: ModelSpec, components) -> Evaluation:
+    """Energy, signed charge and phase-space norm from one forward FFT.
+
+    The field component's spectrum gives the kinetic sum of the energy and
+    the field part of the norm (and, for NBE, the u_x of the charge); the
+    velocity-like component needs no transform.  Each value is bitwise the
+    one energy_of, charge_of and grid.x_norm_of give, and the spectrum
+    lets grad_energy_of take its kinetic term with one inverse FFT."""
+    g = spec.grid
+    field_spec = transform(g, components[0])
+    return Evaluation(energy_of(spec, components, field_spec),
+                      charge_of(spec, components, field_spec),
+                      gridmod.x_norm_of(spec.model_tag, g, components, field_spec),
+                      field_spec)
+
+
+def energy_of(spec: ModelSpec, components, field_spec: np.ndarray | None = None):
     """Conserved energy of the model: the kinetic part of the first
     component by Parseval with the model's symbol, plus the quadrature of
     the potential and of half the squared velocity-like component.
 
     The component arrays may carry leading batch axes; the result has one
-    value per batch index."""
+    value per batch index.  field_spec is the field's spectrum, if at hand;
+    otherwise it is transformed after the potential's temporaries are
+    freed, which keeps the peak memory of a 3-d state down."""
     g = spec.grid
-    field = components[0]
-    local = w_value(spec.w, np.abs(field))
+    local = w_value(spec.w, np.abs(components[0]))
     if len(components) == 2:
         local = 0.5 * np.abs(components[1]) ** 2 + local
-    kinetic = 0.5 * spectral_quadratic(g, symbols(spec.model_tag, g).kinetic, field)
+    if field_spec is None:
+        field_spec = transform(g, components[0])
+    kinetic = 0.5 * spectral_sum(g, symbols(spec.model_tag, g).kinetic, field_spec)
     return kinetic + integrate(g, local)
 
 
 def energy(spec: ModelSpec, state: FieldState) -> float:
     """The energy of one state (see energy_of)."""
-    _check(spec, state)
+    check_state(spec, state)
     return float(energy_of(spec, state.components))
 
 
-def charge_of(spec: ModelSpec, components):
+def charge_of(spec: ModelSpec, components, field_spec: np.ndarray | None = None):
     """Conserved charge: L2 mass (NLS), Im of the pair product (NWE),
     or momentum (NBE).  Signed for the latter two.  One value per leading
-    batch index of the component arrays."""
+    batch index of the component arrays.  NBE differentiates the field
+    from field_spec, its spectrum, when given."""
     g = spec.grid
     if spec.model_tag == NLS:
         return integrate(g, np.abs(components[0]) ** 2)
@@ -93,53 +127,75 @@ def charge_of(spec: ModelSpec, components):
         np.multiply(phi, prod, out=prod)
         return integrate(g, prod.imag)
     u, v = components
-    ux = apply_multiplier(symbols(NBE, g).ddx, u)
+    if field_spec is None:
+        field_spec = transform(g, u)
+    ux = apply_to_spectrum(symbols(NBE, g).ddx, field_spec, real=True)
     return integrate(g, -v * ux)
 
 
 def charge(spec: ModelSpec, state: FieldState) -> float:
     """The charge of one state (see charge_of)."""
-    _check(spec, state)
+    check_state(spec, state)
     return float(charge_of(spec, state.components))
 
 
-def grad_energy(spec: ModelSpec, state: FieldState) -> FieldState:
+def grad_energy_of(spec: ModelSpec, components,
+                   field_spec: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Riesz gradient of the energy under the real L2 pairing: the kinetic
     symbol applied to the first component plus the potential force; the
-    velocity-like second component is its own gradient."""
-    _check(spec, state)
-    field = state.components[0]
-    kinetic = apply_multiplier(symbols(spec.model_tag, spec.grid).kinetic, field)
+    velocity-like second component is its own gradient.  With field_spec,
+    the field's spectrum (from evaluate), the kinetic term costs one
+    inverse FFT."""
+    field = components[0]
+    if field_spec is None:
+        field_spec = transform(spec.grid, field)
+    kinetic = apply_to_spectrum(symbols(spec.model_tag, spec.grid).kinetic, field_spec,
+                                real=not np.iscomplexobj(field))
     force = w_prime_over_s(spec.w, np.abs(field)) * field
-    return state.replace_components((kinetic + force,) + state.components[1:])
+    return (kinetic + force,) + tuple(components[1:])
+
+
+def grad_energy(spec: ModelSpec, state: FieldState) -> FieldState:
+    """The energy gradient of one state (see grad_energy_of)."""
+    check_state(spec, state)
+    return state.replace_components(grad_energy_of(spec, state.components))
+
+
+def grad_charge_of(spec: ModelSpec, components) -> tuple[np.ndarray, ...]:
+    """Riesz gradient of the charge under the real L2 pairing."""
+    if spec.model_tag == NLS:
+        return (2.0 * components[0],)
+    if spec.model_tag == NWE:
+        psi, phi = components
+        return (-1j * phi, 1j * psi)
+    u, v = components
+    ddx = symbols(NBE, spec.grid).ddx
+    return (apply_multiplier(ddx, v), -apply_multiplier(ddx, u))
 
 
 def grad_charge(spec: ModelSpec, state: FieldState) -> FieldState:
-    """Riesz gradient of the charge under the real L2 pairing."""
-    _check(spec, state)
-    g = spec.grid
-    if spec.model_tag == NLS:
-        return state.replace_components((2.0 * state.psi,))
-    if spec.model_tag == NWE:
-        psi, phi = state.components
-        return state.replace_components((-1j * phi, 1j * psi))
-    u, v = state.components
-    ddx = symbols(NBE, g).ddx
-    return state.replace_components((apply_multiplier(ddx, v), -apply_multiplier(ddx, u)))
+    """The charge gradient of one state (see grad_charge_of)."""
+    check_state(spec, state)
+    return state.replace_components(grad_charge_of(spec, state.components))
+
+
+def l2_inner_of(grid: Grid, a, b) -> float:
+    """Real L2 pairing of two component tuples (the gradient pairing)."""
+    total = 0.0
+    for ca, cb in zip(a, b):
+        total += float(np.sum((ca * np.conj(cb)).real))
+    return grid.cell_volume * total
 
 
 def l2_inner(a: FieldState, b: FieldState) -> float:
-    """Real L2 pairing of two state-shaped fields (the gradient pairing)."""
+    """Real L2 pairing of two state-shaped fields (see l2_inner_of)."""
     if a.grid != b.grid or a.model_tag != b.model_tag:
         raise gridmod.GridMismatch("states do not share grid/tag")
-    total = 0.0
-    for ca, cb in zip(a.components, b.components):
-        total += float(np.sum((ca * np.conj(cb)).real))
-    return a.grid.cell_volume * total
+    return l2_inner_of(a.grid, a.components, b.components)
 
 
-def l2_norm(a: FieldState) -> float:
-    return float(np.sqrt(max(l2_inner(a, a), 0.0)))
+def l2_norm_of(grid: Grid, a) -> float:
+    return float(np.sqrt(max(l2_inner_of(grid, a, a), 0.0)))
 
 
 def lyapunov_v_of(e, c, e_ref: float, c_ref: float):
@@ -157,12 +213,6 @@ def lyapunov_v(spec: ModelSpec, state: FieldState, e_ref: float, c_ref: float) -
     conserves E and C it is constant up to integrator drift.
     """
     return lyapunov_v_of(energy(spec, state), charge(spec, state), e_ref, c_ref)
-
-
-def x_norm(spec: ModelSpec, state: FieldState) -> float:
-    """Phase-space norm (see grid.x_norm); spec form kept for symmetry."""
-    _check(spec, state)
-    return gridmod.x_norm(state)
 
 
 def time_reverse(state: FieldState) -> FieldState:
@@ -301,7 +351,7 @@ def evolve_step(spec: ModelSpec, state, dt: float, steps: int = 1):
         raise ValueError("steps must be at least 1")
     rows = [state] if isinstance(state, FieldState) else list(state)
     for row in rows:
-        _check(spec, row)
+        check_state(spec, row)
     if len(rows) == 1:  # a view: one state is never copied into a stack
         stack = tuple(c[None] for c in rows[0].components)
     else:

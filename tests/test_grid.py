@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hylosolve
 from hylosolve import (FieldState, Grid, GridMismatch, LatticeShift, NBE, NLS,
                        NonFinite, NumericalFailure, integrate, orbit_distance, phase_rotate, sharp_seminorm,
                        spectral_derivative, translate)
@@ -154,6 +155,14 @@ def test_x_norm_homogeneity_and_resummation():
     oracle = np.sqrt(integrate(g, np.abs(grad) ** 2 + np.abs(s.psi) ** 2))
     assert x_norm(s) == pytest.approx(oracle, rel=1e-12)
     assert x_norm(FieldState.zero(NLS, g)) == 0.0
+
+
+def test_x_norm_matches_grid_version_and_scaling():
+    assert hylosolve.x_norm is x_norm
+    state = random_state("NWE", Grid((64,), (20.0,)), SplitMix64(14), amplitude=0.7,
+                         band_limit=9)
+    tripled = state.replace_components(tuple(3.0 * c for c in state.components))
+    assert x_norm(tripled) == pytest.approx(3.0 * x_norm(state), rel=1e-12)
 
 
 def test_field_state_validation():

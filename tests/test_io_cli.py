@@ -223,6 +223,82 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     assert "failure_stage" in manifest
 
 
+def test_cli_rejected_delta_records_its_diagnosis(tmp_path):
+    cfg = _small_config()
+    cfg["penalty"]["delta"] = 5.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["minimize", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 3
+    detail = json.loads((out / "manifest.json").read_text())["failure_detail"]
+    assert set(detail) == {"link", "delta", "seed_value", "lambda0"}
+    assert (detail["link"], detail["delta"]) == (0, 5.0)
+    assert not detail["seed_value"] < detail["lambda0"]
+
+
+def test_cli_plain_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    # a programming error inside a handler propagates; it is not exit 3
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a diagnosis")
+
+    monkeypatch.setattr("hylosolve.cli.cmd_check", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_config()))
+    with pytest.raises(ValueError, match="a bug"):
+        cli_main(["check", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                  "--quiet"])
+
+
+def _nbe_phase_offset_config():
+    cfg = _small_config(stability={"perturbations": [
+        {"kind": "shift_and_phase", "z": [1], "theta": 0.5}]})
+    cfg["model"] = {"tag": "NBE", "n": [128], "box_length": [40.0],
+                    "w": {"m_sq": 1.0, "family": {"kind": "saturating", "alpha": 0.0,
+                                                  "m_bar": 2.0}}}
+    return cfg
+
+
+def _wrong_shift_length_config():
+    cfg = _small_config(stability={"perturbations": [{"kind": "shift_and_phase", "z": [1]}]})
+    cfg["model"].update(n=[32, 32], box_length=[12.0, 12.0])
+    cfg["model"]["w"]["family"]["p"] = 3.0
+    return cfg
+
+
+def _coarse_grid_config():
+    cfg = _small_config()
+    cfg["model"]["n"] = [16]
+    return cfg
+
+
+@pytest.mark.parametrize("command,cfg,state,code,status", [
+    pytest.param("lambda0", _coarse_grid_config(), None, 3, "numerical_failure",
+                 id="coarse-grid-lambda0"),
+    pytest.param("stability", _nbe_phase_offset_config(), None, 2, "config_error",
+                 id="nbe-phase-offset"),
+    pytest.param("stability", _wrong_shift_length_config(), None, 2, "config_error",
+                 id="shift-length"),
+    pytest.param("evolve", _small_config(), "missing", 2, "config_error",
+                 id="state-missing"),
+    pytest.param("evolve", _small_config(), '{"model_tag": "NLS"}\n1,2\n', 2, "config_error",
+                 id="state-malformed"),
+])
+def test_cli_input_errors_keep_the_exit_contract(tmp_path, command, cfg, state, code, status):
+    """Inputs that reach a ValueError under a handler exit 2 (config-shaped)
+    or 3 (a typed Inadmissible diagnosis), with a manifest."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(out), "--quiet"]
+    if state is not None:
+        state_path = tmp_path / "state.field"
+        if state != "missing":
+            state_path.write_text(state)
+        argv += ["--state", str(state_path)]
+    assert cli_main(argv) == code
+    assert json.loads((out / "manifest.json").read_text())["status"] == status
+
+
 def test_cli_unconverged_link_is_diagnosed(tmp_path):
     cfg = _small_config(minimize={"max_iters": 3, "grad_tol": 1e-7})
     cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hylosolve import (FieldState, Grid, LatticeShift, MinimizeOptions,
+from hylosolve import (FieldState, Grid, Inadmissible, LatticeShift, MinimizeOptions,
                        ModelSpec, NumericalFailure, PenaltyParams, SinglePower,
                        WSpec, charge, delta_continuation, energy, grad_charge,
                        grad_energy, lambda0_estimate, minimize_jdelta,
@@ -84,13 +84,13 @@ def test_precondition_transforms_only_the_field(tag):
     comps = [rng.standard_normal(GRID.n) for _ in range(2)]
     if tag == "NWE":
         comps = [c + 1j * rng.standard_normal(GRID.n) for c in comps]
-    g = FieldState(tag, GRID, comps)
-    d = _precondition(g)
-    # the velocity-like component has metric weight 1: passed through as is
-    assert np.array_equal(d.components[1], g.components[1])
+    g = FieldState(tag, GRID, comps).components
     weight = symbols(tag, GRID).weights[0]
+    d = _precondition(weight, g)
+    # the velocity-like component has metric weight 1: passed through as is
+    assert np.array_equal(d[1], g[1])
     expected = np.fft.ifftn(np.fft.fftn(comps[0]) / weight)
-    np.testing.assert_allclose(d.components[0], expected if tag == "NWE" else expected.real,
+    np.testing.assert_allclose(d[0], expected if tag == "NWE" else expected.real,
                                rtol=0, atol=1e-14)
 
 
@@ -197,6 +197,15 @@ def test_continuation_rejects_bad_delta_lists():
     # the vanishing floor, so the link is rejected up front
     with pytest.raises(ValueError, match="too large"):
         delta_continuation(SPEC, [5.0], opts=OPTS, params=PARAMS)
+
+
+def test_rejected_delta_is_a_typed_diagnosis():
+    with pytest.raises(Inadmissible) as info:
+        delta_continuation(SPEC, [5.0], opts=OPTS, params=PARAMS)
+    err = info.value
+    assert isinstance(err, NumericalFailure) and isinstance(err, ValueError)
+    assert (err.detail["link"], err.detail["delta"]) == (0, 5.0)
+    assert not err.detail["seed_value"] < err.detail["lambda0"]
 
 
 def test_minimize_options_validation():

@@ -4,7 +4,7 @@ import pytest
 from hylosolve import (FieldState, Grid, LatticeShift, ModelSpec,
                        SinglePower, Saturating, WSpec, charge, energy,
                        evolve_step, grad_charge, grad_energy, integrate,
-                       phase_rotate, translate, x_norm)
+                       phase_rotate, translate)
 from hylosolve.functionals import gaussian_profile, gaussian_state
 from hylosolve.grid import random_state, x_norm as state_x_norm
 from hylosolve.models import l2_inner, time_reverse
@@ -220,14 +220,6 @@ def test_time_reversal_inverts_steps(tag):
     diff = state.replace_components(tuple(
         a - b for a, b in zip(state.components, state0.components)))
     assert state_x_norm(diff) <= 1e-10
-
-
-def test_x_norm_matches_grid_version_and_scaling():
-    spec = SPECS["NWE"]
-    state = random_state("NWE", GRID, SplitMix64(14), amplitude=0.7, band_limit=9)
-    assert x_norm(spec, state) == state_x_norm(state)
-    tripled = state.replace_components(tuple(3.0 * c for c in state.components))
-    assert x_norm(spec, tripled) == pytest.approx(3.0 * x_norm(spec, state), rel=1e-12)
 
 
 def test_model_spec_validation():

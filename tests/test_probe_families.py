@@ -139,7 +139,14 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
         seen.append(comps[0].size)
         return energy_of(spec_, comps)
 
+    evaluate = functionals.evaluate
+
+    def recording_evaluate(spec_, comps):
+        seen.append(comps[0].size)
+        return evaluate(spec_, comps)
+
     monkeypatch.setattr(functionals, "energy_of", recording_energy_of)
+    monkeypatch.setattr(functionals, "evaluate", recording_evaluate)
     monkeypatch.setattr("hylosolve.checkers.energy_of", recording_energy_of)
     params = choose_coercivity_params(spec, n_probes=3)
     penalized_probe_seed(spec, params, grid_size=3, refinements=0)
