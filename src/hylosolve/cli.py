@@ -242,9 +242,9 @@ def cmd_lambda0(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     est = lambda0_estimate(spec)
     path = run.out / "lambda0.json"
     dump_json({"lambda0_estimate": est,
-               "note": "probe-family estimate (vanishing and spreading bumps)"}, path)
+               "note": "closed form: infimum over wave numbers"}, path)
     run.register(path)
-    run.say(f"lambda0 estimate: {est:.6g}")
+    run.say(f"lambda0 (closed form): {est:.6g}")
     return EXIT_OK
 
 
@@ -363,8 +363,6 @@ def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
     if not _run_gate(run, spec, params, seed):
         return EXIT_GATE
-    run.stage("lambda0")
-    lam0 = lambda0_estimate(spec)
     opts = resolve_options(config)
     family = _minimize_chain(run, spec, params, deltas[:1], opts)
     result = family.results[0]
@@ -385,7 +383,7 @@ def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
                      f"{abs(psi[i]):.17g},{oracle[i]:.17g}\n")
     run.register(path)
     summary_path = run.out / "demo.json"
-    dump_json({"lambda0": lam0, "mu": mu, "profile_rel_l2_error": float(err),
+    dump_json({"lambda0": family.lambda0, "mu": mu, "profile_rel_l2_error": float(err),
                "result": minimize_result_to_json(result)}, summary_path)
     run.register(summary_path)
     run.say(f"demo: mu={mu:.6g}, profile error={err:.3e}")

@@ -52,9 +52,10 @@ def evolve(spec: ModelSpec, state0, T: float, dt: float,
     whose phase-space norm passes abort_factor times (1 + its initial
     norm) at a record point, stops with its partial trace and the blow-up
     flag set, keeping its last healthy sample as final state, while the
-    other rows go on.  A field that turns non-finite inside a block stays
-    so up to the block's end, so the trace is the one a check after every
-    step would give.
+    other rows go on; a row that fails at t = 0 never enters the kernel.
+    A field that turns non-finite inside a block stays so up to the
+    block's end, so the trace is the one a check after every step would
+    give.
     """
     if T <= 0 or dt <= 0 or record_every < 1:
         raise ValueError("need T > 0, dt > 0, record_every >= 1")
@@ -84,10 +85,8 @@ def evolve(spec: ModelSpec, state0, T: float, dt: float,
             ods.append(orbit_distance(st, reference))
         return True
 
-    for row, st in enumerate(states):
-        record(row, 0.0, st)
-    blew_up = [False] * len(states)
-    running = list(range(len(states)))
+    blew_up = [not record(row, 0.0, st) for row, st in enumerate(states)]
+    running = [row for row, failed in enumerate(blew_up) if not failed]
     for start in range(0, n_steps, record_every):
         if not running:
             break

@@ -3,7 +3,9 @@
 Houses the energy/charge ratio, the penalized objective
 j_delta = ratio + delta * (E + 2 a |C|^s), its closed-form lower-bound
 constant, empirical estimation of the interpolation-inequality constant,
-the small-localization ratio floor (lambda0), and the hylomorphy check.
+the vanishing threshold lambda0 (a closed form read off the spectral
+symbols), and the hylomorphy check, whose verdict is the only probe-family
+evidence here: a Gaussian probe must undercut lambda0.
 
 The coercivity exponent returned by choose_coercivity_params is
 s = r / (2 - q) with q = N (p - 2) / 2 and r = p - q: the unique exponent
@@ -380,44 +382,30 @@ def _probe_supremum(spec: ModelSpec, rng: SplitMix64, s_exp: float,
     return worst
 
 
-def _richardson_limit(values: np.ndarray, small_param: np.ndarray, tail: int = 4) -> float:
-    """Intercept of a linear fit in the known leading small parameter."""
-    v = np.asarray(values[-tail:], dtype=float)
-    t = np.asarray(small_param[-tail:], dtype=float)
-    design = np.vstack([np.ones_like(t), t]).T
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return float(coef[0])
+def lambda0_estimate(spec: ModelSpec) -> float:
+    """Vanishing threshold: the limit of E/|C| as the localization seminorm
+    vanishes, in closed form.
 
-
-def lambda0_estimate(spec: ModelSpec, n_scales: int = 8, fit_tail: int = 4) -> float:
-    """Floor of the energy/charge ratio as the localization seminorm vanishes.
-
-    Probes: Gaussian bumps over geometric width scales, each extrapolated to
-    vanishing amplitude (Richardson in the leading amplitude power), then
-    the spreading limit is extrapolated in 1/width^2 over the last fit_tail
-    scales.  For the wave/beam pairs the second component uses the
-    closed-form optimal rotation rate/speed.  This is a probe-family
-    estimate, not a certified bound.
+    Every W is m^2 s^2/2 + o(s^2), so the threshold is the infimum over wave
+    numbers k of the ratio of the quadratic parts of E and |C|, with the
+    second component optimized: (|k|^2 + m^2)/2 for NLS, sqrt(|k|^2 + m^2)
+    for NWE and sqrt(k^4 + m^2)/|k| for NBE, whose infima are m^2/2, m and
+    sqrt(2 m) (at |k| = sqrt(m)).  The continuum infimum is never above the
+    minimum over a grid's own modes, so the gates that compare against it
+    stay conservative.
     """
-    g = spec.grid
-    sig_hi = min(g.box_length) / 8.0
-    sig_lo = max(4.0 * max(g.spacing), sig_hi / 8.0)
-    if sig_lo >= sig_hi:
+    if spec.model_tag == NLS:
+        return 0.5 * spec.w.m_sq
+    m = float(np.sqrt(spec.w.m_sq))
+    return m if spec.model_tag == NWE else float(np.sqrt(2.0 * m))
+
+
+def require_probe_widths(grid: Grid) -> None:
+    """Raise Inadmissible when the grid cannot resolve the Gaussian probe
+    family: its narrowest width, four grid spacings, must stay below its
+    widest, L/8."""
+    if 4.0 * max(grid.spacing) >= min(grid.box_length) / 8.0:
         raise Inadmissible("grid too coarse for the probe widths (sigma > L/8 needed)")
-    sigmas = np.geomspace(sig_lo, sig_hi, n_scales)
-    fam = spec.w.family
-    amp_power = fam.p - 2.0 if isinstance(fam, (SinglePower, DoublePower)) else 2.0
-    amps = 0.05 * 2.0 ** (-np.arange(4))
-    per_sigma = []
-    for sigma in sigmas:
-        vals = _gaussian_values(spec, amps, sigma, _ratio)
-        per_sigma.append(_richardson_limit(vals, amps**amp_power, tail=4))
-    per_sigma = np.asarray(per_sigma)
-    best = float(per_sigma.min())
-    if spec.model_tag in (NLS, NWE):
-        spread = _richardson_limit(per_sigma, 1.0 / sigmas**2, tail=fit_tail)
-        best = min(best, spread)
-    return best
 
 
 @dataclass(frozen=True)
@@ -487,9 +475,10 @@ def hylomorphy_check(spec: ModelSpec, params: PenaltyParams,
                      refinements: int = 2) -> HylomorphyReport:
     """Search the Gaussian probe family for ratios below the vanishing floor.
 
-    The verdict is true iff the best ratio undercuts the lambda0 estimate
-    by the margin (default one part in 10^3 of the estimate).
+    The verdict is true iff the best ratio undercuts lambda0 (closed form)
+    by the margin (default one part in 10^3 of lambda0).
     """
+    require_probe_widths(spec.grid)
     lam0 = lambda0_estimate(spec)
     if margin is None:
         margin = 1e-3 * abs(lam0)

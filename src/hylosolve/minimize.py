@@ -20,7 +20,8 @@ import numpy as np
 
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .functionals import (PenaltyParams, choose_coercivity_params, j_delta,
-                          lambda0_estimate, penalized_probe_seed, penalized_terms)
+                          lambda0_estimate, penalized_probe_seed, penalized_terms,
+                          require_probe_widths)
 from .grid import NLS, FieldState, orbit_distance, symbols, x_norm as state_x_norm
 from .models import (Evaluation, ModelSpec, charge, evaluate, grad_charge_of, grad_energy_of,
                      l2_inner_of, l2_norm_of)
@@ -312,8 +313,7 @@ def _require_converged(result: MinimizeResult, link: int, delta: float, phase: s
 
 
 def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = MinimizeOptions(),
-                       params: PenaltyParams | None = None,
-                       lam0: float | None = None) -> ContinuationResult:
+                       params: PenaltyParams | None = None) -> ContinuationResult:
     """Warm-started chain of penalized minimizations over decreasing delta,
     each refined at its own charge level.
 
@@ -323,7 +323,8 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     delta, otherwise the delta is rejected as too large.  A link that does
     not converge raises a diagnosed NumericalFailure (`_require_converged`);
     a rejected delta raises Inadmissible with link, delta, seed value and
-    lambda0 as its detail.
+    lambda0 as its detail.  A grid too coarse for the probe family raises
+    Inadmissible before any link (`require_probe_widths`).
     """
     deltas = [float(d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
@@ -332,8 +333,8 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
         raise ValueError("delta_list must be strictly decreasing")
     if params is None:
         params = choose_coercivity_params(spec, delta=deltas[0])
-    if lam0 is None:
-        lam0 = lambda0_estimate(spec)
+    require_probe_widths(spec.grid)
+    lam0 = lambda0_estimate(spec)
     results: list[MinimizeResult] = []
     free_iters: list[int] = []
     seed_state: FieldState | None = None

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hylosolve import (Grid, LatticeShift, ModelSpec,
-                       NearZeroCharge, PenaltyParams, SinglePower, WSpec,
+from hylosolve import (DoublePower, FieldState, Grid, LatticeShift, ModelSpec,
+                       NearZeroCharge, PenaltyParams, Saturating, SinglePower, WSpec,
                        bound_m, charge, choose_coercivity_params, energy,
                        hylomorphy_check, j_delta, lambda0_estimate,
                        lambda_ratio, nash_check, nash_exponents, phi,
@@ -144,6 +144,59 @@ def test_lambda0_box_stability():
     est = lambda0_estimate(SPEC)
     doubled = ModelSpec("NLS", Grid((512,), (80.0,)), SPEC.w)
     assert abs(lambda0_estimate(doubled) - est) <= 0.01 * est
+
+
+# the probe-family estimate that lambda0_estimate returned for NBE before
+# it became the closed form, for every W with m^2 = 1
+OLD_NBE_ESTIMATE = 1.8802
+
+
+def _plane_wave_ratios(spec, modes, amplitude=1e-4):
+    """E/|C| of small plane waves at the given mode indices, each with the
+    ratio-optimal second component: rotation rate sqrt(k^2 + m^2) (NWE),
+    travel speed sqrt(k^4 + m^2)/k (NBE)."""
+    g = spec.grid
+    x = g.axis_coordinates(0)
+    m_sq = spec.w.m_sq
+    ratios = []
+    for j in modes:
+        k = 2.0 * np.pi * j / g.box_length[0]
+        if spec.model_tag == "NLS":
+            comps = (amplitude * np.exp(1j * k * x),)
+        elif spec.model_tag == "NWE":
+            psi = amplitude * np.exp(1j * k * x)
+            comps = (psi, -1j * np.sqrt(k**2 + m_sq) * psi)
+        else:
+            u = amplitude * np.cos(k * x)
+            ux = -amplitude * k * np.sin(k * x)
+            comps = (u, -np.sqrt(k**4 + m_sq) / k * ux)
+        ratios.append(lambda_ratio(spec, FieldState(spec.model_tag, g, comps)))
+    return np.array(ratios)
+
+
+def test_lambda0_closed_form_against_plane_waves():
+    half = GRID.n[0] // 2
+    nls = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(1.0, 4.0)))
+    nwe = ModelSpec("NWE", GRID, WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
+    nbe = ModelSpec("NBE", GRID, WSpec(1.0, Saturating(0.0, 2.0)))
+    assert (lambda0_estimate(nls), lambda0_estimate(nwe), lambda0_estimate(nbe)) == (
+        0.5, 1.0, np.sqrt(2.0))
+    doubled = Grid((512,), (80.0,))
+    for spec in (nls, nwe, nbe):
+        assert lambda0_estimate(ModelSpec(spec.model_tag, doubled, spec.w)) == (
+            lambda0_estimate(spec))
+    for spec in (nls, nwe):
+        ratios = _plane_wave_ratios(spec, range(half))
+        lam0 = lambda0_estimate(spec)
+        assert np.all(ratios >= lam0 - 1e-6)
+        assert abs(ratios.min() - lam0) <= 1e-6
+    ratios = _plane_wave_ratios(nbe, range(1, half))
+    lam0 = lambda0_estimate(nbe)
+    assert np.all(ratios >= lam0 - 1e-6)
+    # the mode nearest the minimizing wave number k = sqrt(m) = 1
+    near = int(round(GRID.box_length[0] / (2.0 * np.pi))) - 1
+    assert abs(ratios[near] - lam0) <= 1e-2
+    assert ratios[near] < OLD_NBE_ESTIMATE
 
 
 def test_vanishing_amplitude_drives_norm_down():

@@ -272,8 +272,8 @@ def _coarse_grid_config():
 
 
 @pytest.mark.parametrize("command,cfg,state,code,status", [
-    pytest.param("lambda0", _coarse_grid_config(), None, 3, "numerical_failure",
-                 id="coarse-grid-lambda0"),
+    pytest.param("check", _coarse_grid_config(), None, 3, "numerical_failure",
+                 id="coarse-grid-check"),
     pytest.param("stability", _nbe_phase_offset_config(), None, 2, "config_error",
                  id="nbe-phase-offset"),
     pytest.param("stability", _wrong_shift_length_config(), None, 2, "config_error",
@@ -361,6 +361,51 @@ def test_cli_evolve_state_mismatch_exits_2(tmp_path, tag, n):
     assert manifest["status"] == "config_error"
     assert manifest["failure_stage"] == "config"
     assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "minimize", "stability", "demo"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_cli_coarse_grid_keeps_its_diagnosis(tmp_path, command, n):
+    """The Gaussian probe searches need widths between four grid spacings
+    and L/8; a grid that cannot hold them is diagnosed before any search."""
+    cfg = _coarse_grid_config()
+    cfg["model"]["n"] = [n]
+    cfg["stability"] = {"T": 0.5, "dt": 1e-2, "record_every": 10}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_failure"
+    assert manifest["error"] == "grid too coarse for the probe widths (sigma > L/8 needed)"
+
+
+def test_cli_nbe_saturating_gate_fails_without_a_witness_below_lambda0(tmp_path):
+    # a plain Gaussian does not undercut the NBE threshold sqrt(2 m): the
+    # hylomorphy gate fails instead of admitting a descent that vanishes
+    cfg = _small_config()
+    cfg["model"] = {"tag": "NBE", "n": [256], "box_length": [40.0],
+                    "w": {"m_sq": 1.0, "family": {"kind": "saturating", "alpha": 0.0,
+                                                  "m_bar": 2.0}}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["minimize", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 4
+    assert json.loads((out / "manifest.json").read_text())["status"] == "gate_failed"
+    hh = json.loads((out / "certificate.json").read_text())["results"]["hh"]
+    assert hh["verdict"] == "fail"
+    assert hh["parameters"]["lambda0_estimate"] == np.sqrt(2.0)
+    assert hh["parameters"]["best_ratio"] == pytest.approx(1.717, abs=1e-3)
+    assert not (out / "minimize.json").exists()
+
+
+def test_cli_lambda0_needs_no_probe_widths(tmp_path):
+    # the closed form reads no probe: a coarse grid still has its threshold
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_coarse_grid_config()))
+    out = tmp_path / "out"
+    assert cli_main(["lambda0", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "lambda0.json").read_text())["lambda0_estimate"] == 0.5
 
 
 def test_cli_requires_config_for_non_demo(tmp_path):

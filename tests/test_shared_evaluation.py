@@ -136,20 +136,28 @@ def test_evolve_takes_one_norm_per_record_point(monkeypatch, abort_factor):
     expected = dynamics.evolve(spec, rows, 0.2, 1e-2, record_every=7, reference=rows[0],
                                abort_factor=abort_factor)
     calls = []
+    stepped = []
     original = dynamics.state_x_norm
+    original_step = dynamics.evolve_step
 
     def counted(state):
         calls.append(1)
         return original(state)
 
+    def counted_step(spec, states, dt, steps):
+        stepped.append(len(states))
+        return original_step(spec, states, dt, steps)
+
     monkeypatch.setattr(dynamics, "state_x_norm", counted)
+    monkeypatch.setattr(dynamics, "evolve_step", counted_step)
     traces = dynamics.evolve(spec, rows, 0.2, 1e-2, record_every=7, reference=rows[0],
                              abort_factor=abort_factor)
     # one norm per record point: at t = 0 and after each of the 3 record
-    # blocks; with the tight factor both the t = 0 record and the first
-    # block's fail the abort test, and the row stops there
-    per_row = 2 if abort_factor < 1.0 else 4
+    # blocks; with the tight factor the t = 0 record already fails the
+    # abort test, and the row stops there without entering the kernel
+    per_row = 1 if abort_factor < 1.0 else 4
     assert len(calls) == per_row * len(rows)
+    assert stepped == ([] if abort_factor < 1.0 else [len(rows)] * 3)
     for row, got, want in zip(rows, traces, expected):
         assert got.blew_up == want.blew_up == (abort_factor < 1.0)
         assert got.times.size == (0 if got.blew_up else 4)
