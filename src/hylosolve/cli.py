@@ -30,7 +30,7 @@ from .fileio import (ConfigError, certificate_to_json, dump_json, load_config,
                      stability_to_json, write_descent_log, write_field,
                      write_trace_csv, wspec_from_json)
 from .functionals import (PenaltyParams, choose_coercivity_params,
-                          lambda0_estimate, penalized_probe_seed)
+                          lambda0_estimate, penalized_probe_seed, require_probe_widths)
 from .grid import NBE, Grid, min_image_distances
 from .minimize import MinimizeOptions, delta_continuation
 from .models import ModelSpec
@@ -275,6 +275,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
                 f"{spec.model_tag} model on n={list(spec.grid.n)}, "
                 f"L={list(spec.grid.box_length)}")
     else:
+        require_probe_widths(spec.grid)
         params, _ = resolve_penalty(config, spec, seed)
         state0, _ = penalized_probe_seed(spec, params)
         run.say("no --state given: evolving the best penalized Gaussian probe")

@@ -29,7 +29,7 @@ from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, G
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
                      evaluate)
 from .nonlinearity import DoublePower, SinglePower, critical_exponent
-from .rng import SplitMix64, uniform_from_bits
+from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
@@ -42,6 +42,8 @@ CHARGE_FLOOR = 1e-12
 # grid points per probe stack (one probe when the grid alone is larger):
 # bounds the memory of every probe family independently of its size
 PROBE_CHUNK_POINTS = 2**15
+# factor on the empirical coercivity coefficient a
+COERCIVITY_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,16 @@ def coercivity_exponent(p: float, dim: int) -> float:
     return r / (2.0 - q)
 
 
-def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float,
-                       q: float, r: float) -> float | None:
-    """||f||_p^p / (||f||_2^r ||grad f||_2^q); None when the gradient vanishes."""
+def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float, q: float, r: float):
+    """||f||_p^p / (||f||_2^r ||grad f||_2^q), one per leading (batch) index
+    of f; NaN where the gradient vanishes."""
     norm2_sq = integrate(grid, np.abs(f) ** 2)
     grad_sq = spectral_sum(grid, k_squared(grid), transform(grid, f))
-    if grad_sq <= 1e-20 * max(norm2_sq, 1.0) or norm2_sq <= 0.0:
-        return None
     num = integrate(grid, np.abs(f) ** p)
-    return num / (norm2_sq ** (r / 2.0) * grad_sq ** (q / 2.0))
+    vanishing = (grad_sq <= 1e-20 * np.maximum(norm2_sq, 1.0)) | (norm2_sq <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / (norm2_sq ** (r / 2.0) * grad_sq ** (q / 2.0))
+    return np.where(vanishing, np.nan, ratio)
 
 
 def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> float:
@@ -182,28 +185,33 @@ def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> flo
 def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.ndarray:
     """The running constant of nash_check: entry k is its value with the
     first k random fields of the stream (k = 0..n_random), so one sweep
-    gives the constant at every smaller sample count."""
+    gives the constant at every smaller sample count.
+
+    The Gaussians and the random fields are evaluated as stacks of at most
+    PROBE_CHUNK_POINTS grid points.  Each stack of random fields takes one
+    block of the stream, so every field gets the draws it would get alone,
+    and the sweep is bitwise the one-field-at-a-time loop.
+    """
     if p >= critical_exponent(grid.dim):
         raise Inadmissible(f"p must be below {critical_exponent(grid.dim)} in dim {grid.dim}")
     q, r = nash_exponents(p, grid.dim)
-    best = 0.0
+    rows = _chunk_rows(grid)
     sig_hi = min(grid.box_length) / 8.0
     sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
-    for sigma in np.geomspace(sig_lo, sig_hi, 30):
-        f = gaussian_profile(grid, 1.0, sigma)
-        ratio = _lp_gradient_ratio(grid, f, p, q, r)
-        if ratio is not None:
-            best = max(best, ratio)
+    sigmas = np.geomspace(sig_lo, sig_hi, 30)
+    best = 0.0
+    for i in range(0, len(sigmas), rows):
+        bumps = np.stack([gaussian_profile(grid, 1.0, sigma) for sigma in sigmas[i:i + rows]])
+        best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
     rng = SplitMix64(seed).split("nash-check")
-    running = [best]
-    for _ in range(n_random):
-        f = np.asarray(rng.symmetric(grid.size)).reshape(grid.n)
+    ratios = [[best]]
+    for start in range(0, n_random, rows):
+        count = min(rows, n_random - start)
+        f = symmetric_from_bits(rng.next_block_u64(count * grid.size)).reshape((count,) + grid.n)
         f = low_pass(grid, f, min(grid.n) // 4).real
-        ratio = _lp_gradient_ratio(grid, f, p, q, r)
-        if ratio is not None:
-            best = max(best, ratio)
-        running.append(best)
-    return np.array(running)
+        ratios.append(_lp_gradient_ratio(grid, f, p, q, r))
+    # NaN (an excluded field) never wins the running maximum
+    return np.fmax.accumulate(np.concatenate(ratios))
 
 
 def gaussian_profile(grid: Grid, amplitude: float, sigma: float,
@@ -331,36 +339,33 @@ def probe_states(spec: ModelSpec, rng: SplitMix64, count: int,
             for comps in probe_chunks(spec, rng, count, amp_range) for row in zip(*comps)]
 
 
-def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02,
-                             safety: float = 2.0, seed: int = 0,
+def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0,
                              n_probes: int = 2000) -> PenaltyParams:
     """Coercivity coefficient and exponent making E + a|C|^s >= 0 hold.
 
     For NLS power families below the critical power the coefficient comes
     from the matched-exponent Young split of the empirical interpolation
-    inequality (see module docstring); the exponent is s = r/(2-q).  A
-    random-probe supremum of -E/|C|^s is folded in as a conservative
-    fallback, and is the sole source for the wave/beam models.  delta is a
-    placeholder the caller (continuation/minimizer) overrides per run.
+    inequality (see module docstring); the exponent is coercivity_exponent's.
+    A random-probe supremum of -E/|C|^s is folded in as a conservative
+    fallback, and is the sole source for the wave/beam models.  The estimate
+    is scaled by COERCIVITY_SAFETY.  delta is a placeholder the caller
+    (continuation/minimizer) overrides per run.
     """
     fam = spec.w.family
     rng = SplitMix64(seed).split("coercivity-probes")
     if spec.model_tag == NLS and isinstance(fam, (SinglePower, DoublePower)):
-        if fam.p >= critical_exponent(spec.grid.dim):
-            raise Inadmissible(
-                f"supercritical power p = {fam.p}: no coercivity exponent exists")
+        s_exp = coercivity_exponent(fam.p, spec.grid.dim)
         q, r = nash_exponents(fam.p, spec.grid.dim)
-        s_exp = r / (2.0 - q)
         b_emp = nash_check(spec.grid, fam.p, seed=seed, n_random=400)
         c3 = fam.b / fam.p
         k_young = ((1.0 - q / 2.0) * q ** (q / (2.0 - q))
                    * (c3 * b_emp) ** (2.0 / (2.0 - q)))
         a_probe = _probe_supremum(spec, rng, s_exp, n_probes)
-        return PenaltyParams(delta=delta, a=safety * max(k_young, a_probe),
+        return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * max(k_young, a_probe),
                              s_exp=s_exp, nash_q=q, nash_r=r, nash_b=b_emp)
     s_exp = 1.0
     a_probe = _probe_supremum(spec, rng, s_exp, n_probes)
-    return PenaltyParams(delta=delta, a=safety * a_probe, s_exp=s_exp)
+    return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * a_probe, s_exp=s_exp)
 
 
 def _probe_supremum(spec: ModelSpec, rng: SplitMix64, s_exp: float,

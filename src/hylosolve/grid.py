@@ -82,13 +82,6 @@ class Grid:
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return _axis_coordinates(self, axis)
 
-    def coordinates(self) -> list[np.ndarray]:
-        """Meshgrid (ij-indexed) coordinate arrays, one per axis."""
-        axes = [self.axis_coordinates(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes
-        return list(np.meshgrid(*axes, indexing="ij"))
-
     def wavenumbers(self, axis: int) -> np.ndarray:
         return _axis_wavenumbers(self, axis)
 
@@ -231,19 +224,15 @@ def _max_mode(grid: Grid) -> np.ndarray:
     return top
 
 
-@lru_cache(maxsize=64)
-def _band_mask(grid: Grid, band_limit: int) -> np.ndarray:
-    keep = _max_mode(grid) <= band_limit
-    keep.setflags(write=False)
-    return keep
-
-
-def low_pass(grid: Grid, values: np.ndarray, band_limit: int) -> np.ndarray:
+def low_pass(grid: Grid, values, band_limit) -> np.ndarray:
     """Zero every Fourier mode whose index exceeds band_limit in magnitude
-    along some axis; the result is complex."""
-    spec = np.fft.fftn(values, out=_work_array(values))
-    spec[~_band_mask(grid, band_limit)] = 0.0
-    return np.fft.ifftn(spec, out=spec)
+    along some axis; the result is complex.  Leading axes of values are a
+    batch, and band_limit is a scalar or one limit per batch index."""
+    arr = _on_grid(grid, values)
+    spec = np.fft.fftn(arr, axes=grid.axes, out=_work_array(arr))
+    limit = np.reshape(band_limit, np.shape(band_limit) + (1,) * grid.dim)
+    np.copyto(spec, 0.0, where=_max_mode(grid) > limit)
+    return np.fft.ifftn(spec, axes=grid.axes, out=spec)
 
 
 def min_image_distances(grid: Grid, center) -> list[np.ndarray]:
@@ -267,9 +256,6 @@ class LatticeShift:
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(int(v) for v in self.z))
-
-    def reduced(self, grid: Grid) -> tuple[int, ...]:
-        return tuple(zi % ni for zi, ni in zip(self.z, grid.n))
 
 
 class FieldState:
@@ -530,15 +516,11 @@ def band_limited_noise(grid: Grid, bits: np.ndarray, band_limit, rms,
     raw = planes[..., 0, :]
     if complex_valued:
         raw = raw + 1j * planes[..., 1, :]
-    raw = raw.reshape(batch + grid.n)
-    per_field = batch + (1,) * grid.dim
-    spec = np.fft.fftn(raw, axes=grid.axes, out=_work_array(raw))
-    spec[~(_max_mode(grid) <= np.reshape(band_limit, per_field))] = 0.0
-    out = np.fft.ifftn(spec, axes=grid.axes, out=spec)
+    out = low_pass(grid, raw.reshape(batch + grid.n), band_limit)
     out = out if complex_valued else out.real
     current = np.sqrt(np.mean(np.abs(out) ** 2, axis=grid.axes))
     scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
-    return out * np.reshape(scale, per_field)
+    return out * np.reshape(scale, batch + (1,) * grid.dim)
 
 
 def random_state(model_tag: str, grid: Grid, rng: SplitMix64,

@@ -363,11 +363,12 @@ def test_cli_evolve_state_mismatch_exits_2(tmp_path, tag, n):
     assert not (out / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["check", "minimize", "stability", "demo"])
+@pytest.mark.parametrize("command", ["check", "minimize", "stability", "demo", "evolve"])
 @pytest.mark.parametrize("n", [16, 32])
 def test_cli_coarse_grid_keeps_its_diagnosis(tmp_path, command, n):
     """The Gaussian probe searches need widths between four grid spacings
-    and L/8; a grid that cannot hold them is diagnosed before any search."""
+    and L/8; a grid that cannot hold them is diagnosed before any search
+    (evolve without --state seeds from the penalized probe search)."""
     cfg = _coarse_grid_config()
     cfg["model"]["n"] = [n]
     cfg["stability"] = {"T": 0.5, "dt": 1e-2, "record_every": 10}
