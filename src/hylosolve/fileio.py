@@ -86,6 +86,7 @@ def read_field(path) -> FieldState:
         raise ValueError(f"file has {table.shape[0]} rows for a {total}-point grid")
     if table.shape[1] != width:
         raise ValueError(f"row width {table.shape[1]} != expected {width}")
+    _check_index_columns(grid, table[:, :grid.dim])
     values = table[:, grid.dim:]
     if complex_valued:
         # adjacent (re, im) columns are the bits of one complex sample
@@ -94,6 +95,22 @@ def read_field(path) -> FieldState:
     else:
         comps = [values[:, ci] for ci in range(len(names))]
     return FieldState(tag, grid, tuple(c.reshape(grid.n) for c in comps))
+
+
+def _check_index_columns(grid: Grid, index: np.ndarray) -> None:
+    """Raise ValueError unless row r of the index columns is the C-order
+    grid index of sample r, as write_field writes it."""
+    index = index.reshape(grid.n + (grid.dim,))
+    in_place = np.ones(grid.n, dtype=bool)
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n[axis]
+        in_place &= index[..., axis] == np.arange(grid.n[axis]).reshape(shape)
+    if not in_place.all():
+        row = int(np.argmin(in_place))
+        found = tuple(index.reshape(-1, grid.dim)[row].tolist())
+        expected = tuple(int(i) for i in np.unravel_index(row, grid.n))
+        raise ValueError(f"row {row} has grid index {found}; C order puts {expected} there")
 
 
 def write_trace_csv(trace: EvolutionTrace, path) -> None:

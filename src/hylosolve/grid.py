@@ -177,11 +177,28 @@ def _work_array(values) -> np.ndarray:
     return np.empty(np.shape(values), np.complex128)
 
 
+def fft(values, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """The discrete Fourier transform over the trailing axes `axes` (leading
+    axes are a batch), into out when given.  Every transform of the package
+    goes through here or ifft.  Over one axis this is numpy's 1-d fft, the
+    very call fftn makes for one axis, without fftn's argument handling."""
+    if len(axes) == 1:
+        return np.fft.fft(values, axis=-1, out=out)
+    return np.fft.fftn(values, axes=axes, out=out)
+
+
+def ifft(values, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of fft, over the same trailing axes."""
+    if len(axes) == 1:
+        return np.fft.ifft(values, axis=-1, out=out)
+    return np.fft.ifftn(values, axes=axes, out=out)
+
+
 def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
     """ifft(multiplier * fft(values)) over the multiplier's (trailing) axes;
     real input gives real output."""
     axes = tuple(range(-multiplier.ndim, 0))
-    spec = np.fft.fftn(values, axes=axes, out=_work_array(values))
+    spec = fft(values, axes, out=_work_array(values))
     return apply_to_spectrum(multiplier, spec, not np.iscomplexobj(values), out=spec)
 
 
@@ -191,7 +208,7 @@ def apply_to_spectrum(multiplier: np.ndarray, spec: np.ndarray, real: bool,
     out when given (spec itself may be out); the real part when real."""
     axes = tuple(range(-multiplier.ndim, 0))
     out = np.multiply(multiplier, spec, out=out)
-    np.fft.ifftn(out, axes=axes, out=out)
+    ifft(out, axes, out=out)
     return out.real if real else out
 
 
@@ -199,7 +216,7 @@ def transform(grid: Grid, values) -> np.ndarray:
     """The discrete spectrum F of a field over the grid axes (leading axes
     are a batch), into a fresh array."""
     arr = _on_grid(grid, values)
-    return np.fft.fftn(arr, axes=grid.axes, out=_work_array(arr))
+    return fft(arr, grid.axes, out=_work_array(arr))
 
 
 def spectral_sum(grid: Grid, multiplier: np.ndarray, spec: np.ndarray):
@@ -229,10 +246,10 @@ def low_pass(grid: Grid, values, band_limit) -> np.ndarray:
     along some axis; the result is complex.  Leading axes of values are a
     batch, and band_limit is a scalar or one limit per batch index."""
     arr = _on_grid(grid, values)
-    spec = np.fft.fftn(arr, axes=grid.axes, out=_work_array(arr))
+    spec = fft(arr, grid.axes, out=_work_array(arr))
     limit = np.reshape(band_limit, np.shape(band_limit) + (1,) * grid.dim)
     np.copyto(spec, 0.0, where=_max_mode(grid) > limit)
-    return np.fft.ifftn(spec, axes=grid.axes, out=spec)
+    return ifft(spec, grid.axes, out=spec)
 
 
 def min_image_distances(grid: Grid, center) -> list[np.ndarray]:
@@ -377,7 +394,7 @@ def _unit_ball_spectrum(grid: Grid) -> np.ndarray:
     """Transform of the indicator of the radius-1 ball around index 0,
     periodic metric."""
     dist_sq = sum(d**2 for d in min_image_distances(grid, (0.0,) * grid.dim))
-    spec = np.fft.fftn((dist_sq <= 1.0).astype(np.float64))
+    spec = fft((dist_sq <= 1.0).astype(np.float64), grid.axes)
     spec.setflags(write=False)
     return spec
 
@@ -395,9 +412,9 @@ def sharp_seminorm(state: FieldState) -> float:
     if min(grid.box_length) <= 2.0:
         raise Inadmissible("unit ball wraps around: every box length must exceed 2")
     density = np.abs(state.psi) ** 2
-    spec = np.fft.fftn(density, out=_work_array(density))
+    spec = fft(density, grid.axes, out=_work_array(density))
     spec *= _unit_ball_spectrum(grid)
-    conv = np.fft.ifftn(spec, out=spec).real
+    conv = ifft(spec, grid.axes, out=spec).real
     best = max(float(conv.max()) * grid.cell_volume, 0.0)
     return float(np.sqrt(best))
 
@@ -463,9 +480,9 @@ def orbit_distance(a: FieldState, b: FieldState) -> float:
     weights = symbols(a.model_tag, grid).weights
     corr = np.zeros(grid.n, dtype=np.complex128)
     for ca, cb, w in zip(a.components, b.components, weights):
-        corr += w * np.fft.fftn(ca) * np.conj(np.fft.fftn(cb))
+        corr += w * fft(ca, grid.axes) * np.conj(fft(cb, grid.axes))
     # corr(z) = <a, g_z b> for every lattice shift z at once
-    corr_z = np.fft.ifftn(corr) * grid.cell_volume
+    corr_z = ifft(corr, grid.axes) * grid.cell_volume
     if a.model_tag in COMPLEX_MODELS:
         gain = np.abs(corr_z)  # optimal phase: theta = arg corr
     else:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import grid as gridmod
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .functionals import (PenaltyParams, choose_coercivity_params, j_delta,
                           lambda0_estimate, penalized_probe_seed, penalized_terms,
@@ -88,7 +89,8 @@ def _precondition(weight: np.ndarray, g: tuple) -> tuple:
     above tolerance; in this metric every mode contracts at an O(1) rate.
     """
     field_g = g[0]
-    d = np.fft.ifftn(np.fft.fftn(field_g) / weight)
+    axes = tuple(range(-weight.ndim, 0))
+    d = gridmod.ifft(gridmod.fft(field_g, axes) / weight, axes)
     d = d if np.iscomplexobj(field_g) else d.real
     return (d,) + tuple(g[1:])
 

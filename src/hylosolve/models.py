@@ -264,10 +264,15 @@ class _Propagator:
             return self._wave(*comps, steps)
 
     def _nls(self, psi: np.ndarray, steps: int) -> np.ndarray:
+        # one spectrum buffer per block; each inverse transform lands in the
+        # array the last rotation made, which the block owns
         dt, axes = self.dt, self.axes
+        spec = np.empty(psi.shape, np.complex128)
         psi = self._rotate(psi, -0.25j * dt)
         for i in range(steps):
-            psi = np.fft.ifftn(self.lin * np.fft.fftn(psi, axes=axes), axes=axes)
+            gridmod.fft(psi, axes, out=spec)
+            np.multiply(self.lin, spec, out=spec)
+            gridmod.ifft(spec, axes, out=psi)
             psi = self._rotate(psi, -0.5j * dt if i < steps - 1 else -0.25j * dt)
         return psi
 
@@ -284,8 +289,8 @@ class _Propagator:
         # 2 * steps + 2 FFTs per block, all into the three work arrays.
         dt, axes = self.dt, self.axes
         real = self.spec.model_tag == NBE
-        fa = np.fft.fftn(a, axes=axes, out=np.empty(a.shape, np.complex128))
-        fb = np.fft.fftn(self._kicked(b, a, 0.5 * dt), axes=axes,
+        fa = gridmod.fft(a, axes, out=np.empty(a.shape, np.complex128))
+        fb = gridmod.fft(self._kicked(b, a, 0.5 * dt), axes,
                          out=np.empty(a.shape, np.complex128))
         field = np.empty(a.shape, np.complex128)
         for i in range(steps):
@@ -297,17 +302,17 @@ class _Propagator:
             np.multiply(self.cos, fb, out=fb)
             fb += mixed
             del mixed  # not alive while the force is computed: bounds peak memory
-            a = np.fft.ifftn(fa, axes=axes, out=field)
+            a = gridmod.ifft(fa, axes, out=field)
             if real:
                 a = a.real
             if i < steps - 1:
                 # full kick on the transform: fb -= dt * fft(force(a))
                 np.multiply(self._force_factor(a), a, out=field)
-                np.fft.fftn(field, axes=axes, out=field)
+                gridmod.fft(field, axes, out=field)
                 field *= dt
                 fb -= field
         del fa  # likewise for the last half-kick
-        b = np.fft.ifftn(fb, axes=axes, out=fb)
+        b = gridmod.ifft(fb, axes, out=fb)
         return (a, self._kicked(b.real if real else b, a, 0.5 * dt))
 
     def _force_factor(self, a: np.ndarray) -> np.ndarray:

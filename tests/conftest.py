@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from hylosolve import grid as gridmod
 from hylosolve import (Grid, MinimizeOptions, ModelSpec, SinglePower, WSpec,
                        choose_coercivity_params, minimize_jdelta,
                        refine_constrained)
@@ -32,3 +34,19 @@ def soliton(nls_acceptance_spec, nls_params):
                                  params=nls_params)
     elapsed = time.perf_counter() - t0
     return {"free": free, "refined": refined, "seconds": elapsed}
+
+
+@pytest.fixture
+def transform_sizes(monkeypatch):
+    """The size of the array passed to every hylosolve.grid.fft or ifft call
+    from here on (every transform the package makes goes through them)."""
+    sizes = []
+    for name in ("fft", "ifft"):
+        original = getattr(gridmod, name)
+
+        def recorded(values, *args, _original=original, **kwargs):
+            sizes.append(np.size(values))
+            return _original(values, *args, **kwargs)
+
+        monkeypatch.setattr(gridmod, name, recorded)
+    return sizes

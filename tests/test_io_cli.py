@@ -89,6 +89,23 @@ def test_field_read_rejects_bad_row_width_and_missing_row(tmp_path):
         read_field(missing)
 
 
+@pytest.mark.parametrize("tag,grid,rows", [
+    ("NLS", Grid((16,), (5.0,)), (3, 7)),
+    ("NWE", Grid((16, 16), (5.0, 5.0)), (1, 17)),
+], ids=["nls-1d", "nwe-2d"])
+def test_field_read_rejects_rows_out_of_order(tag, grid, rows, tmp_path):
+    path = tmp_path / "state.field"
+    write_field(random_state(tag, grid, SplitMix64(12)), path)
+    lines = path.read_text().splitlines()
+    # lines[0] is the header, so sample r sits on line r + 1
+    i, j = rows[0] + 1, rows[1] + 1
+    lines[i], lines[j] = lines[j], lines[i]
+    swapped = tmp_path / "swapped.field"
+    swapped.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"row {rows[0]} has grid index"):
+        read_field(swapped)
+
+
 def test_trace_csv_schema(tmp_path):
     g = Grid((64,), (10.0,))
     spec = ModelSpec("NLS", g, WSpec(1.0, SinglePower(1.0, 4.0)))
