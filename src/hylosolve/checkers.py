@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import (PenaltyParams, choose_coercivity_params, gaussian_profile,
-                          hylomorphy_check, nash_sweep, probe_chunks)
-from .grid import (NBE, NLS, NWE, FieldState, LatticeShift, min_image_distances,
-                   translate, x_norm as state_x_norm)
-from .models import ModelSpec, charge, charge_of, energy, energy_of, grad_charge, grad_energy
-from .nonlinearity import (DoublePower, SinglePower, check_w_conditions,
-                           critical_exponent)
+from .exceptions import Inadmissible
+from .functionals import (PenaltyParams, _gaussian_components, choose_coercivity_params,
+                          gaussian_profile, hylomorphy_check, nash_sweep, probe_chunks)
+from .grid import NBE, NLS, NWE, min_image_distances
+from .models import (ModelSpec, charge, charge_of, energy, energy_of, evaluate, grad_charge,
+                     grad_energy)
+from .nonlinearity import DoublePower, SinglePower, check_w_conditions
 from .rng import SplitMix64
 
 __all__ = ["CheckResult", "HypothesisCertificate", "audit", "gate_passed"]
@@ -72,13 +72,14 @@ def _zero_state_check(spec: ModelSpec) -> CheckResult:
 def _shift_invariance_check(spec: ModelSpec, rng: SplitMix64, count: int) -> CheckResult:
     worst = 0.0
     worst_case = None
+    axes = tuple(range(spec.grid.dim))
     for i in range(count):
         amp = 0.1 + 2.0 * rng.uniform()
-        state = _random_probe(spec, rng, amp)
+        comps = _random_probe(spec, rng, amp)
         z = tuple(int(v) for v in rng.integers(spec.grid.dim, max(spec.grid.n)))
-        moved = translate(state, LatticeShift(z))
-        for f, name in ((energy, "E"), (charge, "C")):
-            a, b = f(spec, state), f(spec, moved)
+        here = _measured(spec, comps)
+        moved = _measured(spec, tuple(np.roll(c, z, axis=axes) for c in comps))
+        for a, b, name in zip(here[:2], moved[:2], ("E", "C")):
             rel = abs(a - b) / max(1.0, abs(a))
             if rel > worst:
                 worst, worst_case = rel, {"functional": name, "shift": list(z), "rel": rel}
@@ -88,9 +89,10 @@ def _shift_invariance_check(spec: ModelSpec, rng: SplitMix64, count: int) -> Che
                        None if ok else worst_case)
 
 
-def _random_probe(spec: ModelSpec, rng: SplitMix64, amplitude: float) -> FieldState:
+def _random_probe(spec: ModelSpec, rng: SplitMix64, amplitude: float) -> tuple:
+    """The components of one random probe at this amplitude."""
     comps = next(probe_chunks(spec, rng, 1, amp_range=(amplitude, amplitude * 1.0000001)))
-    return FieldState(spec.model_tag, spec.grid, (comp[0] for comp in comps))
+    return tuple(comp[0] for comp in comps)
 
 
 def _bulk_of(params: PenaltyParams, e, c):
@@ -98,8 +100,17 @@ def _bulk_of(params: PenaltyParams, e, c):
     return e + params.a * abs(c) ** params.s_exp
 
 
-def _bulk(spec: ModelSpec, params: PenaltyParams, state: FieldState) -> float:
-    return _bulk_of(params, energy(spec, state), charge(spec, state))
+def _measured(spec: ModelSpec, comps) -> tuple[float, float, float]:
+    """E, signed C and the phase-space norm of one state, from one evaluate."""
+    ev = evaluate(spec, comps)
+    return float(ev.energy), float(ev.charge), float(ev.x_norm)
+
+
+def _gaussian_bulk(spec: ModelSpec, params: PenaltyParams, bump: np.ndarray):
+    """E + a|C|^s and the phase-space norm of the Gaussian probe with this
+    bump and a still second component."""
+    e, c, norm = _measured(spec, _gaussian_components(spec, bump, 0.0))
+    return _bulk_of(params, e, c), norm
 
 
 def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
@@ -125,10 +136,8 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
     mass_scale = 2.0
     for sigma in np.geomspace(sig_hi, sig_lo, 8):
         amp = mass_scale * (sig_hi / sigma) ** (g.dim / 2.0)
-        bump = gaussian_profile(g, amp, sigma)
-        state = (FieldState.nls(g, bump.astype(np.complex128)) if spec.model_tag == NLS
-                 else _pair_probe(spec, bump))
-        sweep.append((float(sigma), float(_bulk(spec, params, state))))
+        bulk, _ = _gaussian_bulk(spec, params, gaussian_profile(g, amp, sigma))
+        sweep.append((float(sigma), bulk))
     sweep_vals = [v for _, v in sweep]
     worst = min(worst, min(sweep_vals))
     if min(sweep_vals) < -tol:
@@ -140,21 +149,13 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
                        bad)
 
 
-def _pair_probe(spec: ModelSpec, bump: np.ndarray) -> FieldState:
-    if spec.model_tag == NWE:
-        return FieldState.nwe(spec.grid, bump, np.zeros_like(bump, dtype=np.complex128))
-    return FieldState.nbe(spec.grid, bump, np.zeros_like(bump))
-
-
 def _coercivity_growth_check(spec: ModelSpec, params: PenaltyParams,
                              rng: SplitMix64) -> CheckResult:
     """EC-3ii: the bulk diverges along norm-growing rays."""
     base = _random_probe(spec, rng, 0.5)
     factors = np.geomspace(1.0, 32.0, 8)
-    vals = []
-    for f in factors:
-        scaled = base.replace_components(tuple(f * c for c in base.components))
-        vals.append(_bulk(spec, params, scaled))
+    vals = [_bulk_of(params, *_measured(spec, tuple(f * c for c in base))[:2])
+            for f in factors]
     tail_increasing = all(b > a for a, b in zip(vals[-4:], vals[-3:]))
     ok = tail_increasing and vals[-1] > 10.0 * max(1.0, abs(vals[0]))
     return CheckResult("pass" if ok else "fail", "sampled",
@@ -167,13 +168,8 @@ def _coercivity_vanishing_check(spec: ModelSpec, params: PenaltyParams) -> Check
     g = spec.grid
     sigma = min(g.box_length) / 10.0
     amps = 0.2 * 2.0 ** (-np.arange(8))
-    bulks, norms = [], []
-    for a in amps:
-        bump = gaussian_profile(g, a, sigma)
-        state = (FieldState.nls(g, bump.astype(np.complex128)) if spec.model_tag == NLS
-                 else _pair_probe(spec, bump))
-        bulks.append(_bulk(spec, params, state))
-        norms.append(state_x_norm(state))
+    bulks, norms = zip(*(_gaussian_bulk(spec, params, gaussian_profile(g, a, sigma))
+                         for a in amps))
     bulk_to_zero = abs(bulks[-1]) <= 1e-3 * max(abs(bulks[0]), 1e-30)
     monotone = all(b < a for a, b in zip(norms, norms[1:]))
     ok = bulk_to_zero and monotone and norms[-1] < norms[0]
@@ -200,17 +196,17 @@ def _splitting_check(spec: ModelSpec) -> CheckResult:
     left = _disjoint_support_bump(spec, 0.25)
     right = 0.7 * _disjoint_support_bump(spec, 0.75)
     if spec.model_tag == NLS:
-        mk = lambda f: FieldState.nls(spec.grid, f.astype(np.complex128))
+        mk = lambda f: (f.astype(np.complex128),)
     elif spec.model_tag == NWE:
-        mk = lambda f: FieldState.nwe(spec.grid, f, 0.3j * f)
+        mk = lambda f: (f.astype(np.complex128), 0.3j * f)
     else:
-        mk = lambda f: FieldState.nbe(spec.grid, f, 0.3 * f)
+        mk = lambda f: (f, 0.3 * f)
     u, w = mk(left), mk(right)
-    both = u.replace_components(tuple(a + b for a, b in zip(u.components, w.components)))
-    rel_e = abs(energy(spec, both) - energy(spec, u) - energy(spec, w)) / max(
-        1.0, abs(energy(spec, both)))
-    rel_c = abs(charge(spec, both) - charge(spec, u) - charge(spec, w)) / max(
-        1.0, abs(charge(spec, both)))
+    both = tuple(a + b for a, b in zip(u, w))
+    (e_u, c_u, _), (e_w, c_w, _), (e_both, c_both, _) = (
+        _measured(spec, x) for x in (u, w, both))
+    rel_e = abs(e_both - e_u - e_w) / max(1.0, abs(e_both))
+    rel_c = abs(c_both - c_u - c_w) / max(1.0, abs(c_both))
     ok = rel_e <= 1e-10 and rel_c <= 1e-10
     return CheckResult("pass" if ok else "fail", "sampled",
                        {"rel_energy": rel_e, "rel_charge": rel_c,
@@ -223,10 +219,10 @@ def _nash_stability_check(spec: ModelSpec, seed: int) -> CheckResult:
     if spec.model_tag != NLS or not isinstance(fam, (SinglePower, DoublePower)):
         return CheckResult("skipped", "analytic",
                            {"reason": "interpolation constant probed for NLS power families only"})
-    if fam.p >= critical_exponent(spec.grid.dim):
-        return CheckResult("skipped", "analytic",
-                           {"reason": f"supercritical p = {fam.p}"})
-    sweep = nash_sweep(spec.grid, fam.p, seed=seed, n_random=600)
+    try:
+        sweep = nash_sweep(spec.grid, fam.p, seed=seed, n_random=600)
+    except Inadmissible as err:  # a supercritical power
+        return CheckResult("skipped", "analytic", {"reason": str(err)})
     b_half, b_full = float(sweep[300]), float(sweep[600])
     drift = abs(b_full - b_half) / max(b_half, 1e-30)
     ok = np.isfinite(b_full) and drift <= 0.10
@@ -277,7 +273,7 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
         None if wreport.all_passed() else
         {k: v.detail for k, v in wreport.conditions.items() if not v.passed})
     results["Nash"] = _nash_stability_check(spec, seed)
-    hylo = hylomorphy_check(spec, params)
+    hylo = hylomorphy_check(spec)
     results["hh"] = CheckResult(
         "pass" if hylo.verdict else "fail", "probe-family",
         {"lambda0_estimate": hylo.lambda0_estimate, "best_ratio": hylo.best_ratio,

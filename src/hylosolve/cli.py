@@ -130,11 +130,18 @@ def build_spec(config: dict) -> ModelSpec:
         raise ConfigError(f"invalid model: {err}") from err
 
 
+def resolve_deltas(config: dict) -> list[float]:
+    """The configured penalty weights, distinct and largest first."""
+    delta = config.get("penalty", {}).get("delta", 0.03)
+    return sorted({float(d) for d in (delta if isinstance(delta, list) else [delta])},
+                  reverse=True)
+
+
 def resolve_penalty(config: dict, spec: ModelSpec, seed: int) -> tuple[PenaltyParams, list[float]]:
+    """The penalty parameters at the largest configured weight, and all the
+    weights (resolve_deltas); a and s do not depend on the weight."""
     block = config.get("penalty", {})
-    delta = block.get("delta", 0.03)
-    deltas = [float(d) for d in (delta if isinstance(delta, list) else [delta])]
-    deltas = sorted(set(deltas), reverse=True)
+    deltas = resolve_deltas(config)
     a = block.get("a", "auto")
     s_exp = block.get("s_exp", "auto")
     if a == "auto" or s_exp == "auto":
@@ -321,14 +328,15 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     sweep = config.get("sweep", {})
     w_params = sweep.get("w_params", {})
-    _, deltas = resolve_penalty(config, spec, seed)
+    deltas = resolve_deltas(config)
     names = sorted(w_params)
     grids = [w_params[n] for n in names]
     combos = list(itertools.product(*grids)) if names else [()]
     run.stage("sweep")
     statuses = {}
-    for idx, combo in enumerate(itertools.product(combos, deltas)):
-        values, delta = combo
+    # per W combination, resolved at its first point: a and s do not depend on delta
+    combo_params = {}
+    for idx, (values, delta) in enumerate(itertools.product(combos, deltas)):
         sub = dict(config)
         w = json.loads(json.dumps(config["model"]["w"]))
         for n, v in zip(names, values):
@@ -339,9 +347,10 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
             sub_spec = ModelSpec(spec.model_tag, spec.grid, wspec_from_json(w))
             sub_run = _Run(sub_dir, {**sub, "sweep_point": label}, run.quiet)
             try:
-                params, _ = resolve_penalty({**config, "penalty":
-                                             {**config.get("penalty", {}), "delta": delta}},
-                                            sub_spec, seed)
+                combo = idx // len(deltas)
+                if combo not in combo_params:
+                    combo_params[combo] = resolve_penalty(config, sub_spec, seed)[0]
+                params = replace(combo_params[combo], delta=delta)
                 if not _run_gate(sub_run, sub_spec, params, seed):
                     statuses[sub_dir.name] = {"label": label, "status": "gate_failed"}
                     sub_run.finish("gate_failed", failure_stage="audit-gate")

@@ -18,7 +18,7 @@ from jsonschema.exceptions import ValidationError as SchemaError
 
 from .checkers import HypothesisCertificate
 from .dynamics import EvolutionTrace
-from .functionals import HylomorphyReport, PenaltyParams
+from .functionals import PenaltyParams
 from .grid import COMPONENT_NAMES, COMPLEX_MODELS, FieldState, Grid
 from .minimize import MinimizeResult
 from .nonlinearity import DoublePower, Saturating, SinglePower, WSpec
@@ -208,10 +208,6 @@ def certificate_to_json(cert: HypothesisCertificate) -> dict:
         "params": cert.params,
         "results": {k: asdict(v) for k, v in cert.results.items()},
     }
-
-
-def hylomorphy_to_json(report: HylomorphyReport) -> dict:
-    return asdict(report)
 
 
 def stability_to_json(report: StabilityReport) -> dict:

@@ -152,11 +152,20 @@ def nash_exponents(p: float, dim: int) -> tuple[float, float]:
     return q, p - q
 
 
+def require_subcritical(p: float, dim: int) -> None:
+    """Raise Inadmissible unless p is below the charge-critical power 2 + 4/N.
+
+    The one test of subcriticality.  It compares p, not q: at p = 2 + 4/N
+    the exponent q is 2 in exact arithmetic but may round just below it
+    (1.9999999999999996 in dimension 3)."""
+    if p >= critical_exponent(dim):
+        raise Inadmissible(f"supercritical power p = {p} in dimension {dim}")
+
+
 def coercivity_exponent(p: float, dim: int) -> float:
     """Mass exponent s = r/(2-q) closing the Young split of the inequality."""
+    require_subcritical(p, dim)
     q, r = nash_exponents(p, dim)
-    if q >= 2.0:
-        raise Inadmissible(f"supercritical power p = {p} in dimension {dim}")
     return r / (2.0 - q)
 
 
@@ -192,8 +201,7 @@ def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.
     block of the stream, so every field gets the draws it would get alone,
     and the sweep is bitwise the one-field-at-a-time loop.
     """
-    if p >= critical_exponent(grid.dim):
-        raise Inadmissible(f"p must be below {critical_exponent(grid.dim)} in dim {grid.dim}")
+    require_subcritical(p, grid.dim)
     q, r = nash_exponents(p, grid.dim)
     rows = _chunk_rows(grid)
     sig_hi = min(grid.box_length) / 8.0
@@ -279,11 +287,6 @@ def _probe_rows(spec: ModelSpec, amps, sigma: float) -> tuple:
     for comp in comps:
         require_finite(comp)
     return comps
-
-
-def _probe_state(spec: ModelSpec, amplitude: float, sigma: float) -> FieldState:
-    """The one probe of _probe_rows at this amplitude."""
-    return FieldState(spec.model_tag, spec.grid, _probe_rows(spec, amplitude, sigma))
 
 
 def _chunk_rows(grid: Grid) -> int:
@@ -475,13 +478,13 @@ def _window_bounds_hit(amp: float, sigma: float, amp_bounds, sig_bounds) -> list
     return hits
 
 
-def hylomorphy_check(spec: ModelSpec, params: PenaltyParams,
-                     margin: float | None = None, grid_size: int = 40,
+def hylomorphy_check(spec: ModelSpec, margin: float | None = None, grid_size: int = 40,
                      refinements: int = 2) -> HylomorphyReport:
     """Search the Gaussian probe family for ratios below the vanishing floor.
 
     The verdict is true iff the best ratio undercuts lambda0 (closed form)
-    by the margin (default one part in 10^3 of lambda0).
+    by the margin (default one part in 10^3 of lambda0); it depends on the
+    model alone, not on the penalty parameters.
     """
     require_probe_widths(spec.grid)
     lam0 = lambda0_estimate(spec)
@@ -504,11 +507,6 @@ def hylomorphy_check(spec: ModelSpec, params: PenaltyParams,
     )
 
 
-def witness_state(spec: ModelSpec, report: HylomorphyReport) -> FieldState:
-    """Rebuild the probe state described by a hylomorphy witness."""
-    return _probe_state(spec, report.witness["amplitude"], report.witness["width"])
-
-
 def penalized_probe_seed(spec: ModelSpec, params: PenaltyParams,
                          grid_size: int = 40, refinements: int = 2):
     """Best Gaussian probe for the penalized objective at these params.
@@ -522,4 +520,4 @@ def penalized_probe_seed(spec: ModelSpec, params: PenaltyParams,
     best_val, best_amp, best_sig = _family_search(
         spec, lambda e, c: _penalized(e, c, params), amp_bounds, sig_bounds,
         grid_size, refinements)
-    return _probe_state(spec, best_amp, best_sig), best_val
+    return FieldState(spec.model_tag, spec.grid, _probe_rows(spec, best_amp, best_sig)), best_val

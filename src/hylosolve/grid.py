@@ -470,7 +470,8 @@ def orbit_distance(a: FieldState, b: FieldState) -> float:
     complex models, global phase) of the phase-space norm of the difference.
 
     The minimum over all shifts is computed exactly in one pass via FFT
-    cross-correlation of the weighted components.
+    cross-correlation of the weighted components; the differences at the
+    optimum are measured as component arrays, with no state built.
     """
     if a.model_tag != b.model_tag:
         raise GridMismatch("states have different model tags")
@@ -490,20 +491,14 @@ def orbit_distance(a: FieldState, b: FieldState) -> float:
     # the norm identity ||a||^2 + ||b||^2 - 2 max gain locates the optimum,
     # but cancels catastrophically near zero; evaluate the distance directly
     # on the aligned difference, which is exact there
-    flat = int(np.argmax(gain))
-    z_best = np.unravel_index(flat, grid.n)
-    aligned = translate(b, LatticeShift(tuple(int(v) for v in z_best)))
+    shift = tuple(int(v) for v in np.unravel_index(int(np.argmax(gain)), grid.n))
+    aligned = tuple(np.roll(c, shift, axis=tuple(range(grid.dim))) for c in b.components)
     candidates = [aligned]
-    if a.model_tag in COMPLEX_MODELS and abs(corr_z[z_best]) > 0:
-        phase = corr_z[z_best] / abs(corr_z[z_best])
-        candidates.append(aligned.replace_components(
-            tuple(phase * c for c in aligned.components)))
-    best = np.inf
-    for cand in candidates:
-        diff = a.replace_components(tuple(
-            x - y for x, y in zip(a.components, cand.components)))
-        best = min(best, x_norm(diff))
-    return best
+    if a.model_tag in COMPLEX_MODELS and abs(corr_z[shift]) > 0:
+        phase = corr_z[shift] / abs(corr_z[shift])
+        candidates.append(tuple(phase * c for c in aligned))
+    diffs = (tuple(x - y for x, y in zip(a.components, cand)) for cand in candidates)
+    return min(float(x_norm_of(a.model_tag, grid, diff)) for diff in diffs)
 
 
 def random_band_limited(grid: Grid, rng: SplitMix64, band_limit: int | None = None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (COMPLEX_MODELS, FieldState, LatticeShift, phase_rotate,
-                   random_band_limited, translate, x_norm as state_x_norm)
+                   random_band_limited, translate, x_norm as state_x_norm, x_norm_of)
 from .dynamics import EvolutionTrace, evolve
 from .functionals import _chunk_rows
 from .minimize import MinimizeResult
@@ -153,9 +153,8 @@ def run_stability(spec: ModelSpec, result: MinimizeResult, perturbations,
                                           reference=reference)
     rows: list[StabilityRow] = []
     for pert, state, trace in zip(perturbations, perturbed, traces):
-        diff = reference.replace_components(tuple(
-            a - b for a, b in zip(state.components, reference.components)))
-        pert_norm = state_x_norm(diff)
+        pert_norm = float(x_norm_of(spec.model_tag, spec.grid, tuple(
+            a - b for a, b in zip(state.components, reference.components))))
         v0 = float(trace.v[0]) if trace.v.size else float("nan")
         max_v = float(trace.v.max()) if trace.v.size else float("inf")
         max_od = float(trace.orbit_dist.max()) if trace.orbit_dist.size else float("inf")

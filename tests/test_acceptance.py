@@ -101,12 +101,9 @@ def test_criterion_4_hylomorphy_dichotomy():
     t0 = time.perf_counter()
     grid = Grid((512,), (40.0,))
     focusing = ModelSpec("NLS", grid, WSpec(1.0, SinglePower(1.0, 4.0)))
-    params = choose_coercivity_params(focusing, delta=0.03, seed=11)
-    rep_focus = hylomorphy_check(focusing, params)
+    rep_focus = hylomorphy_check(focusing)
     quadratic = ModelSpec("NLS", grid, WSpec(1.0, SinglePower(0.0, 4.0)))
-    rep_quad = hylomorphy_check(quadratic,
-                                choose_coercivity_params(quadratic, delta=0.03,
-                                                         seed=11, n_probes=200))
+    rep_quad = hylomorphy_check(quadratic)
     supercritical = ModelSpec("NLS", grid, WSpec(1.0, SinglePower(1.0, 8.0)))
     cert = audit(supercritical, budget=400, seed=11)
     elapsed = time.perf_counter() - t0

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from hylosolve import (DoublePower, FieldState, Grid, LatticeShift, ModelSpec,
-                       NearZeroCharge, PenaltyParams, Saturating, SinglePower, WSpec,
+                       Inadmissible, NearZeroCharge, PenaltyParams, Saturating, SinglePower, WSpec,
                        bound_m, charge, choose_coercivity_params, energy,
                        hylomorphy_check, j_delta, lambda0_estimate,
                        lambda_ratio, nash_check, nash_exponents, phi,
                        translate)
-from hylosolve.functionals import (coercivity_exponent, gaussian_state,
-                                   probe_states, witness_state)
+from hylosolve.checkers import _nash_stability_check
+from hylosolve.functionals import (coercivity_exponent, gaussian_state, nash_sweep,
+                                   probe_states)
+from hylosolve.nonlinearity import critical_exponent
 from hylosolve.grid import x_norm
 from hylosolve.rng import SplitMix64
 
@@ -96,6 +98,21 @@ def test_nash_exponents_and_coercivity_exponent():
     assert coercivity_exponent(4.0, 1) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         coercivity_exponent(8.0, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exactly_critical_power_is_refused_with_one_message(dim):
+    # in 3-d, q rounds to 1.9999999999999996 at p = 2 + 4/3: a q >= 2 test
+    # would admit it with s near 3e15
+    p = critical_exponent(dim)
+    grid = Grid((16,) * dim, (10.0,) * dim)
+    message = f"supercritical power p = {p} in dimension {dim}"
+    for refuse in (lambda: coercivity_exponent(p, dim), lambda: nash_sweep(grid, p)):
+        with pytest.raises(Inadmissible) as err:
+            refuse()
+        assert str(err.value) == message
+    nash = _nash_stability_check(ModelSpec("NLS", grid, WSpec(1.0, SinglePower(1.0, p))), 0)
+    assert (nash.verdict, nash.parameters) == ("skipped", {"reason": message})
 
 
 def test_choose_params_reports_exponents_and_zero_for_free_field():
@@ -214,16 +231,15 @@ def test_vanishing_amplitude_drives_norm_down():
 
 
 def test_hylomorphy_dichotomy_and_witness():
-    params = choose_coercivity_params(SPEC, delta=0.03, seed=2, n_probes=200)
-    rep = hylomorphy_check(SPEC, params)
+    rep = hylomorphy_check(SPEC)
     assert rep.verdict is True
     assert rep.best_ratio < rep.lambda0_estimate - rep.margin
-    ws = witness_state(SPEC, rep)
+    ws = gaussian_state(SPEC, rep.witness["amplitude"], rep.witness["width"],
+                        pair_param=rep.witness.get("pair_param"))
     assert lambda_ratio(SPEC, ws) == rep.best_ratio  # exact re-evaluation
 
     free = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(0.0, 4.0)))
-    params0 = choose_coercivity_params(free, delta=0.03, seed=2, n_probes=100)
-    rep0 = hylomorphy_check(free, params0)
+    rep0 = hylomorphy_check(free)
     assert rep0.verdict is False
     assert rep0.best_ratio >= rep0.lambda0_estimate - rep0.margin
 

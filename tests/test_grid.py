@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hylosolve
-from hylosolve import (FieldState, Grid, GridMismatch, LatticeShift, NBE, NLS,
+from hylosolve import grid as gridmod
+from hylosolve import (FieldState, Grid, GridMismatch, LatticeShift, NBE, NLS, NWE,
                        NonFinite, NumericalFailure, integrate, orbit_distance, phase_rotate, sharp_seminorm,
                        spectral_derivative, translate)
 from hylosolve.grid import random_state, x_norm
@@ -143,6 +144,59 @@ def test_orbit_distance_symmetry_and_guards():
         orbit_distance(a, other)
     with pytest.raises(GridMismatch):
         orbit_distance(a, random_state(NBE, Grid((128,), (9.0,)), rng))
+
+
+def _state_built_orbit_distance(a, b):
+    """orbit_distance as it was when each candidate difference was a
+    FieldState: translate the aligned state, phase-rotate a copy, and take
+    x_norm of each difference state."""
+    grid = a.grid
+    weights = gridmod.symbols(a.model_tag, grid).weights
+    corr = np.zeros(grid.n, dtype=np.complex128)
+    for ca, cb, w in zip(a.components, b.components, weights):
+        corr += w * gridmod.fft(ca, grid.axes) * np.conj(gridmod.fft(cb, grid.axes))
+    corr_z = gridmod.ifft(corr, grid.axes) * grid.cell_volume
+    gain = np.abs(corr_z) if a.model_tag in gridmod.COMPLEX_MODELS else corr_z.real
+    z_best = np.unravel_index(int(np.argmax(gain)), grid.n)
+    aligned = translate(b, LatticeShift(tuple(int(v) for v in z_best)))
+    candidates = [aligned]
+    if a.model_tag in gridmod.COMPLEX_MODELS and abs(corr_z[z_best]) > 0:
+        phase = corr_z[z_best] / abs(corr_z[z_best])
+        candidates.append(aligned.replace_components(
+            tuple(phase * c for c in aligned.components)))
+    best = np.inf
+    for cand in candidates:
+        diff = a.replace_components(tuple(
+            x - y for x, y in zip(a.components, cand.components)))
+        best = min(best, x_norm(diff))
+    return best
+
+
+@pytest.mark.parametrize("tag,grid", [
+    (NLS, Grid((128,), (20.0,))), (NWE, Grid((128,), (20.0,))), (NBE, Grid((128,), (20.0,))),
+    (NWE, Grid((16, 16, 16), (8.0, 8.0, 8.0))),
+], ids=["NLS", "NWE", "NBE", "NWE-16^3"])
+def test_orbit_distance_bitwise_equal_to_the_state_built_form(tag, grid, monkeypatch):
+    rng = SplitMix64(7)
+    a = random_state(tag, grid, rng, amplitude=0.7, band_limit=4)
+    b = random_state(tag, grid, rng, amplitude=0.5, band_limit=4)
+    shifted = translate(a, LatticeShift((5,) * grid.dim))
+    pairs = [(a, b), (b, a), (a, a), (a, shifted)]
+    if tag != NBE:
+        pairs.append((a, phase_rotate(shifted, 0.4)))
+    expected = [_state_built_orbit_distance(x, y) for x, y in pairs]
+    builds = []
+    init = FieldState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldState, "__init__", counting_init)
+    got = [orbit_distance(x, y) for x, y in pairs]
+    assert not builds  # the differences are measured as component arrays
+    assert [float(d).hex() for d in got] == [float(d).hex() for d in expected]
+    assert got[2] == 0.0
 
 
 def test_x_norm_homogeneity_and_resummation():

@@ -500,15 +500,6 @@ def test_cli_outputs_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_hylomorphy_report_serializes(nls_acceptance_spec, nls_params):
-    from hylosolve import hylomorphy_check
-    from hylosolve.fileio import hylomorphy_to_json
-    report = hylomorphy_check(nls_acceptance_spec, nls_params)
-    data = hylomorphy_to_json(report)
-    text = json.dumps(data, sort_keys=True)
-    assert json.loads(text)["verdict"] is True
-
-
 def test_cli_sweep(tmp_path):
     cfg = _small_config()
     cfg["penalty"]["delta"] = [0.03, 0.025]
@@ -524,3 +515,40 @@ def test_cli_sweep(tmp_path):
     statuses = {r["status"] for r in runs.values()}
     # focusing points complete; the quadratic points stop at the gate
     assert "ok" in statuses and "gate_failed" in statuses
+
+
+def test_cli_sweep_runs_valid_points_of_a_supercritical_base(tmp_path, monkeypatch):
+    # the base power p = 8 is supercritical in 1-d; every sweep point is not
+    import hylosolve.cli as climod
+    calls = []
+    choose = climod.choose_coercivity_params
+
+    def counting_choose(*args, **kwargs):
+        calls.append(1)
+        return choose(*args, **kwargs)
+
+    monkeypatch.setattr(climod, "choose_coercivity_params", counting_choose)
+    cfg = _small_config()
+    cfg["model"]["w"]["family"]["p"] = 8.0
+    cfg["penalty"]["delta"] = [0.03, 0.025]
+    cfg["sweep"] = {"w_params": {"p": [4.0, 3.0]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    runs = json.loads((out / "manifest.json").read_text())["sweep_runs"]
+    assert [r["status"] for r in runs.values()] == ["ok"] * 4
+    assert len(calls) == 2  # once per W combination, not per (W, delta) point
+    # each point's outputs are those of a plain minimize run at that point
+    for name, run in runs.items():
+        point = _small_config()
+        point["model"]["w"]["family"]["p"] = run["label"]["p"]
+        point["penalty"]["delta"] = run["label"]["delta"]
+        point_path = tmp_path / f"{name}.json"
+        point_path.write_text(json.dumps(point))
+        solo = tmp_path / f"solo-{name}"
+        assert cli_main(["minimize", "--config", str(point_path), "--out", str(solo),
+                         "--quiet"]) == 0
+        outputs = [json.loads((d / "manifest.json").read_text())["outputs"]
+                   for d in (out / name, solo)]
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -12,7 +12,8 @@ from hylosolve import (DoublePower, FieldState, Grid, ModelSpec, PenaltyParams,
                        Saturating, SinglePower, WSpec, energy, hylomorphy_check,
                        integrate, j_delta, lambda_ratio)
 from hylosolve import functionals
-from hylosolve.checkers import _coercivity_floor_check
+from hylosolve.checkers import (_coercivity_floor_check, _coercivity_growth_check,
+                                _coercivity_vanishing_check, _splitting_check)
 from hylosolve.functionals import (PROBE_CHUNK_POINTS, choose_coercivity_params,
                                    default_probe_bounds, gaussian_profile, gaussian_state,
                                    penalized_probe_seed, probe_chunks, probe_states)
@@ -76,7 +77,7 @@ def test_hylomorphy_search_matches_per_state_reference(name):
     size = 12 if name == "NLS-split-column" else 6
     ref_val, ref_amp, ref_sig = _reference_search(
         spec, lambda st: lambda_ratio(spec, st), size, 1)
-    rep = hylomorphy_check(spec, PARAMS, grid_size=size, refinements=1)
+    rep = hylomorphy_check(spec, grid_size=size, refinements=1)
     assert (rep.witness["amplitude"], rep.witness["width"]) == (ref_amp, ref_sig)
     assert rep.best_ratio == pytest.approx(ref_val, rel=1e-12, abs=0)
     if spec.model_tag != "NLS":
@@ -148,16 +149,22 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     monkeypatch.setattr(functionals, "energy_of", recording_energy_of)
     monkeypatch.setattr(functionals, "evaluate", recording_evaluate)
     monkeypatch.setattr("hylosolve.checkers.energy_of", recording_energy_of)
+    monkeypatch.setattr("hylosolve.checkers.evaluate", recording_evaluate)
     params = choose_coercivity_params(spec, n_probes=3)
     penalized_probe_seed(spec, params, grid_size=3, refinements=0)
     _coercivity_floor_check(spec, params, SplitMix64(1).split("ec3i"), count=3)
+    before = len(seen)
+    _coercivity_growth_check(spec, params, SplitMix64(1).split("ec3ii"))
+    _coercivity_vanishing_check(spec, params)
+    _splitting_check(spec)
+    assert len(seen) == before + 8 + 8 + 3  # one evaluate per ray point, amplitude and state
     assert len(seen) > 5
     assert max(seen) <= PROBE_CHUNK_POINTS
     for comps in probe_chunks(spec, SplitMix64(2), 3):
         assert all(c.size <= PROBE_CHUNK_POINTS for c in comps)
 
 
-def test_demo_witness_sits_on_the_window_corner(nls_acceptance_spec, nls_params):
-    rep = hylomorphy_check(nls_acceptance_spec, nls_params)
+def test_demo_witness_sits_on_the_window_corner(nls_acceptance_spec):
+    rep = hylomorphy_check(nls_acceptance_spec)
     assert (rep.witness["amplitude"], rep.witness["width"]) == (2.0, 5.0)
     assert rep.on_window_bound == ["amplitude_upper", "width_upper"]
