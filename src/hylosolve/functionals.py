@@ -28,7 +28,7 @@ from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, G
                    x_norm_of)
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
                      evaluate)
-from .nonlinearity import DoublePower, SinglePower, critical_exponent
+from .nonlinearity import DoublePower, SinglePower, critical_exponent, power, w_value
 from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
@@ -174,7 +174,7 @@ def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float, q: float, r: float):
     of f; NaN where the gradient vanishes."""
     norm2_sq = integrate(grid, np.abs(f) ** 2)
     grad_sq = spectral_sum(grid, k_squared(grid), transform(grid, f))
-    num = integrate(grid, np.abs(f) ** p)
+    num = integrate(grid, power(np.abs(f), p))
     vanishing = (grad_sq <= 1e-20 * np.maximum(norm2_sq, 1.0)) | (norm2_sq <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (norm2_sq ** (r / 2.0) * grad_sq ** (q / 2.0))
@@ -253,14 +253,23 @@ def gaussian_state(spec: ModelSpec, amplitude: float, sigma: float,
     return FieldState(spec.model_tag, spec.grid, _gaussian_components(spec, bump, pair))
 
 
-def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray):
-    """Closed-form minimizer of the ratio over the second-component scale,
-    one per bump (leading axes of bump are a batch).
+def _pair_param(spec: ModelSpec, rest, weight):
+    """Closed-form minimizer of the ratio over the second-component scale.
 
     The ratio as a function of the pair parameter w is w/2 + B/(w P) with
-    B the frozen-field energy and P the relevant quadratic weight, so the
-    optimum is sqrt(2 B / P); a small floor guards indefinite B.
+    B = rest, the frozen-field energy, and P = weight, the relevant
+    quadratic weight (scalars or arrays), so the optimum is sqrt(2 B / P);
+    a small floor guards indefinite B.
     """
+    floor = 1e-4 * max(1.0, np.sqrt(spec.w.m_sq))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = np.maximum(np.sqrt(2.0 * rest / weight), floor)
+    return np.where((rest <= 0.0) | (weight <= 0.0), floor, best)
+
+
+def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray):
+    """The optimal pair parameter (_pair_param) of Gaussian probes, one per
+    bump (leading axes of bump are a batch)."""
     g = spec.grid
     if spec.model_tag == NWE:
         field = bump.astype(np.complex128)
@@ -270,18 +279,13 @@ def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray):
         ux = apply_multiplier(symbols(NBE, g).ddx, bump)
         rest = energy_of(spec, (bump, np.zeros_like(bump)))
         weight = integrate(g, ux**2)
-    floor = 1e-4 * max(1.0, np.sqrt(spec.w.m_sq))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        best = np.maximum(np.sqrt(2.0 * rest / weight), floor)
-    return np.where((rest <= 0.0) | (weight <= 0.0), floor, best)
+    return _pair_param(spec, rest, weight)
 
 
-def _probe_rows(spec: ModelSpec, amps, sigma: float) -> tuple:
-    """Stacked Gaussian probes of one width, one row per amplitude, with the
-    closed-form optimal pair parameter for the wave/beam pairs."""
-    g = spec.grid
-    amps = np.asarray(amps, dtype=np.float64)
-    bump = amps.reshape(amps.shape + (1,) * g.dim) * gaussian_profile(g, 1.0, sigma)
+def _gaussian_probe(spec: ModelSpec, amp: float, sigma: float) -> tuple:
+    """The components of one Gaussian probe, with the closed-form optimal
+    pair parameter for the wave/beam pairs."""
+    bump = gaussian_profile(spec.grid, amp, sigma)
     pair = None if spec.model_tag == NLS else _optimal_pair_param(spec, bump)
     comps = _gaussian_components(spec, bump, pair)
     for comp in comps:
@@ -294,15 +298,48 @@ def _chunk_rows(grid: Grid) -> int:
     return max(1, PROBE_CHUNK_POINTS // grid.size)
 
 
+def _potential_integrals(spec: ModelSpec, amps: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """The integral of W(A g) for each amplitude A > 0 of a non-negative
+    profile g, on real stacks of at most PROBE_CHUNK_POINTS grid points."""
+    rows = _chunk_rows(spec.grid)
+    amps = amps.reshape(amps.shape + (1,) * spec.grid.dim)
+    return np.concatenate([integrate(spec.grid, w_value(spec.w, amps[i:i + rows] * profile))
+                           for i in range(0, len(amps), rows)])
+
+
 def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> np.ndarray:
     """value(E, C) of the Gaussian probes of one width, one per amplitude,
-    evaluated one stack of at most PROBE_CHUNK_POINTS grid points at a time."""
-    rows = _chunk_rows(spec.grid)
-    values = []
-    for i in range(0, len(amps), rows):
-        ev = _floored(spec, _probe_rows(spec, amps[i:i + rows], sigma))
-        values.append(value(ev.energy, ev.charge))
-    return np.concatenate(values)
+    under the ratio's charge floor.
+
+    The probe of amplitude A is A (g, w h), with (g, h) the unit probe and
+    w its optimal pair parameter.  Its kinetic energy, charge and
+    phase-space norm are A^2 (w A^2, w^2 A^2) times the unit probe's, all
+    taken from one transform of g; only the potential integral of W(A g) is
+    a quadrature per amplitude.  The values agree with evaluating each probe
+    on its own to rounding (1e-13 relative).
+    """
+    g = spec.grid
+    amps = np.asarray(amps, dtype=np.float64)
+    profile = gaussian_profile(g, 1.0, sigma)
+    unit = _gaussian_components(spec, profile, 1.0)
+    for comp in unit:
+        require_finite(comp)
+    spectrum = transform(g, unit[0])
+    sym = symbols(spec.model_tag, g)
+    scale = amps**2
+    e = scale * (0.5 * spectral_sum(g, sym.kinetic, spectrum)) + _potential_integrals(
+        spec, amps, profile)
+    c = scale * charge_of(spec, unit, spectrum)
+    norm_sq = scale * spectral_sum(g, sym.weights[0], spectrum)
+    if spec.model_tag != NLS:
+        second = scale * integrate(g, np.abs(unit[1]) ** 2)
+        pair = _pair_param(spec, e, second)  # e is still the frozen-field energy
+        require_finite(pair)
+        e = e + 0.5 * pair**2 * second
+        c = pair * c
+        norm_sq = norm_sq + pair**2 * second
+    _require_charge(c, np.sqrt(norm_sq))
+    return value(e, c)
 
 
 def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
@@ -436,10 +473,12 @@ def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
                    refinements: int = 2):
     """Coordinate grid search of value(E, C) over Gaussian probes in
     (amplitude, width), log-spaced, refined around the incumbent; returns
-    (best value, amplitude, width).
+    (best value, amplitude, width, the winner's components).
 
-    Each width column is evaluated as stacks of probes.  The winner is the
-    first strict minimum in amplitude-major order; NaN never wins.
+    Each width column is evaluated from one transform (_gaussian_values).
+    The winner is the first strict minimum in amplitude-major order; NaN
+    never wins.  Its value is taken again from the winner alone, so it is
+    bitwise the value of a one-probe-at-a-time search with the same winner.
     """
     a_lo, a_hi = amp_bounds
     s_lo, s_hi = sig_bounds
@@ -457,7 +496,9 @@ def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
         rs = (s_hi / s_lo) ** (2.0 / (grid_size - 1))
         a_lo, a_hi = max(amp_bounds[0], best[1] / ra), min(amp_bounds[1], best[1] * ra)
         s_lo, s_hi = max(sig_bounds[0], best[2] / rs), min(sig_bounds[1], best[2] * rs)
-    return best
+    comps = _gaussian_probe(spec, best[1], best[2])
+    ev = _floored(spec, comps)
+    return float(value(ev.energy, ev.charge)), best[1], best[2], comps
 
 
 def default_probe_bounds(spec: ModelSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -491,7 +532,7 @@ def hylomorphy_check(spec: ModelSpec, margin: float | None = None, grid_size: in
     if margin is None:
         margin = 1e-3 * abs(lam0)
     amp_bounds, sig_bounds = default_probe_bounds(spec)
-    best_val, best_amp, best_sig = _family_search(
+    best_val, best_amp, best_sig, _ = _family_search(
         spec, _ratio, amp_bounds, sig_bounds, grid_size, refinements)
     witness = {"amplitude": best_amp, "width": best_sig}
     if spec.model_tag in (NWE, NBE):
@@ -517,7 +558,7 @@ def penalized_probe_seed(spec: ModelSpec, params: PenaltyParams,
     the usable delta range far below its true extent.
     """
     amp_bounds, sig_bounds = default_probe_bounds(spec)
-    best_val, best_amp, best_sig = _family_search(
+    best_val, _, _, comps = _family_search(
         spec, lambda e, c: _penalized(e, c, params), amp_bounds, sig_bounds,
         grid_size, refinements)
-    return FieldState(spec.model_tag, spec.grid, _probe_rows(spec, best_amp, best_sig)), best_val
+    return FieldState(spec.model_tag, spec.grid, comps), best_val

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hylosolve import DoublePower, Saturating, SinglePower, WSpec, check_w_conditions, w_eval
-from hylosolve.nonlinearity import critical_exponent, w_prime_over_s
+from hylosolve.nonlinearity import critical_exponent, w_prime_over_s, w_value
 
 ALL_SPECS = [
     WSpec(1.0, SinglePower(1.0, 4.0)),
@@ -125,3 +125,37 @@ def test_condition_reports_carry_evidence():
     for verdict in report.conditions.values():
         assert verdict.kind in ("analytic", "sampled")
         assert verdict.witness or verdict.detail
+
+
+def _plain_w(spec, s):
+    """The potential formula with every power taken by plain s**e."""
+    fam = spec.family
+    w = 0.5 * spec.m_sq * s**2 - (fam.b / fam.p) * s**fam.p
+    if isinstance(fam, DoublePower):
+        w = w + (fam.c / fam.q_tilde) * s**fam.q_tilde
+    return w
+
+
+@pytest.mark.parametrize("m_sq", [0.0, 1.0])
+@pytest.mark.parametrize("family", [SinglePower(1.0, 2.5), SinglePower(1.0, 3.0),
+                                    SinglePower(1.0, 4.0), SinglePower(1.0, 7.5),
+                                    DoublePower(1.0, 4.0, 0.3, 6.0)],
+                         ids=["p2.5", "p3", "p4", "p7.5", "double"])
+def test_w_value_is_bitwise_the_plain_formula(family, m_sq):
+    # powers that round to +0 skip pow: the values must not move, down to the
+    # subnormals, the cut of each exponent and the sign of zero
+    spec = WSpec(m_sq, family)
+    exponents = [family.p] + ([family.q_tilde] if isinstance(family, DoublePower) else [])
+    near_cut = []
+    for e in exponents:
+        cut = 2.0 ** (-1076.0 / e)
+        for direction in (0.0, np.inf):
+            x = cut
+            for _ in range(4):
+                x = np.nextafter(x, direction)
+                near_cut.append(x)
+        near_cut.append(cut)
+    s = np.concatenate([[0.0], np.geomspace(5e-324, 1e3, 20001), near_cut])
+    got, want = w_value(spec, s), _plain_w(spec, s)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

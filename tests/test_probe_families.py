@@ -18,6 +18,7 @@ from hylosolve.functionals import (PROBE_CHUNK_POINTS, choose_coercivity_params,
                                    default_probe_bounds, gaussian_profile, gaussian_state,
                                    penalized_probe_seed, probe_chunks, probe_states)
 from hylosolve.grid import random_state, spectral_derivative
+from hylosolve.models import evaluate
 from hylosolve.rng import SplitMix64
 
 SPECS = {
@@ -146,12 +147,24 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
         seen.append(comps[0].size)
         return evaluate(spec_, comps)
 
+    # the Gaussian searches take their potential integrals on stacks of
+    # amplitudes, through the module's w_value
+    potential_stacks = []
+    w_value = functionals.w_value
+
+    def recording_w_value(w_spec, s):
+        potential_stacks.append(np.size(s))
+        return w_value(w_spec, s)
+
     monkeypatch.setattr(functionals, "energy_of", recording_energy_of)
     monkeypatch.setattr(functionals, "evaluate", recording_evaluate)
+    monkeypatch.setattr(functionals, "w_value", recording_w_value)
     monkeypatch.setattr("hylosolve.checkers.energy_of", recording_energy_of)
     monkeypatch.setattr("hylosolve.checkers.evaluate", recording_evaluate)
     params = choose_coercivity_params(spec, n_probes=3)
     penalized_probe_seed(spec, params, grid_size=3, refinements=0)
+    assert len(potential_stacks) == 3 * 3  # one 32^3 probe per stack: 3 widths x 3 amplitudes
+    assert max(potential_stacks) <= PROBE_CHUNK_POINTS
     _coercivity_floor_check(spec, params, SplitMix64(1).split("ec3i"), count=3)
     before = len(seen)
     _coercivity_growth_check(spec, params, SplitMix64(1).split("ec3ii"))
@@ -168,3 +181,44 @@ def test_demo_witness_sits_on_the_window_corner(nls_acceptance_spec):
     rep = hylomorphy_check(nls_acceptance_spec)
     assert (rep.witness["amplitude"], rep.witness["width"]) == (2.0, 5.0)
     assert rep.on_window_bound == ["amplitude_upper", "width_upper"]
+
+
+def test_search_transform_budget(transform_sizes):
+    # one transform of the unit probe per width column, 3 passes x 40 widths;
+    # the winner is evaluated again on its own (NWE: plus its pair parameter)
+    nls = ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0)))
+    hylomorphy_check(nls)
+    assert transform_sizes == [512] * 121
+    del transform_sizes[:]
+    penalized_probe_seed(nls, PARAMS)
+    assert transform_sizes == [512] * 121
+    # evaluated probe by probe, the searches transformed 4800 rows on NLS and 9601 on NWE
+    nwe = ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
+    del transform_sizes[:]
+    hylomorphy_check(nwe)  # and the witness's pair parameter once more
+    assert transform_sizes == [256] * 123
+    del transform_sizes[:]
+    penalized_probe_seed(nwe, PARAMS)
+    assert transform_sizes == [256] * 122
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+    ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))),
+], ids=["NLS-512", "NWE-256"])
+def test_full_size_tables_match_per_probe_evaluation(spec):
+    # the first pass of both searches on the workload specs: the tables taken
+    # from one transform per width agree with evaluating every probe alone
+    amp_bounds, sig_bounds = default_probe_bounds(spec)
+    amps, sigs = np.geomspace(*amp_bounds, 40), np.geomspace(*sig_bounds, 40)
+    energies, charges = np.empty((40, 40)), np.empty((40, 40))
+    for i, amp in enumerate(amps):
+        for j, sig in enumerate(sigs):
+            ev = evaluate(spec, functionals._gaussian_probe(spec, amp, sig))
+            energies[i, j], charges[i, j] = ev.energy, ev.charge
+    for value in (functionals._ratio, lambda e, c: functionals._penalized(e, c, PARAMS)):
+        table = np.column_stack([functionals._gaussian_values(spec, amps, sig, value)
+                                 for sig in sigs])
+        reference = value(energies, charges)
+        assert np.all(np.abs(table - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
+        assert np.argmin(table) == np.argmin(reference)
