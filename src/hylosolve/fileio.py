@@ -13,8 +13,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import validate as _validate_schema
-from jsonschema.exceptions import ValidationError as SchemaError
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .checkers import HypothesisCertificate
 from .dynamics import EvolutionTrace
@@ -168,10 +168,12 @@ def load_config(path) -> dict:
         data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    try:
-        _validate_schema(instance=data, schema=_schema())
-    except SchemaError as err:
-        raise ConfigError(f"config failed schema validation: {err.message}") from err
+    # jsonschema.validate without its check of the packaged schema against
+    # the metaschema (23 ms per run); the same best-match error message
+    schema = _schema()
+    error = best_match(validator_for(schema)(schema).iter_errors(data))
+    if error is not None:
+        raise ConfigError(f"config failed schema validation: {error.message}") from error
     return data
 
 

@@ -8,6 +8,10 @@ operations (no interpolation).
 
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -171,34 +175,157 @@ def require_finite(values: np.ndarray) -> None:
         raise NonFinite("field samples must be finite")
 
 
-def _work_array(values) -> np.ndarray:
-    """An empty complex array shaped like values, for a transform's out=
-    (without it numpy allocates one output per transformed axis)."""
-    return np.empty(np.shape(values), np.complex128)
+# Multi-axis transforms and the wave kernel's elementwise passes over fields
+# of at least this many points (batch rows included) run as two slabs at
+# once, one on a helper thread, when the process may use two CPUs.  Each
+# handoff costs 25-40 us, so smaller fields stay on one thread: on a 2-CPU
+# Xeon a transform pair took 2-4x as long in two slabs at 2^12-2^13 points,
+# 0.85-1.3x at 2^14, 0.67-1.37x at 2^15 (noise), 0.57-0.97x at 2^16 and
+# 0.55x at 64^3.
+SLAB_FLOOR = 2**15
+_CPU_COUNT = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+# numpy's casting buffer size in a slab task on the helper (elements).  At
+# the default 8192 a real-by-complex product's buffer (128 KB) is the one
+# allocation that stays resident in the helper thread's own malloc arena.
+_HELPER_BUFSIZE = 1024
+
+
+class _SlabHelper:
+    """One daemon thread that works the second slab of a two-slab pass.
+
+    run(task, first, second) calls task(second) on the helper while the
+    caller works task(first), and returns when both are done.  The helper
+    runs the task in a copy of the caller's context, so under the caller's
+    numpy error state, and re-raises its exception in the caller.  A task
+    calls numpy's 1-d transforms and ufuncs only (nothing that may be
+    rebound or traced) and makes no array temporaries: memory that a helper
+    thread allocates stays in that thread's malloc arena and adds to the
+    peak memory of the process.
+    """
+
+    def __init__(self):
+        self._busy = threading.Lock()
+        self._go = threading.Lock()
+        self._done = threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = None
+        self._error = None
+        threading.Thread(target=self._serve, name="hylosolve-slab", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            context, task, part = self._job
+            try:
+                context.run(np.setbufsize, _HELPER_BUFSIZE)
+                context.run(task, part)
+            except BaseException as err:  # handed to the caller
+                self._error = err
+            # hold no reference to the task's arrays while waiting
+            del context, task, part
+            self._done.release()
+
+    def run(self, task, first, second) -> None:
+        if not self._busy.acquire(blocking=False):  # another thread holds the helper
+            task(first)
+            task(second)
+            return
+        try:
+            self._job = (contextvars.copy_context(), task, second)
+            self._go.release()
+            try:
+                task(first)
+            finally:
+                self._done.acquire()
+                self._job, error, self._error = None, self._error, None
+            if error is not None:
+                raise error
+        finally:
+            self._busy.release()
+
+
+_helper: _SlabHelper | None = None
+
+
+def _forget_helper():
+    global _helper
+    _helper = None  # a forked child has no helper thread
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def in_slabs(task, shape: tuple[int, ...], axis: int) -> None:
+    """Run task(index) over an array of the given shape whose trailing axes
+    are a grid of two or more axes: once with index ... (the whole array),
+    or, from SLAB_FLOOR points on a machine with two CPUs, once with the
+    index of each half of the (negative) grid axis `axis`, both at once.
+    The halves are independent when the task is elementwise, or transforms
+    along other axes only, so the result is bitwise the same either way."""
+    global _helper
+    if _CPU_COUNT < 2 or math.prod(shape) < SLAB_FLOOR:
+        task(...)
+        return
+    if _helper is None:
+        _helper = _SlabHelper()
+    half = shape[axis] // 2
+    rest = (slice(None),) * (-axis - 1)
+    _helper.run(task, (..., slice(None, half)) + rest, (..., slice(half, None)) + rest)
+
+
+def _transform_axes(func, values, axes: tuple[int, ...], out) -> np.ndarray:
+    """func (numpy's 1-d fft or ifft) along every axis in `axes`, last axis
+    first, as fftn and ifftn do: the trailing axes on the two halves of the
+    first, then the first on the two halves of the second.  Every line is
+    transformed on its own, so the slabs give fftn's result bitwise."""
+    if out is None:
+        out = np.empty(np.shape(values), np.complex128)
+    src = values
+    if values is not out and not (isinstance(values, np.ndarray)
+                                  and values.dtype == np.complex128
+                                  and not np.may_share_memory(values, out)):
+        np.copyto(out, values)  # cast here: a slab task makes no temporary
+        src = out
+
+    def trailing(index):
+        func(src[index], axis=axes[-1], out=out[index])
+        for axis in reversed(axes[1:-1]):
+            func(out[index], axis=axis, out=out[index])
+
+    def leading(index):
+        func(out[index], axis=axes[0], out=out[index])
+
+    in_slabs(trailing, out.shape, axes[0])
+    in_slabs(leading, out.shape, axes[1])
+    return out
 
 
 def fft(values, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """The discrete Fourier transform over the trailing axes `axes` (leading
     axes are a batch), into out when given.  Every transform of the package
     goes through here or ifft.  Over one axis this is numpy's 1-d fft, the
-    very call fftn makes for one axis, without fftn's argument handling."""
+    very call fftn makes for one axis, without fftn's argument handling;
+    over several, the same 1-d transforms in slabs (see _transform_axes)."""
     if len(axes) == 1:
         return np.fft.fft(values, axis=-1, out=out)
-    return np.fft.fftn(values, axes=axes, out=out)
+    return _transform_axes(np.fft.fft, values, axes, out)
 
 
 def ifft(values, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """The inverse of fft, over the same trailing axes."""
     if len(axes) == 1:
         return np.fft.ifft(values, axis=-1, out=out)
-    return np.fft.ifftn(values, axes=axes, out=out)
+    return _transform_axes(np.fft.ifft, values, axes, out)
 
 
 def apply_multiplier(multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
     """ifft(multiplier * fft(values)) over the multiplier's (trailing) axes;
     real input gives real output."""
     axes = tuple(range(-multiplier.ndim, 0))
-    spec = fft(values, axes, out=_work_array(values))
+    spec = fft(values, axes)
     return apply_to_spectrum(multiplier, spec, not np.iscomplexobj(values), out=spec)
 
 
@@ -216,7 +343,7 @@ def transform(grid: Grid, values) -> np.ndarray:
     """The discrete spectrum F of a field over the grid axes (leading axes
     are a batch), into a fresh array."""
     arr = _on_grid(grid, values)
-    return fft(arr, grid.axes, out=_work_array(arr))
+    return fft(arr, grid.axes)
 
 
 def spectral_sum(grid: Grid, multiplier: np.ndarray, spec: np.ndarray):
@@ -246,7 +373,7 @@ def low_pass(grid: Grid, values, band_limit) -> np.ndarray:
     along some axis; the result is complex.  Leading axes of values are a
     batch, and band_limit is a scalar or one limit per batch index."""
     arr = _on_grid(grid, values)
-    spec = fft(arr, grid.axes, out=_work_array(arr))
+    spec = fft(arr, grid.axes)
     limit = np.reshape(band_limit, np.shape(band_limit) + (1,) * grid.dim)
     np.copyto(spec, 0.0, where=_max_mode(grid) > limit)
     return ifft(spec, grid.axes, out=spec)
@@ -412,7 +539,7 @@ def sharp_seminorm(state: FieldState) -> float:
     if min(grid.box_length) <= 2.0:
         raise Inadmissible("unit ball wraps around: every box length must exceed 2")
     density = np.abs(state.psi) ** 2
-    spec = fft(density, grid.axes, out=_work_array(density))
+    spec = fft(density, grid.axes)
     spec *= _unit_ball_spectrum(grid)
     conv = ifft(spec, grid.axes, out=spec).real
     best = max(float(conv.max()) * grid.cell_volume, 0.0)

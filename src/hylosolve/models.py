@@ -286,46 +286,75 @@ class _Propagator:
         # The block stays in Fourier space: after the first half-kick each
         # component is transformed once; a step mixes the transforms and
         # brings back only the field, whose force kicks the second transform.
-        # 2 * steps + 2 FFTs per block, all into the three work arrays.
-        dt, axes = self.dt, self.axes
+        # 2 * steps + 2 FFTs per block.  The block allocates its four work
+        # arrays and nothing else; its elementwise passes run on slabs
+        # (grid.in_slabs), two at once on large fields of multi-axis grids.
+        dt, axes, w = self.dt, self.axes, self.spec.w
+        cos, sinc, neg_lam_sin = self.cos, self.sinc, self.neg_lam_sin
         real = self.spec.model_tag == NBE
         fa = gridmod.fft(a, axes, out=np.empty(a.shape, np.complex128))
-        fb = gridmod.fft(self._kicked(b, a, 0.5 * dt), axes,
-                         out=np.empty(a.shape, np.complex128))
         field = np.empty(a.shape, np.complex128)
-        for i in range(steps):
+        # the mixing temporary; as two float arrays, |a| and the force factor
+        mixed = np.empty(a.shape, np.complex128)
+        modulus, factor = mixed.reshape(-1).view(np.float64).reshape((2,) + a.shape)
+
+        def run(task):
+            if len(axes) == 1:
+                task(...)
+            else:
+                gridmod.in_slabs(task, field.shape, axes[0])
+
+        def force(src, dst):
+            # dst <- the force beyond the quadratic part already in the linear flow
+            def task(i):
+                np.abs(src[i], out=modulus[i])
+                w_prime_over_s(w, modulus[i], out=factor[i])
+                np.subtract(factor[i], w.m_sq, out=factor[i])
+                np.multiply(factor[i], src[i], out=dst[i])
+            return task
+
+        def kicked(src, dst, b, tau):
+            # dst <- b - tau * force(src)
+            push = force(src, dst)
+
+            def task(i):
+                push(i)
+                np.multiply(tau, dst[i], out=dst[i])
+                np.subtract(b[i], dst[i], out=dst[i])
+            return task
+
+        def mix(i):
             # exact linear flow: (fa, fb) <- (cos fa + sinc fb, -lam sin fa + cos fb)
-            mixed = np.multiply(self.neg_lam_sin, fa)
-            np.multiply(self.sinc, fb, out=field)
-            np.multiply(self.cos, fa, out=fa)
-            fa += field
-            np.multiply(self.cos, fb, out=fb)
-            fb += mixed
-            del mixed  # not alive while the force is computed: bounds peak memory
-            a = gridmod.ifft(fa, axes, out=field)
-            if real:
-                a = a.real
+            np.multiply(neg_lam_sin[i], fa[i], out=mixed[i])
+            np.multiply(sinc[i], fb[i], out=field[i])
+            np.multiply(cos[i], fa[i], out=fa[i])
+            np.add(fa[i], field[i], out=fa[i])
+            np.multiply(cos[i], fb[i], out=fb[i])
+            np.add(fb[i], mixed[i], out=fb[i])
+
+        def kick_and_mix(i):
+            # fb -= dt * fft(force(a)), then the next step's linear flow
+            np.multiply(field[i], dt, out=field[i])
+            np.subtract(fb[i], field[i], out=fb[i])
+            mix(i)
+
+        a_out = field.real if real else field
+        run(kicked(a, a_out, b, 0.5 * dt))
+        if real:
+            field.imag = 0.0
+        fb = gridmod.fft(field, axes, out=np.empty(a.shape, np.complex128))
+        run(mix)
+        push = force(a_out, field)
+        for i in range(steps):
+            gridmod.ifft(fa, axes, out=field)
             if i < steps - 1:
-                # full kick on the transform: fb -= dt * fft(force(a))
-                np.multiply(self._force_factor(a), a, out=field)
+                run(push)
                 gridmod.fft(field, axes, out=field)
-                field *= dt
-                fb -= field
-        del fa  # likewise for the last half-kick
-        b = gridmod.ifft(fb, axes, out=fb)
-        return (a, self._kicked(b.real if real else b, a, 0.5 * dt))
-
-    def _force_factor(self, a: np.ndarray) -> np.ndarray:
-        # the force beyond the quadratic part already in the linear flow, per unit field
-        w = self.spec.w
-        factor = w_prime_over_s(w, np.abs(a))
-        return np.subtract(factor, w.m_sq, out=factor)
-
-    def _kicked(self, b: np.ndarray, a: np.ndarray, tau: float) -> np.ndarray:
-        # b - tau * force(a)
-        kick = self._force_factor(a) * a
-        np.multiply(tau, kick, out=kick)
-        return np.subtract(b, kick, out=kick)
+                run(kick_and_mix)
+        gridmod.ifft(fb, axes, out=fb)
+        b_out = fa.real if real else fa
+        run(kicked(a_out, b_out, fb.real if real else fb, 0.5 * dt))
+        return (a_out, b_out)
 
 
 @lru_cache(maxsize=16)

@@ -83,11 +83,12 @@ class WSpec:
             raise ValueError("m_sq must be >= 0")
 
 
-def _saturation(spec: WSpec, s) -> tuple[float, np.ndarray]:
-    """(beta, exp(-beta s^2)) of the saturating family."""
+def _saturation(spec: WSpec, s, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(beta, exp(-beta s^2)) of the saturating family, built in out when given."""
     m2 = spec.m_sq
     beta = m2 / (2.0 * spec.family.m_bar) if m2 > 0 else 0.0
-    return beta, np.exp(-beta * s**2)
+    decay = np.multiply(-beta, np.square(s, out=out), out=out)
+    return beta, np.exp(decay, out=out)
 
 
 def power(s, e: float) -> np.ndarray:
@@ -141,20 +142,36 @@ def w_eval(spec: WSpec, s):
     return w, w1, w2
 
 
-def w_prime_over_s(spec: WSpec, s):
+def w_prime_over_s(spec: WSpec, s, out: np.ndarray | None = None):
     """W'(s)/s evaluated stably (finite limit m^2 at s = 0), vectorized.
 
     This is the factor multiplying the field in the force W'(|f|) f / |f|,
     which removes the 0/0 at f = 0.
+
+    With out, a float64 array shaped like s, the same operations run in
+    place in out and make no temporary (for a slab task on a helper
+    thread); s must then be a float64 array too, and the double power
+    overwrites it.  The values are bitwise the same either way.
     """
     s = np.asarray(s, dtype=np.float64)
     m2 = spec.m_sq
     fam = spec.family
-    if isinstance(fam, SinglePower):
-        return m2 - fam.b * s ** (fam.p - 2)
+    if out is None:
+        if isinstance(fam, SinglePower):
+            return m2 - fam.b * s ** (fam.p - 2)
+        if isinstance(fam, DoublePower):
+            return m2 - fam.b * s ** (fam.p - 2) + fam.c * s ** (fam.q_tilde - 2)
+        return m2 * _saturation(spec, s)[1]
+    if isinstance(fam, Saturating):
+        return np.multiply(m2, _saturation(spec, s, out)[1], out=out)
+    np.power(s, fam.p - 2, out=out)
+    np.multiply(fam.b, out, out=out)
+    np.subtract(m2, out, out=out)
     if isinstance(fam, DoublePower):
-        return m2 - fam.b * s ** (fam.p - 2) + fam.c * s ** (fam.q_tilde - 2)
-    return m2 * _saturation(spec, s)[1]
+        np.power(s, fam.q_tilde - 2, out=s)
+        np.multiply(fam.c, s, out=s)
+        np.add(out, s, out=out)
+    return out
 
 
 def sobolev_critical(dim: int) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from hylosolve import (DoublePower, FieldState, Grid, ModelSpec, Saturating,
                        SinglePower, WSpec, evolve)
+from hylosolve import fileio
 from hylosolve.cli import DEMO_CONFIG, cli_main
 from hylosolve.fileio import (ConfigError, load_config, read_field,
                               wspec_from_json, wspec_to_json, write_field,
@@ -158,6 +159,36 @@ def test_load_config_validation(tmp_path):
         load_config(bad_schema)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+
+
+def test_packaged_schema_passes_its_metaschema():
+    from jsonschema.validators import validator_for
+    schema = fileio._schema()
+    validator_for(schema).check_schema(schema)
+
+
+def _bad_configs():
+    """Five configs that fail the schema in different places."""
+    configs = [json.loads(json.dumps(DEMO_CONFIG)) for _ in range(5)]
+    configs[0]["model"]["tag"] = "QCD"
+    del configs[1]["seed"]
+    configs[2]["model"]["n"] = [8]
+    configs[3]["model"]["w"]["family"]["p"] = 1.5
+    configs[4]["evolve"] = {"T": 1.0, "dt": -0.1, "extra": 1}
+    return configs
+
+
+def test_config_errors_are_the_messages_of_jsonschema_validate(tmp_path):
+    import jsonschema
+    schema = fileio._schema()
+    for i, cfg in enumerate(_bad_configs()):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(instance=cfg, schema=schema)
+        with pytest.raises(ConfigError) as got:
+            load_config(path)
+        assert str(got.value) == f"config failed schema validation: {want.value.message}"
 
 
 def _small_config(**overrides):

@@ -159,3 +159,34 @@ def test_w_value_is_bitwise_the_plain_formula(family, m_sq):
     got, want = w_value(spec, s), _plain_w(spec, s)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _plain_w_prime_over_s(spec, s):
+    fam = spec.family
+    if isinstance(fam, SinglePower):
+        return spec.m_sq - fam.b * s ** (fam.p - 2)
+    if isinstance(fam, DoublePower):
+        return spec.m_sq - fam.b * s ** (fam.p - 2) + fam.c * s ** (fam.q_tilde - 2)
+    beta = spec.m_sq / (2.0 * fam.m_bar) if spec.m_sq > 0 else 0.0
+    return spec.m_sq * np.exp(-beta * s**2)
+
+
+@pytest.mark.parametrize("m_sq", [0.0, 1.0])
+@pytest.mark.parametrize("family", [SinglePower(1.0, 2.5), SinglePower(1.0, 4),
+                                    DoublePower(1.0, 4.0, 0.3, 6.0), DoublePower(2, 3, 1, 5),
+                                    Saturating(0.5, 1.5)],
+                         ids=["p2.5", "p4-int", "double", "double-int", "saturating"])
+def test_w_prime_over_s_is_bitwise_the_plain_formula(family, m_sq):
+    # built in place, with or without out, and bitwise the same at 0-d
+    spec = WSpec(m_sq, family)
+    s = np.concatenate([[0.0], np.geomspace(5e-324, 1e3, 20001)])
+    want = _plain_w_prime_over_s(spec, s)
+    got = w_prime_over_s(spec, s)
+    out, scratch = np.empty_like(s), s.copy()
+    assert w_prime_over_s(spec, scratch, out=out) is out
+    for values in (got, out):
+        assert np.array_equal(values, want)
+        assert np.array_equal(np.signbit(values), np.signbit(want))
+    assert np.array_equal(s, np.concatenate([[0.0], np.geomspace(5e-324, 1e3, 20001)]))
+    scalar = w_prime_over_s(spec, 0.5)
+    assert np.ndim(scalar) == 0 and scalar == _plain_w_prime_over_s(spec, np.float64(0.5))

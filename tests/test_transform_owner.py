@@ -23,6 +23,10 @@ CASES = {
     "NWE-1d": (ModelSpec("NWE", Grid((256,), (40.0,)), DOUBLE_POWER), 1),
     "NBE-1d": (ModelSpec("NBE", Grid((256,), (40.0,)), WSpec(1.0, Saturating(0.0, 0.5))), 1),
     "NWE-3d": (ModelSpec("NWE", Grid((16, 16, 16), (12.0, 12.0, 12.0)), DOUBLE_POWER), 1),
+    # at and above grid.SLAB_FLOOR: transforms and kernel passes in two slabs
+    "NWE-3d-32": (ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)), DOUBLE_POWER), 1),
+    "NLS-2d-256x128": (ModelSpec("NLS", Grid((256, 128), (40.0, 20.0)),
+                                 WSpec(1.0, SinglePower(1.0, 3.0))), 1),
 }
 DT = 1e-2
 STEPS = 50
