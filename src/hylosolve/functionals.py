@@ -300,10 +300,23 @@ def _chunk_rows(grid: Grid) -> int:
 
 def _potential_integrals(spec: ModelSpec, amps: np.ndarray, profile: np.ndarray) -> np.ndarray:
     """The integral of W(A g) for each amplitude A > 0 of a non-negative
-    profile g, on real stacks of at most PROBE_CHUNK_POINTS grid points."""
-    rows = _chunk_rows(spec.grid)
-    amps = amps.reshape(amps.shape + (1,) * spec.grid.dim)
-    return np.concatenate([integrate(spec.grid, w_value(spec.w, amps[i:i + rows] * profile))
+    profile g.
+
+    For the power families W(A g) is the sum of k A^e g^e, so the integral
+    is a polynomial in A over one quadrature of g^e per term (2-3 in all);
+    it agrees with the quadrature of W(A g) to rounding of the larger term
+    (1e-13 relative).  The saturating family is summed per amplitude, on
+    real stacks of at most PROBE_CHUNK_POINTS grid points."""
+    g = spec.grid
+    fam = spec.w.family
+    if isinstance(fam, (SinglePower, DoublePower)):
+        terms = [(2.0, 0.5 * spec.w.m_sq), (fam.p, -fam.b / fam.p)]
+        if isinstance(fam, DoublePower):
+            terms.append((fam.q_tilde, fam.c / fam.q_tilde))
+        return sum(k * integrate(g, power(profile, e)) * amps**e for e, k in terms)
+    rows = _chunk_rows(g)
+    amps = amps.reshape(amps.shape + (1,) * g.dim)
+    return np.concatenate([integrate(g, w_value(spec.w, amps[i:i + rows] * profile))
                            for i in range(0, len(amps), rows)])
 
 
@@ -314,9 +327,9 @@ def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> 
     The probe of amplitude A is A (g, w h), with (g, h) the unit probe and
     w its optimal pair parameter.  Its kinetic energy, charge and
     phase-space norm are A^2 (w A^2, w^2 A^2) times the unit probe's, all
-    taken from one transform of g; only the potential integral of W(A g) is
-    a quadrature per amplitude.  The values agree with evaluating each probe
-    on its own to rounding (1e-13 relative).
+    taken from one transform of g; only the potential integral of W(A g)
+    depends on A otherwise (_potential_integrals).  The values agree with
+    evaluating each probe on its own to rounding (1e-13 relative).
     """
     g = spec.grid
     amps = np.asarray(amps, dtype=np.float64)
@@ -342,34 +355,44 @@ def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> 
     return value(e, c)
 
 
+def _probe_draws(spec: ModelSpec) -> int:
+    """The stream draws of one random probe: its log-amplitude, its band
+    limit, then the noise of each component."""
+    per_field = spec.grid.size * (2 if spec.model_tag in COMPLEX_MODELS else 1)
+    return 2 + len(COMPONENT_NAMES[spec.model_tag]) * per_field
+
+
+def _probe_stack(spec: ModelSpec, bits: np.ndarray, log_lo, log_hi) -> tuple:
+    """The components of the random probes drawn from bits, one probe per
+    row of _probe_draws(spec) raw outputs, with log-amplitudes uniform in
+    [log_lo, log_hi) (scalars or one window per row)."""
+    g = spec.grid
+    amp = np.exp(log_lo + (log_hi - log_lo) * uniform_from_bits(bits[:, 0]))
+    band = 2 + (bits[:, 1] % np.uint64(min(g.n) // 4 - 1)).astype(np.int64)
+    noise = np.split(bits[:, 2:], len(COMPONENT_NAMES[spec.model_tag]), axis=1)
+    comps = tuple(band_limited_noise(g, field, band, amp, spec.model_tag in COMPLEX_MODELS)
+                  for field in noise)
+    for comp in comps:
+        require_finite(comp)
+    return comps
+
+
 def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
                  amp_range: tuple[float, float] = (1e-2, 3.0)):
     """Seeded random smooth states with log-uniform amplitudes, yielded as
     component stacks of at most PROBE_CHUNK_POINTS grid points (one probe
     per stack when a single field is larger).
 
-    Each probe takes a fixed number of draws: its log-amplitude, its band
-    limit, then the noise of each component.  One block of the stream per
-    stack therefore gives every probe the draws it would get alone.
+    Each probe takes a fixed number of draws (_probe_draws).  One block of
+    the stream per stack therefore gives every probe the draws it would get
+    alone.
     """
-    g = spec.grid
-    complex_valued = spec.model_tag in COMPLEX_MODELS
-    ncomp = len(COMPONENT_NAMES[spec.model_tag])
-    per_field = g.size * (2 if complex_valued else 1)
-    per_probe = 2 + ncomp * per_field
-    rows = _chunk_rows(g)
+    per_probe = _probe_draws(spec)
+    rows = _chunk_rows(spec.grid)
     lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
     for start in range(0, count, rows):
         bits = rng.next_block_u64(min(rows, count - start) * per_probe).reshape(-1, per_probe)
-        amp = np.exp(lo + (hi - lo) * uniform_from_bits(bits[:, 0]))
-        band = 2 + (bits[:, 1] % np.uint64(min(g.n) // 4 - 1)).astype(np.int64)
-        comps = tuple(
-            band_limited_noise(g, bits[:, 2 + i * per_field:2 + (i + 1) * per_field],
-                               band, amp, complex_valued)
-            for i in range(ncomp))
-        for comp in comps:
-            require_finite(comp)
-        yield comps
+        yield _probe_stack(spec, bits, lo, hi)
 
 
 def probe_states(spec: ModelSpec, rng: SplitMix64, count: int,

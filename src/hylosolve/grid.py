@@ -368,12 +368,14 @@ def _max_mode(grid: Grid) -> np.ndarray:
     return top
 
 
-def low_pass(grid: Grid, values, band_limit) -> np.ndarray:
+def low_pass(grid: Grid, values, band_limit, out: np.ndarray | None = None) -> np.ndarray:
     """Zero every Fourier mode whose index exceeds band_limit in magnitude
-    along some axis; the result is complex.  Leading axes of values are a
-    batch, and band_limit is a scalar or one limit per batch index."""
+    along some axis; the result is complex, and is made in out when given
+    (a complex array shaped like values, which may be values itself).
+    Leading axes of values are a batch, and band_limit is a scalar or one
+    limit per batch index."""
     arr = _on_grid(grid, values)
-    spec = fft(arr, grid.axes)
+    spec = fft(arr, grid.axes, out=out)
     limit = np.reshape(band_limit, np.shape(band_limit) + (1,) * grid.dim)
     np.copyto(spec, 0.0, where=_max_mode(grid) > limit)
     return ifft(spec, grid.axes, out=spec)
@@ -648,18 +650,24 @@ def band_limited_noise(grid: Grid, bits: np.ndarray, band_limit, rms,
 
     The last axis of bits holds one field's draws (the real parts, then the
     imaginary parts); leading axes are a batch, and band_limit and rms are
-    scalars or one value per batch index.
+    scalars or one value per batch index.  The raw field is written into
+    one complex buffer, which is low-passed and scaled in place.
     """
     batch = bits.shape[:-1]
-    planes = symmetric_from_bits(bits).reshape(batch + (-1, grid.size))
-    raw = planes[..., 0, :]
-    if complex_valued:
-        raw = raw + 1j * planes[..., 1, :]
-    out = low_pass(grid, raw.reshape(batch + grid.n), band_limit)
-    out = out if complex_valued else out.real
+    planes = bits.reshape(batch + (-1, grid.size))
+    field = np.zeros(batch + grid.n, np.complex128)
+    parts = (field.real, field.imag) if complex_valued else (field.real,)
+    for i, part in enumerate(parts):
+        part[...] = symmetric_from_bits(planes[..., i, :]).reshape(part.shape)
+    low_pass(grid, field, band_limit, out=field)
+    out = field if complex_valued else field.real
     current = np.sqrt(np.mean(np.abs(out) ** 2, axis=grid.axes))
     scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
-    return out * np.reshape(scale, batch + (1,) * grid.dim)
+    scale = np.reshape(scale, batch + (1,) * grid.dim)
+    if complex_valued:
+        field *= scale
+        return field
+    return out * scale
 
 
 def random_state(model_tag: str, grid: Grid, rng: SplitMix64,

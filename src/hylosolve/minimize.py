@@ -23,7 +23,7 @@ from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .functionals import (PenaltyParams, choose_coercivity_params, j_delta,
                           lambda0_estimate, penalized_probe_seed, penalized_terms,
                           require_probe_widths)
-from .grid import NLS, FieldState, orbit_distance, symbols, x_norm as state_x_norm
+from .grid import NLS, FieldState, orbit_distance, symbols
 from .models import (Evaluation, ModelSpec, charge, evaluate, grad_charge_of, grad_energy_of,
                      l2_inner_of, l2_norm_of)
 
@@ -250,9 +250,11 @@ def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
 def _restore_charge(spec: ModelSpec, state: FieldState, c_target: float) -> FieldState:
     """Exact charge restoration: amplitude rescale (NLS, charge quadratic in
     psi) or second-component rescale (NWE/NBE, charge linear in it).
-    c_target is signed."""
+    c_target is signed.  The collapse guard measures the state by its L2
+    norm, a quadrature, so the retraction makes no transform of its own
+    (NBE's charge makes one)."""
     c = charge(spec, state)
-    if abs(c) < 1e-14 * (1.0 + state_x_norm(state)):
+    if abs(c) < 1e-14 * (1.0 + l2_norm_of(spec.grid, state.components)):
         raise NumericalFailure("charge restoration failed: charge collapsed mid-flow")
     if spec.model_tag == NLS:
         if c_target <= 0:

@@ -240,3 +240,49 @@ def test_non_finite_samples_raise_non_finite():
     psi[3] = complex(0.0, np.inf)
     with pytest.raises(NonFinite):
         FieldState.nls(g, psi)
+
+
+def _allocating_noise(grid, bits, band_limit, rms, complex_valued):
+    """band_limited_noise as it was before the in-place buffer: separate
+    real and imaginary planes, a complex sum, a fresh low-pass and a scaled
+    copy."""
+    batch = bits.shape[:-1]
+    planes = (2.0 * ((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53) - 1.0).reshape(
+        batch + (-1, grid.size))
+    raw = planes[..., 0, :]
+    if complex_valued:
+        raw = raw + 1j * planes[..., 1, :]
+    out = gridmod.low_pass(grid, raw.reshape(batch + grid.n), band_limit)
+    out = out if complex_valued else out.real
+    current = np.sqrt(np.mean(np.abs(out) ** 2, axis=grid.axes))
+    scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
+    return out * np.reshape(scale, batch + (1,) * grid.dim)
+
+
+@pytest.mark.parametrize("grid", [Grid((512,), (40.0,)), Grid((32, 16), (5.0, 3.0)),
+                                  Grid((32, 32, 32), (16.0, 16.0, 16.0))],
+                         ids=["1d-512", "2d-32x16", "3d-32"])
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+def test_band_limited_noise_matches_the_allocating_body(grid, complex_valued):
+    rows = 3
+    per_field = grid.size * (2 if complex_valued else 1)
+    bits = SplitMix64(23).next_block_u64(rows * (per_field + 1)).reshape(rows, -1)[:, 1:]
+    bits[1] = np.uint64(2**63)  # every draw 0.0: a row whose rms is 0
+    rms = np.array([0.5, 2.0, 1.5])
+    for band in (min(grid.n) // 4, np.array([2, 3, min(grid.n) // 4])):
+        got = gridmod.band_limited_noise(grid, bits, band, rms, complex_valued)
+        want = _allocating_noise(grid, bits, band, rms, complex_valued)
+        assert got.dtype == want.dtype and got.shape == want.shape == (rows,) + grid.n
+        assert got.tobytes() == want.tobytes()
+        assert not np.any(got[1])
+    # one field, scalar rms and band limit, as random_band_limited draws it
+    one = gridmod.band_limited_noise(grid, bits[0], 2, 0.7, complex_valued)
+    assert one.tobytes() == _allocating_noise(grid, bits[0], 2, 0.7, complex_valued).tobytes()
+
+
+def test_low_pass_into_its_own_input():
+    g = Grid((64, 32), (4.0, 2.0))
+    field = SplitMix64(4).symmetric(2 * g.size).reshape((2,) + g.n) + 0j
+    want = gridmod.low_pass(g, field, np.array([3, 5]))
+    got = gridmod.low_pass(g, field, np.array([3, 5]), out=field)
+    assert got is field and got.tobytes() == want.tobytes()

@@ -3,9 +3,11 @@ double-power wave model (the `continuation-nwe1d` benchmark model)."""
 
 import pytest
 
-from hylosolve import (DoublePower, Grid, MinimizeOptions, ModelSpec, WSpec,
-                       delta_continuation)
+from hylosolve import (DoublePower, Grid, MinimizeOptions, ModelSpec, NumericalFailure, WSpec,
+                       charge, delta_continuation)
+from hylosolve.functionals import gaussian_state
 from hylosolve.grid import x_norm
+from hylosolve.minimize import _restore_charge
 
 SPEC = ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
 OPTS = MinimizeOptions(max_iters=40000, grad_tol=1e-8)
@@ -31,3 +33,19 @@ def test_charge_grows_as_delta_falls(family):
 def test_minimizers_undercut_the_vanishing_floor(family):
     for result in family.results:
         assert result.e_delta / result.c_delta < family.lambda0
+
+
+def test_charge_restoration_makes_no_transform(transform_sizes):
+    # the collapse guard takes the state's scale from a quadrature
+    state = gaussian_state(SPEC, 1.0, 2.0, pair_param=0.5)
+    target = 1.1 * charge(SPEC, state)
+    restored = _restore_charge(SPEC, state, target)
+    assert transform_sizes == []
+    assert charge(SPEC, restored) == pytest.approx(target, rel=1e-14)
+
+
+def test_collapsed_charge_still_raises():
+    still = gaussian_state(SPEC, 1.0, 2.0, pair_param=0.0)  # phi = 0: no charge
+    assert charge(SPEC, still) == 0.0
+    with pytest.raises(NumericalFailure, match="charge collapsed"):
+        _restore_charge(SPEC, still, 1.0)

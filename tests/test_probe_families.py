@@ -13,12 +13,14 @@ from hylosolve import (DoublePower, FieldState, Grid, ModelSpec, PenaltyParams,
                        integrate, j_delta, lambda_ratio)
 from hylosolve import functionals
 from hylosolve.checkers import (_coercivity_floor_check, _coercivity_growth_check,
-                                _coercivity_vanishing_check, _splitting_check)
+                                _coercivity_vanishing_check, _largest_shift_change,
+                                _random_probe, _shift_invariance_check, _splitting_check)
 from hylosolve.functionals import (PROBE_CHUNK_POINTS, choose_coercivity_params,
                                    default_probe_bounds, gaussian_profile, gaussian_state,
                                    penalized_probe_seed, probe_chunks, probe_states)
 from hylosolve.grid import random_state, spectral_derivative
 from hylosolve.models import evaluate
+from hylosolve.nonlinearity import w_value
 from hylosolve.rng import SplitMix64
 
 SPECS = {
@@ -147,8 +149,8 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
         seen.append(comps[0].size)
         return evaluate(spec_, comps)
 
-    # the Gaussian searches take their potential integrals on stacks of
-    # amplitudes, through the module's w_value
+    # the power family's Gaussian potentials are polynomials in the
+    # amplitude: no stack of amplitudes goes through the module's w_value
     potential_stacks = []
     w_value = functionals.w_value
 
@@ -163,8 +165,7 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     monkeypatch.setattr("hylosolve.checkers.evaluate", recording_evaluate)
     params = choose_coercivity_params(spec, n_probes=3)
     penalized_probe_seed(spec, params, grid_size=3, refinements=0)
-    assert len(potential_stacks) == 3 * 3  # one 32^3 probe per stack: 3 widths x 3 amplitudes
-    assert max(potential_stacks) <= PROBE_CHUNK_POINTS
+    assert potential_stacks == []
     _coercivity_floor_check(spec, params, SplitMix64(1).split("ec3i"), count=3)
     before = len(seen)
     _coercivity_growth_check(spec, params, SplitMix64(1).split("ec3ii"))
@@ -175,6 +176,23 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     assert max(seen) <= PROBE_CHUNK_POINTS
     for comps in probe_chunks(spec, SplitMix64(2), 3):
         assert all(c.size <= PROBE_CHUNK_POINTS for c in comps)
+
+
+def test_saturating_potential_stacks_keep_the_chunk_bound(monkeypatch):
+    # the saturating potential is summed per amplitude, on stacks of amplitudes
+    spec = ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)),
+                     WSpec(1.0, Saturating(0.0, 2.0)))
+    potential_stacks = []
+    w_value = functionals.w_value
+
+    def recording_w_value(w_spec, s):
+        potential_stacks.append(np.size(s))
+        return w_value(w_spec, s)
+
+    monkeypatch.setattr(functionals, "w_value", recording_w_value)
+    penalized_probe_seed(spec, PARAMS, grid_size=3, refinements=0)
+    assert len(potential_stacks) == 3 * 3  # one 32^3 probe per stack: 3 widths x 3 amplitudes
+    assert max(potential_stacks) <= PROBE_CHUNK_POINTS
 
 
 def test_demo_witness_sits_on_the_window_corner(nls_acceptance_spec):
@@ -222,3 +240,85 @@ def test_full_size_tables_match_per_probe_evaluation(spec):
         reference = value(energies, charges)
         assert np.all(np.abs(table - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
         assert np.argmin(table) == np.argmin(reference)
+
+
+POWER_GRIDS = {
+    "NLS-512": ("NLS", Grid((512,), (40.0,))),
+    "NWE-256": ("NWE", Grid((256,), (40.0,))),
+    "NLS-2d": ("NLS", Grid((64, 32), (20.0, 10.0))),
+}
+POWER_FAMILIES = {
+    "single-3": SinglePower(1.0, 3.0),
+    "single-4": SinglePower(1.0, 4.0),
+    "single-7.5": SinglePower(1.0, 7.5),
+    "double": DoublePower(1.0, 4.0, 0.3, 6.0),
+}
+
+
+@pytest.mark.parametrize("m_sq", [0.0, 1.0])
+@pytest.mark.parametrize("family", POWER_FAMILIES)
+@pytest.mark.parametrize("where", POWER_GRIDS)
+def test_power_potentials_match_the_quadrature(where, family, m_sq):
+    # the closed form sums k A^e g^e over the family's terms; the reference
+    # is the quadrature of W(A g) per amplitude, the form kept for the
+    # saturating family
+    tag, g = POWER_GRIDS[where]
+    fam = POWER_FAMILIES[family]
+    spec = ModelSpec(tag, g, WSpec(m_sq, fam))
+    amp_bounds, (s_lo, s_hi) = default_probe_bounds(spec)
+    amps = np.geomspace(*amp_bounds, 40)
+    for sigma in (s_lo, np.sqrt(s_lo * s_hi), s_hi):
+        profile = gaussian_profile(g, 1.0, sigma)
+        got = functionals._potential_integrals(spec, amps, profile)
+        want = np.array([integrate(g, w_value(spec.w, a * profile)) for a in amps])
+        terms = [0.5 * m_sq * amps**2 * integrate(g, profile**2),
+                 fam.b / fam.p * amps**fam.p * integrate(g, profile**fam.p)]
+        if isinstance(fam, DoublePower):
+            terms.append(fam.c / fam.q_tilde * amps**fam.q_tilde
+                         * integrate(g, profile**fam.q_tilde))
+        larger = np.max(np.abs(terms), axis=0)
+        assert got.shape == amps.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * larger)
+
+
+def _reference_shift_change(spec, rng, count):
+    """EC-2's sampling one probe at a time: amplitude draw, one random
+    probe, shift draws, then one evaluate of the probe and one of its
+    shift."""
+    worst, worst_case = 0.0, None
+    axes = tuple(range(spec.grid.dim))
+    for _ in range(count):
+        amp = 0.1 + 2.0 * rng.uniform()
+        comps = _random_probe(spec, rng, amp)
+        z = tuple(int(v) for v in rng.integers(spec.grid.dim, max(spec.grid.n)))
+        here = evaluate(spec, comps)
+        moved = evaluate(spec, tuple(np.roll(c, z, axis=axes) for c in comps))
+        for a, b, name in ((here.energy, moved.energy, "E"), (here.charge, moved.charge, "C")):
+            a, b = float(a), float(b)
+            rel = abs(a - b) / max(1.0, abs(a))
+            if rel > worst:
+                worst, worst_case = rel, {"functional": name, "shift": list(z), "rel": rel}
+    return worst, worst_case
+
+
+@pytest.mark.parametrize("spec, count", [
+    (ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))), 50),
+    # 8 probes per stack: two full stacks and a partial one
+    (ModelSpec("NLS", Grid((4096,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))), 20),
+    (ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))), 50),
+    (SPECS["NBE-saturating"], 50),
+    (ModelSpec("NLS", Grid((32, 16), (5.0, 3.0)), WSpec(1.0, SinglePower(1.0, 3.0))), 50),
+    # one probe per stack
+    (ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)),
+               WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))), 3),
+], ids=["NLS-512", "NLS-4096", "NWE-256", "NBE-64", "NLS-2d", "NWE-32^3"])
+def test_stacked_shift_check_matches_one_probe_at_a_time(spec, count):
+    rng_a, rng_b, rng_c = (SplitMix64(6).split("ec2") for _ in range(3))
+    worst, case = _largest_shift_change(spec, rng_a, count)
+    ref_worst, ref_case = _reference_shift_change(spec, rng_b, count)
+    assert worst == ref_worst and case == ref_case
+    assert worst > 0.0  # a rounding-level change, so the case is compared too
+    result = _shift_invariance_check(spec, rng_c, count)
+    assert result.verdict == "pass" and result.parameters["worst_rel"] == ref_worst
+    # the stream continues where the one-probe-at-a-time loop leaves it
+    assert rng_a.next_u64() == rng_b.next_u64() == rng_c.next_u64()

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hylosolve.rng import SplitMix64, fnv1a64
+from hylosolve.rng import SplitMix64, fnv1a64, symmetric_from_bits, uniform_from_bits
 
 MASK = (1 << 64) - 1
 
@@ -59,3 +59,27 @@ def test_fnv_hash_stability():
     # spot value verified against the FNV-1a definition by direct expansion
     assert fnv1a64("") == 0xCBF29CE484222325
     assert fnv1a64("a") == ((0xCBF29CE484222325 ^ ord("a")) * 0x100000001B3) & MASK
+
+
+def test_in_place_block_matches_the_recurrence():
+    for n in (0, 1, 7, 65664):
+        rng = SplitMix64(0xC0FFEE)
+        rng.next_u64()  # a block that starts mid-stream
+        block = rng.next_block_u64(n)
+        assert block.dtype == np.uint64 and block.shape == (n,)
+        assert [int(v) for v in block] == reference_splitmix(0xC0FFEE, n + 1)[1:]
+        assert rng.next_u64() == reference_splitmix(0xC0FFEE, n + 2)[-1]
+
+
+def test_bit_converters_match_the_plain_formulas():
+    words = [0, 2**11 - 1, 2**11, 2**63, 2**64 - 1]
+    bits = np.array(words, dtype=np.uint64)
+    uniform = [(x >> 11) * 2.0**-53 for x in words]
+    symmetric = [2.0 * ((x >> 11) * 2.0**-53) - 1.0 for x in words]
+    assert uniform_from_bits(bits).tolist() == uniform
+    assert symmetric_from_bits(bits).tolist() == symmetric
+    assert symmetric == [-1.0, -1.0, -1.0 + 2.0**-52, 0.0, 1.0 - 2.0**-52]
+    # the stream's own converters, on a strided view of a block
+    block = SplitMix64(5).next_block_u64(64).reshape(8, 8)
+    column = [int(v) for v in block[:, 3]]
+    assert uniform_from_bits(block[:, 3]).tolist() == [(x >> 11) * 2.0**-53 for x in column]
