@@ -86,6 +86,10 @@ class _Run:
         self.manifest["stages"].append(name)
         self._stage_start = time.perf_counter()
 
+    def last_stage(self) -> str:
+        """The stage entered last, "setup" before the first."""
+        return self.manifest["stages"][-1] if self.manifest["stages"] else "setup"
+
     def _close_stage(self):
         # Fixed-width strings ('%.6e'), so the manifest's byte length does
         # not depend on the measured times.
@@ -182,10 +186,11 @@ def _perturbations(config: dict, spec: ModelSpec) -> list[Perturbation]:
     return out
 
 
-def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams, seed: int,
-              budget: int = 2000):
-    run.stage("audit-gate")
-    cert = audit(spec, params, budget=budget, seed=seed)
+def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams | None, seed: int,
+              stage: str):
+    """Audit in the named stage and register certificate.json; True iff the gate passed."""
+    run.stage(stage)
+    cert = audit(spec, params, budget=2000, seed=seed)
     path = run.out / "certificate.json"
     dump_json(certificate_to_json(cert), path)
     run.register(path)
@@ -234,13 +239,7 @@ def _minimize_chain(run: _Run, spec: ModelSpec, params: PenaltyParams,
 
 
 def cmd_check(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
-    run.stage("audit")
-    cert = audit(spec, None, budget=2000, seed=seed)
-    path = run.out / "certificate.json"
-    dump_json(certificate_to_json(cert), path)
-    run.register(path)
-    run.manifest["certificate_summary"] = {k: v.verdict for k, v in cert.results.items()}
-    run.say(f"certificate written ({'gate PASS' if gate_passed(cert) else 'gate FAIL'})")
+    _run_gate(run, spec, None, seed, "audit")
     return EXIT_OK
 
 
@@ -257,7 +256,7 @@ def cmd_lambda0(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 def cmd_minimize(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
-    if not _run_gate(run, spec, params, seed):
+    if not _run_gate(run, spec, params, seed, "audit-gate"):
         return EXIT_GATE
     opts = resolve_options(config)
     _minimize_chain(run, spec, params, deltas, opts)
@@ -301,7 +300,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
 def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     perturbations = _perturbations(config, spec)
     params, deltas = resolve_penalty(config, spec, seed)
-    if not _run_gate(run, spec, params, seed):
+    if not _run_gate(run, spec, params, seed, "audit-gate"):
         return EXIT_GATE
     opts = resolve_options(config)
     family = _minimize_chain(run, spec, params, deltas[:1], opts)
@@ -351,7 +350,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
                 if combo not in combo_params:
                     combo_params[combo] = resolve_penalty(config, sub_spec, seed)[0]
                 params = replace(combo_params[combo], delta=delta)
-                if not _run_gate(sub_run, sub_spec, params, seed):
+                if not _run_gate(sub_run, sub_spec, params, seed, "audit-gate"):
                     statuses[sub_dir.name] = {"label": label, "status": "gate_failed"}
                     sub_run.finish("gate_failed", failure_stage="audit-gate")
                     continue
@@ -361,7 +360,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
                 sub_run.finish("ok")
             except Exception as err:  # per-run isolation: record and continue
                 statuses[sub_dir.name] = {"label": label, "status": f"failed: {err}"}
-                sub_run.finish("failed", failure_stage="minimize", error=err)
+                sub_run.finish("failed", failure_stage=sub_run.last_stage(), error=err)
         except ConfigError as err:
             statuses[sub_dir.name] = {"label": label, "status": f"invalid: {err}"}
     run.manifest["sweep_runs"] = statuses
@@ -371,7 +370,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
-    if not _run_gate(run, spec, params, seed):
+    if not _run_gate(run, spec, params, seed, "audit-gate"):
         return EXIT_GATE
     opts = resolve_options(config)
     family = _minimize_chain(run, spec, params, deltas[:1], opts)
@@ -457,8 +456,7 @@ def cli_main(argv=None) -> int:
         return EXIT_CONFIG
     except (NumericalFailure, NearZeroCharge) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
-        stage = run.manifest["stages"][-1] if run.manifest["stages"] else "setup"
-        run.finish("numerical_failure", failure_stage=stage, error=err)
+        run.finish("numerical_failure", failure_stage=run.last_stage(), error=err)
         return EXIT_NUMERICAL
     if code == EXIT_GATE:
         run.finish("gate_failed", failure_stage="audit-gate")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import Inadmissible, NearZeroCharge
+from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
                    apply_multiplier, band_limited_noise, integrate, k_squared, low_pass,
                    min_image_distances, require_finite, spectral_sum, symbols, transform,
@@ -33,6 +33,7 @@ from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
+    "penalized_value",
     "bound_m", "nash_exponents", "coercivity_exponent", "nash_check", "nash_sweep",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
     "gaussian_profile", "gaussian_state", "probe_chunks", "probe_states",
@@ -87,8 +88,8 @@ def _ratio(e, c):
     return e / abs(c)
 
 
-def _penalized(e, c, params: PenaltyParams):
-    """j_delta from E and signed C (scalars or arrays)."""
+def penalized_value(e, c, params: PenaltyParams):
+    """j_delta from E and C, signed or not (scalars or arrays)."""
     return _ratio(e, c) + params.delta * (e + 2.0 * params.a * abs(c) ** params.s_exp)
 
 
@@ -104,18 +105,22 @@ def phi(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
     return energy(spec, state) + 2.0 * params.a * abs(charge(spec, state)) ** params.s_exp
 
 
-def penalized_terms(spec: ModelSpec, state: FieldState,
+def penalized_terms(spec: ModelSpec, components,
                     params: PenaltyParams) -> tuple[float, Evaluation]:
-    """(j_delta, the state's evaluation) from one evaluate call, under the
-    ratio's charge floor; the evaluation's charge is signed."""
-    check_state(spec, state)
-    ev = _floored(spec, state.components)
-    return _penalized(float(ev.energy), float(ev.charge), params), ev
+    """(j_delta, the evaluation) of a state's component arrays from one
+    evaluate call, under the ratio's charge floor; the evaluation's charge
+    is signed.  A bulk term past the float range raises NumericalFailure."""
+    ev = _floored(spec, components)
+    try:
+        return penalized_value(float(ev.energy), float(ev.charge), params), ev
+    except OverflowError as err:
+        raise NumericalFailure("penalized objective overflows the float range") from err
 
 
 def j_delta(spec: ModelSpec, state: FieldState, params: PenaltyParams) -> float:
     """Penalized objective: ratio plus delta times the coercive bulk."""
-    return penalized_terms(spec, state, params)[0]
+    check_state(spec, state)
+    return penalized_terms(spec, state.components, params)[0]
 
 
 def bound_m(params: PenaltyParams, scan_points: int = 0) -> float:
@@ -283,14 +288,15 @@ def _optimal_pair_param(spec: ModelSpec, bump: np.ndarray):
 
 
 def _gaussian_probe(spec: ModelSpec, amp: float, sigma: float) -> tuple:
-    """The components of one Gaussian probe, with the closed-form optimal
-    pair parameter for the wave/beam pairs."""
+    """(components, pair parameter) of one Gaussian probe, with the
+    closed-form optimal pair parameter for the wave/beam pairs (None for
+    NLS)."""
     bump = gaussian_profile(spec.grid, amp, sigma)
     pair = None if spec.model_tag == NLS else _optimal_pair_param(spec, bump)
     comps = _gaussian_components(spec, bump, pair)
     for comp in comps:
         require_finite(comp)
-    return comps
+    return comps, pair
 
 
 def _chunk_rows(grid: Grid) -> int:
@@ -496,7 +502,8 @@ def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
                    refinements: int = 2):
     """Coordinate grid search of value(E, C) over Gaussian probes in
     (amplitude, width), log-spaced, refined around the incumbent; returns
-    (best value, amplitude, width, the winner's components).
+    (best value, amplitude, width, the winner's components, its pair
+    parameter or None for NLS).
 
     Each width column is evaluated from one transform (_gaussian_values).
     The winner is the first strict minimum in amplitude-major order; NaN
@@ -519,9 +526,9 @@ def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
         rs = (s_hi / s_lo) ** (2.0 / (grid_size - 1))
         a_lo, a_hi = max(amp_bounds[0], best[1] / ra), min(amp_bounds[1], best[1] * ra)
         s_lo, s_hi = max(sig_bounds[0], best[2] / rs), min(sig_bounds[1], best[2] * rs)
-    comps = _gaussian_probe(spec, best[1], best[2])
+    comps, pair = _gaussian_probe(spec, best[1], best[2])
     ev = _floored(spec, comps)
-    return float(value(ev.energy, ev.charge)), best[1], best[2], comps
+    return float(value(ev.energy, ev.charge)), best[1], best[2], comps, pair
 
 
 def default_probe_bounds(spec: ModelSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -555,12 +562,11 @@ def hylomorphy_check(spec: ModelSpec, margin: float | None = None, grid_size: in
     if margin is None:
         margin = 1e-3 * abs(lam0)
     amp_bounds, sig_bounds = default_probe_bounds(spec)
-    best_val, best_amp, best_sig, _ = _family_search(
+    best_val, best_amp, best_sig, _, pair = _family_search(
         spec, _ratio, amp_bounds, sig_bounds, grid_size, refinements)
     witness = {"amplitude": best_amp, "width": best_sig}
-    if spec.model_tag in (NWE, NBE):
-        bump = gaussian_profile(spec.grid, best_amp, best_sig)
-        witness["pair_param"] = float(_optimal_pair_param(spec, bump))
+    if pair is not None:
+        witness["pair_param"] = float(pair)
     return HylomorphyReport(
         lambda0_estimate=lam0,
         best_ratio=best_val,
@@ -581,7 +587,7 @@ def penalized_probe_seed(spec: ModelSpec, params: PenaltyParams,
     the usable delta range far below its true extent.
     """
     amp_bounds, sig_bounds = default_probe_bounds(spec)
-    best_val, _, _, comps = _family_search(
-        spec, lambda e, c: _penalized(e, c, params), amp_bounds, sig_bounds,
+    best_val, _, _, comps, _ = _family_search(
+        spec, lambda e, c: penalized_value(e, c, params), amp_bounds, sig_bounds,
         grid_size, refinements)
     return FieldState(spec.model_tag, spec.grid, comps), best_val

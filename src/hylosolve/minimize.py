@@ -9,7 +9,8 @@ conjugate gradients (Polak-Ribiere+ in the phase-space metric of
 backtracking, after Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017).
 The constrained phase passes the exact charge restoration as a retraction:
 every trial step is followed by a rescale of the component the charge is
-linear (NWE/NBE) or quadratic (NLS) in.
+linear (NWE/NBE) or quadratic (NLS) in.  Iterates are component tuples; a
+FieldState is built once, for the result.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import numpy as np
 
 from . import grid as gridmod
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
-from .functionals import (PenaltyParams, choose_coercivity_params, j_delta,
-                          lambda0_estimate, penalized_probe_seed, penalized_terms,
+from .functionals import (PenaltyParams, choose_coercivity_params, lambda0_estimate,
+                          penalized_probe_seed, penalized_terms, penalized_value,
                           require_probe_widths)
-from .grid import NLS, FieldState, orbit_distance, symbols
-from .models import (Evaluation, ModelSpec, charge, evaluate, grad_charge_of, grad_energy_of,
-                     l2_inner_of, l2_norm_of)
+from .grid import NLS, FieldState, orbit_distance, require_finite, symbols
+from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, evaluate,
+                     grad_charge_of, grad_energy_of, l2_inner_of, l2_norm_of)
 
 __all__ = [
     "MinimizeOptions", "MinimizeResult", "ContinuationResult",
@@ -95,16 +96,6 @@ def _precondition(weight: np.ndarray, g: tuple) -> tuple:
     return (d,) + tuple(g[1:])
 
 
-def _identical(a: FieldState, b: FieldState) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a.components, b.components))
-
-
-def _scale_component(state: FieldState, index: int, factor: float) -> FieldState:
-    comps = list(state.components)
-    comps[index] = comps[index] * factor
-    return state.replace_components(tuple(comps))
-
-
 def _grad_j(spec: ModelSpec, components, params: PenaltyParams, ev: Evaluation) -> tuple:
     e, c = float(ev.energy), float(ev.charge)
     ge = grad_energy_of(spec, components, ev.spectrum)
@@ -127,42 +118,33 @@ def _projected_gradient(spec: ModelSpec, components, field_spec: np.ndarray
     return lam, ge, _axpy(ge, -lam, gc)
 
 
-def _kkt(spec: ModelSpec, u: FieldState, ev: Evaluation) -> tuple[float, float]:
-    """(multiplier, residual) of the stationarity system gradE = lam gradC."""
-    lam, ge, resid = _projected_gradient(spec, u.components, ev.spectrum)
-    return lam, l2_norm_of(spec.grid, resid) / (1.0 + l2_norm_of(spec.grid, ge))
-
-
-def _stall_converged(spec: ModelSpec, u: FieldState, ev: Evaluation,
-                     opts: MinimizeOptions) -> bool:
-    """Descent stopped at the float-resolution floor of the objective; call
-    it converged iff the stationarity residual meets the result contract
-    (kkt <= 10 grad_tol (1 + x_norm))."""
-    _, kkt = _kkt(spec, u, ev)
-    return kkt <= 10.0 * opts.grad_tol * (1.0 + float(ev.x_norm))
-
-
-def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: MinimizeOptions,
+def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptions,
              retract=None, what: str = "descent") -> MinimizeResult:
     """Armijo-backtracked Polak-Ribiere+ conjugate gradients in the metric P
-    of `_precondition`, reported with the objective value as j_value.
+    of `_precondition`, from the component tuple u, reported with the
+    objective value as j_value and the final iterate as the one FieldState
+    built.
 
     objective(u) -> (value, ev), with ev the `evaluate` result of u (E, C,
     X-norm and the field's spectrum from one transform), raises
-    NearZeroCharge, NumericalFailure or ValueError on an inadmissible
-    state, and the trial step is shortened; gradient(u, ev) is its Riesz
-    gradient (the projected one under a constraint), its kinetic term
-    taken from ev's spectrum; retract maps every stepped state back onto
-    the constraint.  Gradients and directions are component tuples; every
-    trial iterate is a validated FieldState, so a non-finite one is
-    rejected like an inadmissible one.
+    NearZeroCharge or NumericalFailure on an inadmissible state, and the
+    trial step is shortened; gradient(u, ev) is its Riesz gradient (the
+    projected one under a constraint), its kinetic term taken from ev's
+    spectrum; retract(u) -> u maps every stepped iterate back onto the
+    constraint.  Iterates, gradients and directions are component tuples.
+    A trial with a non-finite sample, before or after the retraction,
+    raises NonFinite (a NumericalFailure) and is rejected like an
+    inadmissible one; any other exception propagates.
 
     The step is u <- retract(u - t d) with d = Pg + beta d_prev and
     beta = max(0, <g - g_prev, Pg> / <g_prev, P g_prev>).  d restarts at Pg
     when <g, d> <= 0 or when the search along d fails; only a failed search
-    along Pg is a stall, judged by `_stall_converged`.  The accepted step
-    over the backtrack factor seeds the next search, so it settles near the
-    local curvature limit without rescanning from the initial step.
+    along Pg is a stall.  A stall (or _STALL_LIMIT accepted steps at the
+    float-resolution floor of the objective) counts as converged iff the
+    KKT residual, taken once at exit, meets the result contract
+    kkt <= 10 grad_tol (1 + x_norm).  The accepted step over the backtrack
+    factor seeds the next search, so it settles near the local curvature
+    limit without rescanning from the initial step.
     """
     grid = spec.grid
     weight = symbols(spec.model_tag, grid).weights[0]
@@ -170,19 +152,22 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
     step = opts.initial_step
     log: list[tuple[int, float, float, float]] = []
     iters = stalled = 0
+    at_floor = False  # stopped on a stall: judged by the KKT residual at exit
     g_prev = d_prev = None  # and gpg_prev = <g_prev, P g_prev>, once a step is taken
 
     def search(direction: tuple, slope: float):
         t = step
         while t >= _MIN_STEP:
             try:
-                trial = u.replace_components(_axpy(u.components, -t, direction))
-                if _identical(trial, u):  # step below float resolution
-                    return None
+                trial = _axpy(u, -t, direction)
+                for comp in trial:
+                    require_finite(comp)
+                if all(np.array_equal(x, y) for x, y in zip(trial, u)):
+                    return None  # step below float resolution
                 if retract is not None:
                     trial = retract(trial)
                 terms = objective(trial)
-            except (NearZeroCharge, NumericalFailure, ValueError):
+            except (NearZeroCharge, NumericalFailure):
                 t *= opts.backtrack
                 continue
             if terms[0] <= value - opts.armijo_c1 * t * slope:
@@ -201,7 +186,7 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
         if converged or iters == opts.max_iters:
             break
         if stalled >= _STALL_LIMIT:
-            converged = _stall_converged(spec, u, ev, opts)
+            at_floor = True
             break
         pg = _precondition(weight, g)
         gpg = l2_inner_of(grid, g, pg)  # > 0: the metric is positive
@@ -220,7 +205,7 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
         if accepted is None:
             # objective improvements fell below float resolution: stationary
             # up to the measurable floor
-            converged = _stall_converged(spec, u, ev, opts)
+            at_floor = True
             break
         u, terms, t = accepted
         stalled = stalled + 1 if value - terms[0] <= _noise_level(value) else 0
@@ -229,10 +214,15 @@ def _descend(spec: ModelSpec, objective, gradient, u: FieldState, opts: Minimize
         iters += 1
         step = t / opts.backtrack
         log.append((iters, value, t, gnorm))
-    lam, kkt = _kkt(spec, u, ev)
-    return MinimizeResult(state=u, e_delta=float(ev.energy), c_delta=abs(float(ev.charge)),
-                          j_value=value, lambda_mult=lam, kkt_residual=kkt, iters=iters,
-                          converged=converged, log=log, grad_norm=gnorm)
+    # multiplier and residual of the stationarity system gradE = lam gradC
+    lam, ge, resid = _projected_gradient(spec, u, ev.spectrum)
+    kkt = l2_norm_of(grid, resid) / (1.0 + l2_norm_of(grid, ge))
+    if at_floor:
+        converged = kkt <= 10.0 * opts.grad_tol * (1.0 + float(ev.x_norm))
+    return MinimizeResult(state=FieldState(spec.model_tag, grid, u), e_delta=float(ev.energy),
+                          c_delta=abs(float(ev.charge)), j_value=value, lambda_mult=lam,
+                          kkt_residual=kkt, iters=iters, converged=converged, log=log,
+                          grad_norm=gnorm)
 
 
 def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
@@ -242,25 +232,30 @@ def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
     from the best Gaussian probe of the objective."""
     if init is None:
         init, _ = penalized_probe_seed(spec, params)
+    check_state(spec, init)
     return _descend(spec, lambda u: penalized_terms(spec, u, params),
-                    lambda u, ev: _grad_j(spec, u.components, params, ev), init, opts,
+                    lambda u, ev: _grad_j(spec, u, params, ev), init.components, opts,
                     what="penalized descent")
 
 
-def _restore_charge(spec: ModelSpec, state: FieldState, c_target: float) -> FieldState:
-    """Exact charge restoration: amplitude rescale (NLS, charge quadratic in
-    psi) or second-component rescale (NWE/NBE, charge linear in it).
-    c_target is signed.  The collapse guard measures the state by its L2
-    norm, a quadrature, so the retraction makes no transform of its own
-    (NBE's charge makes one)."""
-    c = charge(spec, state)
-    if abs(c) < 1e-14 * (1.0 + l2_norm_of(spec.grid, state.components)):
+def _restore_charge(spec: ModelSpec, comps: tuple, c_target: float) -> tuple:
+    """Exact charge restoration of a component tuple: amplitude rescale (NLS,
+    charge quadratic in psi) or second-component rescale (NWE/NBE, charge
+    linear in it).  c_target is signed.  The collapse guard measures the
+    state by its L2 norm, a quadrature, so the retraction makes no
+    transform of its own (NBE's charge makes one).  Raises NonFinite if
+    the rescaled component is not finite."""
+    c = float(charge_of(spec, comps))
+    if abs(c) < 1e-14 * (1.0 + l2_norm_of(spec.grid, comps)):
         raise NumericalFailure("charge restoration failed: charge collapsed mid-flow")
     if spec.model_tag == NLS:
         if c_target <= 0:
             raise ValueError("NLS charge target must be positive")
-        return state.replace_components((state.components[0] * np.sqrt(c_target / c),))
-    return _scale_component(state, 1, c_target / c)
+        restored = (comps[0] * np.sqrt(c_target / c),)
+    else:
+        restored = (comps[0], comps[1] * (c_target / c))
+    require_finite(restored[-1])
+    return restored
 
 
 def refine_constrained(spec: ModelSpec, c_target: float, init: FieldState,
@@ -280,16 +275,17 @@ def refine_constrained(spec: ModelSpec, c_target: float, init: FieldState,
         raise ValueError(f"init charge {abs(c0):.6g} not within 20% of target {c_target:.6g}")
     signed_target = c_target if (c0 >= 0 or spec.model_tag == NLS) else -c_target
 
-    def objective(u: FieldState):
-        ev = evaluate(spec, u.components)
+    def objective(u: tuple):
+        ev = evaluate(spec, u)
         return float(ev.energy), ev
 
     result = _descend(spec, objective,
-                      lambda u, ev: _projected_gradient(spec, u.components, ev.spectrum)[2],
-                      _restore_charge(spec, init, signed_target), opts,
+                      lambda u, ev: _projected_gradient(spec, u, ev.spectrum)[2],
+                      _restore_charge(spec, init.components, signed_target), opts,
                       retract=lambda u: _restore_charge(spec, u, signed_target),
                       what="constrained refinement")
-    result.j_value = j_delta(spec, result.state, params) if params is not None else float("nan")
+    result.j_value = (penalized_value(result.e_delta, result.c_delta, params)
+                      if params is not None else float("nan"))
     return result
 
 
@@ -341,13 +337,13 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     lam0 = lambda0_estimate(spec)
     results: list[MinimizeResult] = []
     free_iters: list[int] = []
-    seed_state: FieldState | None = None
     for link, d in enumerate(deltas):
         pd = replace(params, delta=d)
-        if seed_state is None:
+        if not results:
             seed_state, seed_val = penalized_probe_seed(spec, pd)
-        else:
-            seed_val = j_delta(spec, seed_state, pd)
+        else:  # the previous refined minimizer, valued from its stored E and C
+            last = results[-1]
+            seed_state, seed_val = last.state, penalized_value(last.e_delta, last.c_delta, pd)
         if not seed_val < lam0:
             raise Inadmissible(
                 f"delta = {d} too large: penalized value {seed_val:.6g} does not "
@@ -360,7 +356,6 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
         _require_converged(refined, link, d, "refine")
         results.append(refined)
         free_iters.append(free.iters)
-        seed_state = refined.state
     k = len(results)
     dists = np.zeros((k, k))
     for i in range(k):

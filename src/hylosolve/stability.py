@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (COMPLEX_MODELS, FieldState, LatticeShift, phase_rotate,
-                   random_band_limited, translate, x_norm as state_x_norm, x_norm_of)
+from .grid import (COMPLEX_MODELS, FieldState, LatticeShift, phase_rotate, random_state,
+                   translate, x_norm as state_x_norm, x_norm_of)
 from .dynamics import EvolutionTrace, evolve
 from .functionals import _chunk_rows
 from .minimize import MinimizeResult
@@ -70,13 +70,11 @@ class Perturbation:
         return out
 
 
-def noise_state(spec: ModelSpec, like: FieldState, rng: SplitMix64,
-                band_limit: int | None, xnorm_target: float) -> FieldState:
-    """Band-limited random state scaled to the requested phase-space norm."""
-    complex_valued = spec.model_tag in COMPLEX_MODELS
-    comps = [random_band_limited(spec.grid, rng, band_limit, complex_valued)
-             for _ in like.components]
-    raw = FieldState(spec.model_tag, spec.grid, comps)
+def noise_state(spec: ModelSpec, rng: SplitMix64, band_limit: int | None,
+                xnorm_target: float) -> FieldState:
+    """Band-limited random state (grid.random_state at unit rms) scaled to
+    the requested phase-space norm."""
+    raw = random_state(spec.model_tag, spec.grid, rng, band_limit=band_limit)
     norm = state_x_norm(raw)
     if norm == 0.0:
         return raw
@@ -91,7 +89,7 @@ def apply_perturbation(spec: ModelSpec, state: FieldState, pert: Perturbation,
     if pert.kind == "additive_noise":
         rng = SplitMix64(pert.seed + seed_offset).split("stability-noise")
         target = pert.eps * max(1.0, state_x_norm(state))
-        noise = noise_state(spec, state, rng, pert.band_limit, target)
+        noise = noise_state(spec, rng, pert.band_limit, target)
         return state.replace_components(tuple(
             a + b for a, b in zip(state.components, noise.components)))
     if pert.kind == "amplitude_scale":
@@ -186,8 +184,7 @@ def v_separation_scan(spec: ModelSpec, result: MinimizeResult, radius_list,
     e_ref = energy(spec, reference)
     c_ref = charge(spec, reference)
     directions = [
-        noise_state(spec, reference, SplitMix64(seed + k).split("v-scan"),
-                    band_limit, 1.0)
+        noise_state(spec, SplitMix64(seed + k).split("v-scan"), band_limit, 1.0)
         for k in range(K)
     ]
     step = _chunk_rows(spec.grid)

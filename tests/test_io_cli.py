@@ -217,6 +217,9 @@ def test_cli_check_happy_path(tmp_path):
     assert manifest["status"] == "ok"
     assert "certificate.json" in manifest["outputs"]
     assert manifest["tool_version"]
+    assert manifest["stages"] == ["audit"]
+    cert = json.loads((out / "certificate.json").read_text())
+    assert manifest["certificate_summary"].keys() == cert["results"].keys()
 
 
 def _model_config(**model):
@@ -546,6 +549,23 @@ def test_cli_sweep(tmp_path):
     statuses = {r["status"] for r in runs.values()}
     # focusing points complete; the quadratic points stop at the gate
     assert "ok" in statuses and "gate_failed" in statuses
+
+
+def test_cli_sweep_records_the_stage_a_point_failed_in(tmp_path):
+    # 16 points on L = 40 are too coarse for the probe widths: the point
+    # fails inside the gate, not in the minimization it never reaches
+    cfg = _small_config()
+    cfg["model"]["n"] = [16]
+    cfg["sweep"] = {"w_params": {"b": [1.0]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    (run,) = json.loads((out / "manifest.json").read_text())["sweep_runs"].values()
+    assert run["status"].startswith("failed: grid too coarse for the probe widths")
+    point = json.loads((out / "run_000" / "manifest.json").read_text())
+    assert point["stages"] == ["audit-gate"]
+    assert point["failure_stage"] == "audit-gate"
 
 
 def test_cli_sweep_runs_valid_points_of_a_supercritical_base(tmp_path, monkeypatch):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from hylosolve import (FieldState, Grid, Inadmissible, LatticeShift, MinimizeOptions,
-                       ModelSpec, NumericalFailure, PenaltyParams, SinglePower,
-                       WSpec, charge, delta_continuation, energy, grad_charge,
-                       grad_energy, lambda0_estimate, minimize_jdelta,
+from hylosolve import (DoublePower, FieldState, Grid, Inadmissible, LatticeShift,
+                       MinimizeOptions, ModelSpec, NumericalFailure, PenaltyParams,
+                       SinglePower, WSpec, charge, delta_continuation, energy, grad_charge,
+                       grad_energy, j_delta, lambda0_estimate, minimize_jdelta,
                        orbit_distance, refine_constrained, translate)
 from hylosolve.functionals import gaussian_state, penalized_probe_seed
 from hylosolve.grid import symbols, x_norm
-from hylosolve.minimize import _precondition
-from hylosolve.models import l2_inner
+from hylosolve.minimize import _descend, _precondition
+from hylosolve.models import evaluate, grad_energy_of, l2_inner
 
 GRID = Grid((256,), (40.0,))
 SPEC = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(1.0, 4.0)))
@@ -170,6 +170,65 @@ def test_refine_guards():
         refine_constrained(SPEC, 2.0 * c, state, OPTS)  # outside 20%
     with pytest.raises(ValueError):
         refine_constrained(SPEC, -1.0, state, OPTS)
+
+
+def test_descent_builds_one_state_per_result(converged, monkeypatch):
+    # iterates and trials are component tuples; only the result is a state
+    free, _ = converged
+    seed, _ = penalized_probe_seed(SPEC, PARAMS)
+    builds = []
+    build = FieldState.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldState, "__init__", counting)
+    again = minimize_jdelta(SPEC, PARAMS, init=seed, opts=OPTS)
+    assert len(builds) == 1 and again.iters == free.iters > 0
+    del builds[:]
+    refined = refine_constrained(SPEC, again.c_delta, again.state, opts=OPTS, params=PARAMS)
+    assert len(builds) == 1 and refined.iters > 0
+
+
+def test_j_values_are_j_delta_of_the_result_state(converged):
+    # the refined j_value comes from the stored E and C, not a re-evaluation
+    for result in converged:
+        assert result.j_value == j_delta(SPEC, result.state, PARAMS)
+
+
+def test_overflowing_trial_is_backtracked():
+    # a first trial far past the float range is shortened, not raised: the
+    # penalized bulk overflows (NLS) or the retraction leaves a non-finite
+    # sample (NWE)
+    huge = MinimizeOptions(max_iters=3, initial_step=1e300)
+    nwe = ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in (SPEC, nwe):
+            seed, _ = penalized_probe_seed(spec, PARAMS)
+            free = minimize_jdelta(spec, PARAMS, init=seed, opts=huge)
+            refined = refine_constrained(spec, abs(charge(spec, seed)), seed, opts=huge)
+            for result in (free, refined):
+                assert result.iters == 3
+                assert all(0.0 < row[2] < 1e3 for row in result.log[1:])
+
+
+def test_plain_value_error_in_an_objective_propagates():
+    # only NearZeroCharge and NumericalFailure reject a trial
+    init = gaussian_state(SPEC, 1.0, 2.0).components
+    calls = []
+
+    def objective(u):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ValueError("not a trial rejection")
+        ev = evaluate(SPEC, u)
+        return float(ev.energy), ev
+
+    with pytest.raises(ValueError, match="not a trial rejection"):
+        _descend(SPEC, objective, lambda u, ev: grad_energy_of(SPEC, u, ev.spectrum), init,
+                 OPTS)
+    assert len(calls) == 2
 
 
 def test_minimize_requires_charge():

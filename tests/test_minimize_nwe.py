@@ -3,9 +3,11 @@ double-power wave model (the `continuation-nwe1d` benchmark model)."""
 
 import pytest
 
+from dataclasses import replace
+
 from hylosolve import (DoublePower, Grid, MinimizeOptions, ModelSpec, NumericalFailure, WSpec,
-                       charge, delta_continuation)
-from hylosolve.functionals import gaussian_state
+                       charge, choose_coercivity_params, delta_continuation, j_delta)
+from hylosolve.functionals import gaussian_state, penalized_value
 from hylosolve.grid import x_norm
 from hylosolve.minimize import _restore_charge
 
@@ -25,6 +27,17 @@ def test_links_converge_to_the_kkt_contract(family):
         assert result.kkt_residual <= 10 * OPTS.grad_tol * (1 + x_norm(result.state))
 
 
+def test_stored_e_and_c_give_j_delta_of_each_link(family):
+    # the next link's gate value and the refined j_value come from the
+    # stored E and C; both equal j_delta of the refined state
+    params = choose_coercivity_params(SPEC, delta=family.deltas[0])
+    for d, result in zip(family.deltas, family.results):
+        pd = replace(params, delta=d)
+        value = j_delta(SPEC, result.state, pd)
+        assert penalized_value(result.e_delta, result.c_delta, pd) == value
+        assert result.j_value == value
+
+
 def test_charge_grows_as_delta_falls(family):
     first, second = family.results
     assert second.c_delta > first.c_delta
@@ -39,13 +52,13 @@ def test_charge_restoration_makes_no_transform(transform_sizes):
     # the collapse guard takes the state's scale from a quadrature
     state = gaussian_state(SPEC, 1.0, 2.0, pair_param=0.5)
     target = 1.1 * charge(SPEC, state)
-    restored = _restore_charge(SPEC, state, target)
+    restored = _restore_charge(SPEC, state.components, target)
     assert transform_sizes == []
-    assert charge(SPEC, restored) == pytest.approx(target, rel=1e-14)
+    assert charge(SPEC, state.replace_components(restored)) == pytest.approx(target, rel=1e-14)
 
 
 def test_collapsed_charge_still_raises():
     still = gaussian_state(SPEC, 1.0, 2.0, pair_param=0.0)  # phi = 0: no charge
     assert charge(SPEC, still) == 0.0
     with pytest.raises(NumericalFailure, match="charge collapsed"):
-        _restore_charge(SPEC, still, 1.0)
+        _restore_charge(SPEC, still.components, 1.0)

@@ -213,8 +213,8 @@ def test_search_transform_budget(transform_sizes):
     # evaluated probe by probe, the searches transformed 4800 rows on NLS and 9601 on NWE
     nwe = ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
     del transform_sizes[:]
-    hylomorphy_check(nwe)  # and the witness's pair parameter once more
-    assert transform_sizes == [256] * 123
+    hylomorphy_check(nwe)  # the witness's pair parameter is the winner's, not taken again
+    assert transform_sizes == [256] * 122
     del transform_sizes[:]
     penalized_probe_seed(nwe, PARAMS)
     assert transform_sizes == [256] * 122
@@ -232,9 +232,9 @@ def test_full_size_tables_match_per_probe_evaluation(spec):
     energies, charges = np.empty((40, 40)), np.empty((40, 40))
     for i, amp in enumerate(amps):
         for j, sig in enumerate(sigs):
-            ev = evaluate(spec, functionals._gaussian_probe(spec, amp, sig))
+            ev = evaluate(spec, functionals._gaussian_probe(spec, amp, sig)[0])
             energies[i, j], charges[i, j] = ev.energy, ev.charge
-    for value in (functionals._ratio, lambda e, c: functionals._penalized(e, c, PARAMS)):
+    for value in (functionals._ratio, lambda e, c: functionals.penalized_value(e, c, PARAMS)):
         table = np.column_stack([functionals._gaussian_values(spec, amps, sig, value)
                                  for sig in sigs])
         reference = value(energies, charges)

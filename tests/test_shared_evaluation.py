@@ -94,7 +94,7 @@ def _nwe_seed():
 
 def test_penalized_trial_objective_is_one_transform(transform_sizes):
     state = _nwe_seed()
-    penalized_terms(NWE, state, NWE_PARAMS)
+    penalized_terms(NWE, state.components, NWE_PARAMS)
     assert len(transform_sizes) == 1
     transform_sizes.clear()
     evaluate(NWE, state.components)

@@ -123,8 +123,8 @@ def test_v_separation_scan_properties(nls_acceptance_spec, soliton):
 def per_probe_scan(spec, reference, radius_list, K, seed, band_limit):
     """The V scan one FieldState and one lyapunov_v call per probe."""
     e_ref, c_ref = energy(spec, reference), charge(spec, reference)
-    directions = [noise_state(spec, reference, SplitMix64(seed + k).split("v-scan"),
-                              band_limit, 1.0) for k in range(K)]
+    directions = [noise_state(spec, SplitMix64(seed + k).split("v-scan"), band_limit, 1.0)
+                  for k in range(K)]
     rows = []
     for radius in radius_list:
         if radius == 0.0:
