@@ -70,7 +70,7 @@ class PenaltyParams:
 def _require_charge(c, xnorm) -> None:
     """Raise NearZeroCharge where |C| < CHARGE_FLOOR (1 + ||u||_X), per row."""
     low = np.abs(c) < CHARGE_FLOOR * (1.0 + xnorm)
-    if np.any(low):
+    if low.any():
         raise NearZeroCharge(
             f"charge magnitude {float(np.min(np.abs(c)[low])):.3e} below the ratio floor")
 

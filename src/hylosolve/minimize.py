@@ -162,7 +162,7 @@ def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptio
                 trial = _axpy(u, -t, direction)
                 for comp in trial:
                     require_finite(comp)
-                if all(np.array_equal(x, y) for x, y in zip(trial, u)):
+                if all((x == y).all() for x, y in zip(trial, u)):
                     return None  # step below float resolution
                 if retract is not None:
                     trial = retract(trial)

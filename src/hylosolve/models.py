@@ -183,7 +183,7 @@ def l2_inner_of(grid: Grid, a, b) -> float:
     """Real L2 pairing of two component tuples (the gradient pairing)."""
     total = 0.0
     for ca, cb in zip(a, b):
-        total += float(np.sum((ca * np.conj(cb)).real))
+        total += float(np.add.reduce((ca * np.conj(cb)).real, axis=None))
     return grid.cell_volume * total
 
 
@@ -390,13 +390,15 @@ def evolve_step(spec: ModelSpec, state, dt: float, steps: int = 1):
         stack = tuple(c[None] for c in rows[0].components)
     else:
         stack = tuple(np.stack(cs) for cs in zip(*(row.components for row in rows)))
+    # the kernel's outputs are fresh: each row is stored as a view of them,
+    # not copied (NBE's real parts of complex buffers are copied)
     out = _propagator(spec, dt).step(stack, steps)
     if isinstance(state, FieldState):
-        return state.replace_components(tuple(c[0] for c in out))
+        return state.replace_components(tuple(c[0] for c in out), owned=True)
     results = []
     for i, row in enumerate(rows):
         try:
-            results.append(row.replace_components(tuple(c[i] for c in out)))
+            results.append(row.replace_components(tuple(c[i] for c in out), owned=True))
         except NonFinite as err:
             results.append(err)
     return results

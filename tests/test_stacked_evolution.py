@@ -1,12 +1,14 @@
 """Several initial states evolved as one stack against each evolved alone:
 every row's trace and final state must be bitwise the solo ones, also when
-a row blows up next to a healthy one."""
+a row blows up next to a healthy one.  The evolved states keep the
+kernel's outputs without a copy."""
 
 import numpy as np
 import pytest
 
-from hylosolve import (DoublePower, EvolutionTrace, Grid, ModelSpec, Saturating,
-                       SinglePower, WSpec, evolve, run_stability)
+from hylosolve import (DoublePower, EvolutionTrace, FieldState, Grid, ModelSpec, Saturating,
+                       SinglePower, WSpec, evolve, evolve_step, run_stability)
+from hylosolve.exceptions import NonFinite
 from hylosolve.functionals import gaussian_state
 from hylosolve.grid import random_state
 from hylosolve.rng import SplitMix64
@@ -82,3 +84,39 @@ def test_single_state_gives_one_trace():
 def test_run_stability_without_perturbations(nls_acceptance_spec, soliton):
     report = run_stability(nls_acceptance_spec, soliton["refined"], [], T=0.1, dt=1e-3)
     assert report.rows == [] and report.traces == []
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_evolve_step_keeps_the_kernel_outputs(name):
+    spec = SPECS[name]
+    states = [random_state(spec.model_tag, spec.grid, SplitMix64(90 + i), amplitude=0.5,
+                           band_limit=4) for i in range(2)]
+    solo = evolve_step(spec, states[0], 0.01, 3)
+    rows = evolve_step(spec, states, 0.01, 3)
+    dtype = np.float64 if spec.model_tag == "NBE" else np.complex128
+    for state in [solo] + rows:
+        for comp in state.components:
+            assert comp.dtype == dtype and comp.shape == spec.grid.n
+            assert not comp.flags.writeable
+            # NLS/NWE: a view of the kernel's output; NBE: its real part, copied
+            assert comp.flags.owndata == (spec.model_tag == "NBE")
+    for a, b in zip(rows[0].components, solo.components):
+        assert _same_bytes(a, b)
+    if spec.model_tag != "NBE":  # the rows are two halves of one stack
+        assert rows[0].components[0].base is rows[1].components[0].base
+
+
+def test_field_state_copies_unless_handed_the_array():
+    psi = np.full(LINE.n, 0.5 + 0.5j)
+    kept = FieldState.nls(LINE, psi)
+    assert not np.shares_memory(kept.psi, psi) and psi.flags.writeable
+    owned = FieldState("NLS", LINE, (psi,), owned=True)
+    assert owned.psi is psi and not psi.flags.writeable
+    # a dtype or layout the state does not store is copied all the same
+    assert FieldState("NLS", LINE, (psi.real,), owned=True).psi.flags.owndata
+    strided = np.ones(2 * LINE.n[0], np.complex128)[::2]
+    assert FieldState("NLS", LINE, (strided,), owned=True).psi.flags.owndata
+    bad = np.ones(LINE.n, np.complex128)
+    bad[5] = np.inf
+    with pytest.raises(NonFinite):
+        FieldState("NLS", LINE, (bad,), owned=True)
