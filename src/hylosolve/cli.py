@@ -217,13 +217,14 @@ def _minimize_chain(run: _Run, spec: ModelSpec, params: PenaltyParams,
             _write_descent_log(run, err.partial, err.detail["link"])
         raise
     rows = []
-    for i, (d, res, free_iters) in enumerate(zip(family.deltas, family.results,
-                                                 family.free_iters)):
+    for i, (d, res, free_iters, seed) in enumerate(zip(family.deltas, family.results,
+                                                       family.free_iters, family.seeds)):
         state_path = run.out / f"state_{i:02d}.field"
         write_field(res.state, state_path)
         run.register(state_path)
         _write_descent_log(run, res, i)
-        rows.append({"delta": d, **minimize_result_to_json(res), "free_iters": free_iters})
+        rows.append({"delta": d, **minimize_result_to_json(res), "free_iters": free_iters,
+                     "seed": seed})
         run.say(f"delta={d:g}: e={res.e_delta:.6g} c={res.c_delta:.6g} "
                 f"kkt={res.kkt_residual:.2e} iters={res.iters} free_iters={free_iters}")
     out = {

@@ -15,6 +15,7 @@ FieldState is built once, for the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .functionals import (PenaltyParams, choose_coercivity_params, lambda0_estimate,
                           penalized_probe_seed, penalized_terms, penalized_value,
                           require_probe_widths)
-from .grid import NLS, FieldState, orbit_distance, require_finite, symbols
+from .grid import NLS, FieldState, orbit_distance, require_finite, symbols, x_norm_of
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, evaluate,
                      grad_charge_of, grad_energy_of, l2_inner_of, l2_norm_of)
 
@@ -36,6 +37,10 @@ __all__ = [
 _MIN_STEP = 1e-18
 _EPS = float(np.finfo(np.float64).eps)
 _STALL_LIMIT = 25  # accepted steps with float-resolution improvement
+# two refined states are aligned, so that their difference is a tangent of
+# the family and not a group motion, when their plain X distance is their
+# orbit distance to this relative tolerance
+_ALIGN_RTOL = 1e-6
 
 
 def _noise_level(value: float) -> float:
@@ -298,6 +303,7 @@ class ContinuationResult:
     orbit_distances: np.ndarray  # pairwise, between refined states
     lambda0: float
     free_iters: list[int]  # free-descent iterations of each link
+    seeds: list[str]  # where each link's free descent started: probe, warm or predicted
 
 
 def _require_converged(result: MinimizeResult, link: int, delta: float, phase: str) -> None:
@@ -312,19 +318,44 @@ def _require_converged(result: MinimizeResult, link: int, delta: float, phase: s
                            detail=detail, partial=result)
 
 
+def _secant(older: FieldState, newer: FieldState, r: float) -> tuple:
+    """The secant predictor newer + r (newer - older), as component arrays."""
+    return tuple(b + r * (b - a) for a, b in zip(older.components, newer.components))
+
+
+def _aligned_distance(spec: ModelSpec, a: FieldState, b: FieldState) -> tuple[float, bool]:
+    """The orbit distance of two states, and whether it is their plain X
+    distance to _ALIGN_RTOL (no shift or phase separates them)."""
+    dist = orbit_distance(a, b)
+    diff = tuple(x - y for x, y in zip(a.components, b.components))
+    plain = float(x_norm_of(spec.model_tag, spec.grid, diff))
+    return dist, abs(plain - dist) <= _ALIGN_RTOL * dist
+
+
 def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = MinimizeOptions(),
                        params: PenaltyParams | None = None) -> ContinuationResult:
-    """Warm-started chain of penalized minimizations over decreasing delta,
-    each refined at its own charge level.
+    """Chain of penalized minimizations over decreasing delta, each refined
+    at its own charge level.
 
-    Every link is gated by the penalized infimum test: the best available
-    probe (Gaussian family for the first link, the previous refined
-    minimizer afterwards) must undercut the vanishing-ratio floor at that
-    delta, otherwise the delta is rejected as too large.  A link that does
-    not converge raises a diagnosed NumericalFailure (`_require_converged`);
-    a rejected delta raises Inadmissible with link, delta, seed value and
-    lambda0 as its detail.  A grid too coarse for the probe family raises
-    Inadmissible before any link (`require_probe_widths`).
+    The first link starts from the best Gaussian probe (seed "probe"), the
+    second from the previous refined minimizer (the plain warm start,
+    "warm").  From the third link on, the secant of the last two refined
+    states in log delta predicts the start, u_{k-1} + r (u_{k-1} - u_{k-2})
+    with r = log(delta_k/delta_{k-1}) / log(delta_{k-1}/delta_{k-2})
+    ("predicted"), a predictor-corrector chain after Allgower and Georg,
+    Numerical Continuation Methods (1990).  The prediction falls back to
+    the warm start when the two states are not aligned (`_aligned_distance`)
+    or when it fails the link's gate.  It is not compared with the warm
+    start: its J_delta is the higher one on the benchmark chain, yet its
+    descent is the shorter.
+
+    Every link is gated by the penalized infimum test: its start must
+    undercut the vanishing-ratio floor at that delta, otherwise the delta
+    is rejected as too large.  A link that does not converge raises a
+    diagnosed NumericalFailure (`_require_converged`); a rejected delta
+    raises Inadmissible with link, delta, seed value and lambda0 as its
+    detail.  A grid too coarse for the probe family raises Inadmissible
+    before any link (`require_probe_widths`).
     """
     deltas = [float(d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
@@ -337,13 +368,28 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     lam0 = lambda0_estimate(spec)
     results: list[MinimizeResult] = []
     free_iters: list[int] = []
+    seeds: list[str] = []
+    adjacent: list[float] = []  # orbit distance of each refined state to the next
+    aligned = False  # the last two refined states are aligned
     for link, d in enumerate(deltas):
         pd = replace(params, delta=d)
         if not results:
             seed_state, seed_val = penalized_probe_seed(spec, pd)
+            kind = "probe"
         else:  # the previous refined minimizer, valued from its stored E and C
             last = results[-1]
             seed_state, seed_val = last.state, penalized_value(last.e_delta, last.c_delta, pd)
+            kind = "warm"
+            if aligned:
+                r = math.log(d / deltas[link - 1]) / math.log(deltas[link - 1] / deltas[link - 2])
+                predicted = _secant(results[-2].state, last.state, r)
+                try:
+                    value = penalized_terms(spec, predicted, pd)[0]
+                except (NearZeroCharge, NumericalFailure):
+                    value = math.inf
+                if value < lam0:
+                    seed_state = FieldState(spec.model_tag, spec.grid, predicted, owned=True)
+                    seed_val, kind = value, "predicted"
         if not seed_val < lam0:
             raise Inadmissible(
                 f"delta = {d} too large: penalized value {seed_val:.6g} does not "
@@ -354,12 +400,17 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
         _require_converged(free, link, d, "free")
         refined = refine_constrained(spec, free.c_delta, free.state, opts=opts, params=pd)
         _require_converged(refined, link, d, "refine")
+        if results:
+            dist, aligned = _aligned_distance(spec, results[-1].state, refined.state)
+            adjacent.append(dist)
         results.append(refined)
         free_iters.append(free.iters)
+        seeds.append(kind)
     k = len(results)
     dists = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            dists[i, j] = dists[j, i] = orbit_distance(results[i].state, results[j].state)
+            dists[i, j] = dists[j, i] = (adjacent[i] if j == i + 1 else
+                                         orbit_distance(results[i].state, results[j].state))
     return ContinuationResult(results=results, deltas=deltas, orbit_distances=dists,
-                              lambda0=lam0, free_iters=free_iters)
+                              lambda0=lam0, free_iters=free_iters, seeds=seeds)

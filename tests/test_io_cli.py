@@ -382,6 +382,7 @@ def test_cli_minimize_and_evolve(tmp_path):
     data = json.loads((out / "minimize.json").read_text())
     assert data["results"][0]["converged"]
     assert data["results"][0]["free_iters"] > 0
+    assert data["results"][0]["seed"] == "probe"
     assert (out / "state_00.field").exists()
     state = read_field(out / "state_00.field")
     assert state.model_tag == "NLS"
