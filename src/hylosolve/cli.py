@@ -2,9 +2,12 @@
 
 Subcommands: check, lambda0, minimize, evolve, stability, sweep, demo.
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 hypothesis
-gate failed.  Every run writes a manifest (config echo, version, start
-and end times, wall seconds per stage, sha256 of each output, certificate
-summary), also on failure with the failing stage recorded.
+gate failed.  Every run writes a manifest (config echo, the seed that ran,
+version, start and end times, wall seconds per stage, sha256 of each
+output, certificate summary), also on failure with the failing stage
+recorded.  Every output goes through `_Run.write`, the one path that
+writes a file and records its digest; a sweep point's manifest echoes its
+own `W` and single `delta`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ from .exceptions import NearZeroCharge, NumericalFailure
 from .fileio import (ConfigError, certificate_to_json, dump_json, load_config,
                      minimize_result_to_json, penalty_to_json, read_field,
                      stability_to_json, write_descent_log, write_field,
-                     write_trace_csv, wspec_from_json)
+                     write_profile, write_trace_csv, wspec_from_json)
 from .functionals import (PenaltyParams, choose_coercivity_params,
                           lambda0_estimate, penalized_probe_seed, require_probe_widths)
 from .grid import NBE, Grid, min_image_distances
@@ -60,9 +64,10 @@ DEMO_CONFIG = {
 
 
 class _Run:
-    """Output directory, manifest bookkeeping, and chatter control."""
+    """Output directory, manifest bookkeeping, and chatter control; seed is
+    the one the run uses (None when no config was loaded)."""
 
-    def __init__(self, out_dir: Path, config: dict, quiet: bool):
+    def __init__(self, out_dir: Path, config: dict, seed: int | None, quiet: bool):
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.quiet = quiet
@@ -75,6 +80,8 @@ class _Run:
             "stage_seconds": [],
             "status": "running",
         }
+        if seed is not None:
+            self.manifest["seed"] = seed
         self._stage_start = None
 
     def say(self, msg: str):
@@ -98,9 +105,12 @@ class _Run:
             self.manifest["stage_seconds"].append(f"{seconds:.6e}")
             self._stage_start = None
 
-    def register(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.manifest["outputs"][path.name] = digest
+    def write(self, name: str, writer, data):
+        """writer(data, path) to the named file of the run directory, whose
+        sha256 the manifest records; every output of a run goes through here."""
+        path = self.out / name
+        writer(data, path)
+        self.manifest["outputs"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def finish(self, status: str, failure_stage: str | None = None,
                error: Exception | str | None = None):
@@ -188,23 +198,15 @@ def _perturbations(config: dict, spec: ModelSpec) -> list[Perturbation]:
 
 def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams | None, seed: int,
               stage: str):
-    """Audit in the named stage and register certificate.json; True iff the gate passed."""
+    """Audit in the named stage and write certificate.json; True iff the gate passed."""
     run.stage(stage)
     cert = audit(spec, params, budget=2000, seed=seed)
-    path = run.out / "certificate.json"
-    dump_json(certificate_to_json(cert), path)
-    run.register(path)
+    run.write("certificate.json", dump_json, certificate_to_json(cert))
     ok = gate_passed(cert)
     summary = {k: v.verdict for k, v in cert.results.items()}
     run.manifest["certificate_summary"] = summary
     run.say(f"hypothesis gate: {'PASS' if ok else 'FAIL'} ({summary})")
     return ok
-
-
-def _write_descent_log(run: _Run, result, link: int):
-    path = run.out / f"descent_{link:02d}.csv"
-    write_descent_log(result, path)
-    run.register(path)
 
 
 def _minimize_chain(run: _Run, spec: ModelSpec, params: PenaltyParams,
@@ -214,29 +216,34 @@ def _minimize_chain(run: _Run, spec: ModelSpec, params: PenaltyParams,
         family = delta_continuation(spec, deltas, opts=opts, params=params)
     except NumericalFailure as err:
         if err.partial is not None:  # keep the failing link's descent log
-            _write_descent_log(run, err.partial, err.detail["link"])
+            run.write(f"descent_{err.detail['link']:02d}.csv", write_descent_log,
+                      err.partial)
         raise
     rows = []
     for i, (d, res, free_iters, seed) in enumerate(zip(family.deltas, family.results,
                                                        family.free_iters, family.seeds)):
-        state_path = run.out / f"state_{i:02d}.field"
-        write_field(res.state, state_path)
-        run.register(state_path)
-        _write_descent_log(run, res, i)
+        run.write(f"state_{i:02d}.field", write_field, res.state)
+        run.write(f"descent_{i:02d}.csv", write_descent_log, res)
         rows.append({"delta": d, **minimize_result_to_json(res), "free_iters": free_iters,
                      "seed": seed})
         run.say(f"delta={d:g}: e={res.e_delta:.6g} c={res.c_delta:.6g} "
                 f"kkt={res.kkt_residual:.2e} iters={res.iters} free_iters={free_iters}")
-    out = {
+    run.write("minimize.json", dump_json, {
         "penalty": penalty_to_json(params),
         "lambda0": family.lambda0,
         "results": rows,
         "orbit_distances": family.orbit_distances.tolist(),
-    }
-    path = run.out / "minimize.json"
-    dump_json(out, path)
-    run.register(path)
+    })
     return family
+
+
+def _gated_chain(run: _Run, config: dict, spec: ModelSpec, params: PenaltyParams,
+                 deltas: list[float], seed: int):
+    """The audit gate, then the minimizer chain over deltas; None when the
+    gate fails."""
+    if not _run_gate(run, spec, params, seed, "audit-gate"):
+        return None
+    return _minimize_chain(run, spec, params, deltas, resolve_options(config))
 
 
 def cmd_check(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
@@ -247,21 +254,16 @@ def cmd_check(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 def cmd_lambda0(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     run.stage("lambda0")
     est = lambda0_estimate(spec)
-    path = run.out / "lambda0.json"
-    dump_json({"lambda0_estimate": est,
-               "note": "closed form: infimum over wave numbers"}, path)
-    run.register(path)
+    run.write("lambda0.json", dump_json,
+              {"lambda0_estimate": est, "note": "closed form: infimum over wave numbers"})
     run.say(f"lambda0 (closed form): {est:.6g}")
     return EXIT_OK
 
 
 def cmd_minimize(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
-    if not _run_gate(run, spec, params, seed, "audit-gate"):
-        return EXIT_GATE
-    opts = resolve_options(config)
-    _minimize_chain(run, spec, params, deltas, opts)
-    return EXIT_OK
+    family = _gated_chain(run, config, spec, params, deltas, seed)
+    return EXIT_GATE if family is None else EXIT_OK
 
 
 def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
@@ -289,9 +291,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     run.stage("evolve")
     trace = evolve(spec, state0, block["T"], block["dt"],
                    record_every=block.get("record_every", 1))
-    path = run.out / "trace.csv"
-    write_trace_csv(trace, path)
-    run.register(path)
+    run.write("trace.csv", write_trace_csv, trace)
     if trace.blew_up:
         raise NumericalFailure("evolution aborted on blow-up (partial trace written)")
     run.say(f"trace written: {trace.times.size} samples")
@@ -301,10 +301,9 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
 def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     perturbations = _perturbations(config, spec)
     params, deltas = resolve_penalty(config, spec, seed)
-    if not _run_gate(run, spec, params, seed, "audit-gate"):
+    family = _gated_chain(run, config, spec, params, deltas[:1], seed)
+    if family is None:
         return EXIT_GATE
-    opts = resolve_options(config)
-    family = _minimize_chain(run, spec, params, deltas[:1], opts)
     result = family.results[0]
     block = config.get("stability", {})
     run.stage("stability")
@@ -314,12 +313,8 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
                            kappa=block.get("kappa", 4.0),
                            abs_tol=block.get("abs_tol", 1e-6), seed=seed)
     for i, trace in enumerate(report.traces):
-        tpath = run.out / f"stability_trace_{i:02d}.csv"
-        write_trace_csv(trace, tpath)
-        run.register(tpath)
-    path = run.out / "stability.json"
-    dump_json(stability_to_json(report), path)
-    run.register(path)
+        run.write(f"stability_trace_{i:02d}.csv", write_trace_csv, trace)
+    run.write("stability.json", dump_json, stability_to_json(report))
     verdicts = [r.verdict for r in report.rows]
     run.say(f"stability verdicts: {verdicts}")
     return EXIT_OK
@@ -337,26 +332,24 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     # per W combination, resolved at its first point: a and s do not depend on delta
     combo_params = {}
     for idx, (values, delta) in enumerate(itertools.product(combos, deltas)):
-        sub = dict(config)
-        w = json.loads(json.dumps(config["model"]["w"]))
-        for n, v in zip(names, values):
-            w["family"][n] = v
-        sub_dir = run.out / f"run_{idx:03d}"
         label = {"delta": delta, **{n: v for n, v in zip(names, values)}}
+        # the config this point runs: its own W and its single delta
+        sub = json.loads(json.dumps(config))
+        sub["model"]["w"]["family"].update(zip(names, values))
+        sub["penalty"] = {**config.get("penalty", {}), "delta": delta}
+        sub_dir = run.out / f"run_{idx:03d}"
         try:
-            sub_spec = ModelSpec(spec.model_tag, spec.grid, wspec_from_json(w))
-            sub_run = _Run(sub_dir, {**sub, "sweep_point": label}, run.quiet)
+            sub_spec = ModelSpec(spec.model_tag, spec.grid, wspec_from_json(sub["model"]["w"]))
+            sub_run = _Run(sub_dir, {**sub, "sweep_point": label}, seed, run.quiet)
             try:
                 combo = idx // len(deltas)
                 if combo not in combo_params:
                     combo_params[combo] = resolve_penalty(config, sub_spec, seed)[0]
                 params = replace(combo_params[combo], delta=delta)
-                if not _run_gate(sub_run, sub_spec, params, seed, "audit-gate"):
+                if _gated_chain(sub_run, sub, sub_spec, params, [delta], seed) is None:
                     statuses[sub_dir.name] = {"label": label, "status": "gate_failed"}
                     sub_run.finish("gate_failed", failure_stage="audit-gate")
                     continue
-                opts = resolve_options(config)
-                _minimize_chain(sub_run, sub_spec, params, [delta], opts)
                 statuses[sub_dir.name] = {"label": label, "status": "ok"}
                 sub_run.finish("ok")
             except Exception as err:  # per-run isolation: record and continue
@@ -371,10 +364,9 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec, seed)
-    if not _run_gate(run, spec, params, seed, "audit-gate"):
+    family = _gated_chain(run, config, spec, params, deltas[:1], seed)
+    if family is None:
         return EXIT_GATE
-    opts = resolve_options(config)
-    family = _minimize_chain(run, spec, params, deltas[:1], opts)
     result = family.results[0]
     run.stage("profile")
     mu = spec.w.m_sq - 2.0 * result.lambda_mult
@@ -385,17 +377,10 @@ def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     oracle = np.sqrt(2.0 * mu) / np.cosh(np.sqrt(mu) * d) if mu > 0 else np.zeros_like(d)
     err = (np.sqrt(np.sum((np.abs(psi) - oracle) ** 2))
            / max(np.sqrt(np.sum(oracle**2)), 1e-300))
-    path = run.out / "soliton_profile.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,psi_re,psi_im,abs_psi,profile_fit\n")
-        for i in range(x.size):
-            fh.write(f"{x[i]:.17g},{psi[i].real:.17g},{psi[i].imag:.17g},"
-                     f"{abs(psi[i]):.17g},{oracle[i]:.17g}\n")
-    run.register(path)
-    summary_path = run.out / "demo.json"
-    dump_json({"lambda0": family.lambda0, "mu": mu, "profile_rel_l2_error": float(err),
-               "result": minimize_result_to_json(result)}, summary_path)
-    run.register(summary_path)
+    run.write("soliton_profile.csv", write_profile, (x, psi, oracle))
+    run.write("demo.json", dump_json,
+              {"lambda0": family.lambda0, "mu": mu, "profile_rel_l2_error": float(err),
+               "result": minimize_result_to_json(result)})
     run.say(f"demo: mu={mu:.6g}, profile error={err:.3e}")
     if not result.converged or err > 1e-3:
         raise NumericalFailure(f"demo pipeline out of tolerance (err={err:.3e})")
@@ -423,6 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handlers = {"check": cmd_check, "lambda0": cmd_lambda0, "minimize": cmd_minimize,
+                "evolve": partial(cmd_evolve, state_path=args.state),
+                "stability": cmd_stability, "sweep": cmd_sweep, "demo": cmd_demo}
+    run = None
     try:
         if args.config:
             config = load_config(args.config)
@@ -430,29 +419,15 @@ def cli_main(argv=None) -> int:
             config = json.loads(json.dumps(DEMO_CONFIG))
         else:
             raise ConfigError("--config is required (only demo runs without one)")
-        spec = build_spec(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        run = _Run(Path(args.out or "hylosolve-out"), {"config_path": args.config},
+        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        run = _Run(Path(args.out or config.get("out_dir", "hylosolve-out")), config, seed,
                    args.quiet)
-        run.finish("config_error", failure_stage="config", error=str(err))
-        return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    out_dir = Path(args.out or config.get("out_dir", "hylosolve-out"))
-    run = _Run(out_dir, config, args.quiet)
-    handlers = {
-        "check": lambda: cmd_check(run, config, spec, seed),
-        "lambda0": lambda: cmd_lambda0(run, config, spec, seed),
-        "minimize": lambda: cmd_minimize(run, config, spec, seed),
-        "evolve": lambda: cmd_evolve(run, config, spec, seed, args.state),
-        "stability": lambda: cmd_stability(run, config, spec, seed),
-        "sweep": lambda: cmd_sweep(run, config, spec, seed),
-        "demo": lambda: cmd_demo(run, config, spec, seed),
-    }
-    try:
-        code = handlers[args.command]()
+        code = handlers[args.command](run, config, build_spec(config), seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        if run is None:  # no config loaded: the manifest goes to --out
+            run = _Run(Path(args.out or "hylosolve-out"), {"config_path": args.config},
+                       None, args.quiet)
         run.finish("config_error", failure_stage="config", error=str(err))
         return EXIT_CONFIG
     except (NumericalFailure, NearZeroCharge) as err:

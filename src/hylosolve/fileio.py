@@ -25,7 +25,7 @@ from .nonlinearity import DoublePower, Saturating, SinglePower, WSpec
 from .stability import StabilityReport
 
 __all__ = [
-    "write_field", "read_field", "write_trace_csv", "wspec_to_json",
+    "write_field", "read_field", "write_trace_csv", "write_profile", "wspec_to_json",
     "wspec_from_json", "load_config", "ConfigError", "TRACE_HEADER",
 ]
 
@@ -124,6 +124,17 @@ def write_trace_csv(trace: EvolutionTrace, path) -> None:
             fh.write(",".join([
                 _fmt(t), _fmt(trace.energy[i]), _fmt(trace.charge[i]),
                 v, _fmt(trace.sharp[i]), _fmt(trace.xnorm[i]), od]) + "\n")
+
+
+def write_profile(profile, path) -> None:
+    """Demo profile CSV from profile = (x, psi, fit): per grid point x, the
+    real and imaginary parts and modulus of psi, and the fitted profile."""
+    x, psi, fit = profile
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,psi_re,psi_im,abs_psi,profile_fit\n")
+        for xi, p, fi in zip(x, psi, fit):
+            fh.write(",".join([_fmt(xi), _fmt(p.real), _fmt(p.imag), _fmt(abs(p)),
+                               _fmt(fi)]) + "\n")
 
 
 _FAMILY_KINDS = {"single_power": SinglePower, "double_power": DoublePower,

@@ -464,6 +464,10 @@ def test_cli_lambda0_needs_no_probe_widths(tmp_path):
 def test_cli_requires_config_for_non_demo(tmp_path):
     code = cli_main(["lambda0", "--out", str(tmp_path / "x"), "--quiet"])
     assert code == 2
+    # no config was loaded, so no seed was resolved
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert "seed" not in manifest
 
 
 def test_cli_stability_subcommand(tmp_path):

@@ -8,7 +8,7 @@ from hylosolve import (DoublePower, FieldState, Grid, Inadmissible, LatticeShift
                        orbit_distance, refine_constrained, translate)
 from hylosolve.functionals import gaussian_state, penalized_probe_seed
 from hylosolve.grid import symbols, x_norm
-from hylosolve.minimize import _descend, _precondition
+from hylosolve.minimize import _STALL_LIMIT, _descend, _noise_level, _precondition
 from hylosolve.models import evaluate, grad_energy_of, l2_inner
 
 GRID = Grid((256,), (40.0,))
@@ -120,6 +120,58 @@ def test_kkt_contract_and_reevaluation(converged):
         assert result.kkt_residual <= 10 * OPTS.grad_tol * (1 + x_norm(result.state))
         assert energy(SPEC, result.state) == pytest.approx(result.e_delta, rel=1e-12)
         assert abs(charge(SPEC, result.state)) == pytest.approx(result.c_delta, rel=1e-12)
+
+
+def _bitwise_same_state(a: FieldState, b: FieldState) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.components, b.components))
+
+
+def test_stall_at_the_float_floor_is_judged_by_the_kkt_residual(converged):
+    # From the fixture's free minimizer, grad_tol = 1e-9 and 1e-10 both lie
+    # below the gradient norm the descent can reach: it stops after
+    # _STALL_LIMIT steps that lower J only at float resolution, at a KKT
+    # residual of about 1.7e-9 (1 + ||u||_X).  The tolerance judges that
+    # stop against the contract kkt <= 10 grad_tol (1 + ||u||_X) and
+    # changes nothing else.
+    free, _ = converged
+    inside, outside = (minimize_jdelta(SPEC, PARAMS, init=free.state,
+                                       opts=MinimizeOptions(grad_tol=tol))
+                       for tol in (1e-9, 1e-10))
+    assert _bitwise_same_state(inside.state, outside.state)
+    assert inside.log == outside.log
+    values = [row[1] for row in inside.log[-_STALL_LIMIT - 1:]]
+    assert all(a - b <= _noise_level(a) for a, b in zip(values, values[1:]))
+    scale = 1.0 + x_norm(inside.state)
+    for result, tol in ((inside, 1e-9), (outside, 1e-10)):
+        assert result.iters < MinimizeOptions().max_iters
+        assert result.grad_norm > tol * scale  # not stopped by the gradient test
+        assert result.kkt_residual == inside.kkt_residual
+    assert inside.converged and inside.kkt_residual <= 10 * 1e-9 * scale
+    assert not outside.converged and outside.kkt_residual > 10 * 1e-10 * scale
+
+
+def test_failed_search_along_pg_is_judged_by_the_kkt_residual(converged):
+    # No step lowers a constant objective, so the first search along Pg
+    # fails and the descent stops where it started; the stop is converged
+    # iff the start meets the KKT contract: the refined minimizer does, a
+    # Gaussian does not.
+    _, refined = converged
+
+    def flat(u):
+        return 0.0, evaluate(SPEC, u)
+
+    def gradient(u, ev):
+        return grad_energy_of(SPEC, u, ev.spectrum)
+
+    for start, stationary in ((refined.state, True),
+                              (gaussian_state(SPEC, 1.0, 2.0), False)):
+        result = _descend(SPEC, flat, gradient, start.components, OPTS)
+        scale = 1.0 + x_norm(start)
+        assert result.iters == 0 and _bitwise_same_state(result.state, start)
+        assert result.grad_norm > OPTS.grad_tol * scale
+        assert result.converged == stationary
+        assert (result.kkt_residual <= 10 * OPTS.grad_tol * scale) == stationary
+        assert np.isfinite(result.kkt_residual)
 
 
 def test_multiplier_solves_stationarity(converged):
