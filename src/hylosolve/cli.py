@@ -337,26 +337,28 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
         sub = json.loads(json.dumps(config))
         sub["model"]["w"]["family"].update(zip(names, values))
         sub["penalty"] = {**config.get("penalty", {}), "delta": delta}
-        sub_dir = run.out / f"run_{idx:03d}"
+        name = f"run_{idx:03d}"
+        sub_run = _Run(run.out / name, {**sub, "sweep_point": label}, seed, run.quiet)
         try:
             sub_spec = ModelSpec(spec.model_tag, spec.grid, wspec_from_json(sub["model"]["w"]))
-            sub_run = _Run(sub_dir, {**sub, "sweep_point": label}, seed, run.quiet)
-            try:
-                combo = idx // len(deltas)
-                if combo not in combo_params:
-                    combo_params[combo] = resolve_penalty(config, sub_spec, seed)[0]
-                params = replace(combo_params[combo], delta=delta)
-                if _gated_chain(sub_run, sub, sub_spec, params, [delta], seed) is None:
-                    statuses[sub_dir.name] = {"label": label, "status": "gate_failed"}
-                    sub_run.finish("gate_failed", failure_stage="audit-gate")
-                    continue
-                statuses[sub_dir.name] = {"label": label, "status": "ok"}
-                sub_run.finish("ok")
-            except Exception as err:  # per-run isolation: record and continue
-                statuses[sub_dir.name] = {"label": label, "status": f"failed: {err}"}
-                sub_run.finish("failed", failure_stage=sub_run.last_stage(), error=err)
         except ConfigError as err:
-            statuses[sub_dir.name] = {"label": label, "status": f"invalid: {err}"}
+            statuses[name] = {"label": label, "status": f"invalid: {err}"}
+            sub_run.finish("invalid", failure_stage="setup", error=err)
+            continue
+        try:
+            combo = idx // len(deltas)
+            if combo not in combo_params:
+                combo_params[combo] = resolve_penalty(config, sub_spec, seed)[0]
+            params = replace(combo_params[combo], delta=delta)
+            if _gated_chain(sub_run, sub, sub_spec, params, [delta], seed) is None:
+                statuses[name] = {"label": label, "status": "gate_failed"}
+                sub_run.finish("gate_failed", failure_stage="audit-gate")
+                continue
+            statuses[name] = {"label": label, "status": "ok"}
+            sub_run.finish("ok")
+        except Exception as err:  # per-run isolation: record and continue
+            statuses[name] = {"label": label, "status": f"failed: {err}"}
+            sub_run.finish("failed", failure_stage=sub_run.last_stage(), error=err)
     run.manifest["sweep_runs"] = statuses
     run.say(f"sweep complete: {len(statuses)} runs")
     return EXIT_OK

@@ -5,12 +5,12 @@ j_delta globalizes toward the right charge level, then descent on the
 energy at that fixed charge sharpens the multiplier residual.  Both run
 through one line-search driver, `_descend`: preconditioned nonlinear
 conjugate gradients (Polak-Ribiere+ in the phase-space metric of
-`_precondition`, restarted at the preconditioned gradient) with Armijo
-backtracking, after Antoine, Levitt & Tang, J. Comput. Phys. 343 (2017).
-The constrained phase passes the exact charge restoration as a retraction:
-every trial step is followed by a rescale of the component the charge is
-linear (NWE/NBE) or quadratic (NLS) in.  Iterates are component tuples; a
-FieldState is built once, for the result.
+`_precondition`, restarted at the preconditioned gradient) with
+interpolated Armijo backtracking, after Antoine, Levitt & Tang, J. Comput.
+Phys. 343 (2017).  The constrained phase passes the exact charge
+restoration as a retraction: every trial step is followed by a rescale of
+the component the charge is linear (NWE/NBE) or quadratic (NLS) in.
+Iterates are component tuples; a FieldState is built once, for the result.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = [
 _MIN_STEP = 1e-18
 _EPS = float(np.finfo(np.float64).eps)
 _STALL_LIMIT = 25  # accepted steps with float-resolution improvement
+_MIN_SHRINK = 0.1  # a failed trial shrinks the step to no less than this share
+_CORRECT_RTOL = 0.25  # an accepted step this far from the line minimizer is corrected
 # two refined states are aligned, so that their difference is a tangent of
 # the family and not a group motion, when their plain X distance is their
 # orbit distance to this relative tolerance
@@ -123,8 +125,18 @@ def _projected_gradient(spec: ModelSpec, components, field_spec: np.ndarray
     return lam, ge, _axpy(ge, -lam, gc)
 
 
+def _line_minimizer(value: float, slope: float, t: float, trial_value: float) -> float | None:
+    """The minimizer of the quadratic q with q(0) = value, q'(0) = -slope and
+    q(t) = trial_value; None unless trial_value is finite and q's curvature
+    is positive."""
+    curvature = trial_value - value + slope * t
+    if not (math.isfinite(trial_value) and curvature > 0.0):
+        return None
+    return slope * t * t / (2.0 * curvature)
+
+
 def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptions,
-             retract=None, what: str = "descent") -> MinimizeResult:
+             retract=None, what: str = "descent", start=None) -> MinimizeResult:
     """Armijo-backtracked Polak-Ribiere+ conjugate gradients in the metric P
     of `_precondition`, from the component tuple u, reported with the
     objective value as j_value and the final iterate as the one FieldState
@@ -136,10 +148,11 @@ def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptio
     trial step is shortened; gradient(u, ev) is its Riesz gradient (the
     projected one under a constraint), its kinetic term taken from ev's
     spectrum; retract(u) -> u maps every stepped iterate back onto the
-    constraint.  Iterates, gradients and directions are component tuples.
-    A trial with a non-finite sample, before or after the retraction,
-    raises NonFinite (a NumericalFailure) and is rejected like an
-    inadmissible one; any other exception propagates.
+    constraint; start, if given, is objective(u), already at hand.
+    Iterates, gradients and directions are component tuples.  A trial with
+    a non-finite sample, before or after the retraction, raises NonFinite
+    (a NumericalFailure) and is rejected like an inadmissible one; any
+    other exception propagates.
 
     The step is u <- retract(u - t d) with d = Pg + beta d_prev and
     beta = max(0, <g - g_prev, Pg> / <g_prev, P g_prev>).  d restarts at Pg
@@ -147,37 +160,68 @@ def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptio
     along Pg is a stall.  A stall (or _STALL_LIMIT accepted steps at the
     float-resolution floor of the objective) counts as converged iff the
     KKT residual, taken once at exit, meets the result contract
-    kkt <= 10 grad_tol (1 + x_norm).  The accepted step over the backtrack
-    factor seeds the next search, so it settles near the local curvature
-    limit without rescanning from the initial step.
+    kkt <= 10 grad_tol (1 + x_norm).
+
+    Each search starts at the last accepted step (initial_step at first).
+    A failed Armijo trial shrinks t to the minimizer t_q of the quadratic
+    through the value and slope at 0 and the trial's value, clamped to
+    [_MIN_SHRINK t, backtrack t] (backtrack t when the trial raised or the
+    quadratic is not convex), so backtrack bounds the shrink per failed
+    trial.  An accepted t more than _CORRECT_RTOL from t_q is followed by
+    one trial at t_q, kept when it is lower and passes Armijo at t_q.  On
+    a quadratic the search thus lands on the line minimizer, which
+    Polak-Ribiere+ needs to stay conjugate (Nocedal & Wright, Numerical
+    Optimization, 2nd ed. 2006, sections 3.5 and 5.2).
     """
     grid = spec.grid
     weight = symbols(spec.model_tag, grid).weights[0]
-    value, ev = objective(u)
+    value, ev = objective(u) if start is None else start
     step = opts.initial_step
     log: list[tuple[int, float, float, float]] = []
     iters = stalled = 0
     at_floor = False  # stopped on a stall: judged by the KKT residual at exit
     g_prev = d_prev = None  # and gpg_prev = <g_prev, P g_prev>, once a step is taken
 
+    def step_to(t: float, direction: tuple):
+        """(trial, its objective terms) at retract(u - t d); None when t d
+        is below float resolution."""
+        trial = _axpy(u, -t, direction)
+        for comp in trial:
+            require_finite(comp)
+        if all((x == y).all() for x, y in zip(trial, u)):
+            return None
+        if retract is not None:
+            trial = retract(trial)
+        return trial, objective(trial)
+
     def search(direction: tuple, slope: float):
+        def armijo(trial_value: float, t: float) -> bool:
+            return trial_value <= value - opts.armijo_c1 * t * slope
+
         t = step
         while t >= _MIN_STEP:
             try:
-                trial = _axpy(u, -t, direction)
-                for comp in trial:
-                    require_finite(comp)
-                if all((x == y).all() for x, y in zip(trial, u)):
-                    return None  # step below float resolution
-                if retract is not None:
-                    trial = retract(trial)
-                terms = objective(trial)
+                stepped = step_to(t, direction)
             except (NearZeroCharge, NumericalFailure):
                 t *= opts.backtrack
                 continue
-            if terms[0] <= value - opts.armijo_c1 * t * slope:
-                return trial, terms, t
-            t *= opts.backtrack
+            if stepped is None:
+                return None  # step below float resolution
+            trial_value = stepped[1][0]
+            t_q = _line_minimizer(value, slope, t, trial_value)
+            if not armijo(trial_value, t):
+                t = (opts.backtrack * t if t_q is None else
+                     min(max(t_q, _MIN_SHRINK * t), opts.backtrack * t))
+                continue
+            if t_q is not None and abs(t_q - t) > _CORRECT_RTOL * t:
+                try:
+                    better = step_to(t_q, direction)
+                except (NearZeroCharge, NumericalFailure):
+                    better = None
+                if (better is not None and better[1][0] < trial_value
+                        and armijo(better[1][0], t_q)):
+                    return better + (t_q,)
+            return stepped + (t,)
         return None
 
     while True:
@@ -217,7 +261,7 @@ def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptio
         value, ev = terms
         g_prev, d_prev, gpg_prev = g, d, gpg
         iters += 1
-        step = t / opts.backtrack
+        step = t
         log.append((iters, value, t, gnorm))
     # multiplier and residual of the stationarity system gradE = lam gradC
     lam, ge, resid = _projected_gradient(spec, u, ev.spectrum)
@@ -232,15 +276,17 @@ def _descend(spec: ModelSpec, objective, gradient, u: tuple, opts: MinimizeOptio
 
 def minimize_jdelta(spec: ModelSpec, params: PenaltyParams,
                     init: FieldState | None = None,
-                    opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
+                    opts: MinimizeOptions = MinimizeOptions(),
+                    _start=None) -> MinimizeResult:
     """Descent on the penalized objective (see `_descend`); init=None seeds
-    from the best Gaussian probe of the objective."""
+    from the best Gaussian probe of the objective.  _start, if given, is
+    init's `penalized_terms`, which the descent then does not compute again."""
     if init is None:
         init, _ = penalized_probe_seed(spec, params)
     check_state(spec, init)
     return _descend(spec, lambda u: penalized_terms(spec, u, params),
                     lambda u, ev: _grad_j(spec, u, params, ev), init.components, opts,
-                    what="penalized descent")
+                    what="penalized descent", start=_start)
 
 
 def _restore_charge(spec: ModelSpec, comps: tuple, c_target: float) -> tuple:
@@ -373,6 +419,7 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
     aligned = False  # the last two refined states are aligned
     for link, d in enumerate(deltas):
         pd = replace(params, delta=d)
+        start = None  # the gate's penalized_terms of a predicted start
         if not results:
             seed_state, seed_val = penalized_probe_seed(spec, pd)
             kind = "probe"
@@ -384,19 +431,19 @@ def delta_continuation(spec: ModelSpec, delta_list, opts: MinimizeOptions = Mini
                 r = math.log(d / deltas[link - 1]) / math.log(deltas[link - 1] / deltas[link - 2])
                 predicted = _secant(results[-2].state, last.state, r)
                 try:
-                    value = penalized_terms(spec, predicted, pd)[0]
+                    terms = penalized_terms(spec, predicted, pd)
                 except (NearZeroCharge, NumericalFailure):
-                    value = math.inf
-                if value < lam0:
+                    terms = (math.inf, None)
+                if terms[0] < lam0:
                     seed_state = FieldState(spec.model_tag, spec.grid, predicted, owned=True)
-                    seed_val, kind = value, "predicted"
+                    seed_val, kind, start = terms[0], "predicted", terms
         if not seed_val < lam0:
             raise Inadmissible(
                 f"delta = {d} too large: penalized value {seed_val:.6g} does not "
                 f"undercut the vanishing floor {lam0:.6g}",
                 detail={"link": link, "delta": d, "seed_value": float(seed_val),
                         "lambda0": float(lam0)})
-        free = minimize_jdelta(spec, pd, init=seed_state, opts=opts)
+        free = minimize_jdelta(spec, pd, init=seed_state, opts=opts, _start=start)
         _require_converged(free, link, d, "free")
         refined = refine_constrained(spec, free.c_delta, free.state, opts=opts, params=pd)
         _require_converged(refined, link, d, "refine")

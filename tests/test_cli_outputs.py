@@ -131,6 +131,24 @@ def test_a_sweep_point_echoes_the_config_it_ran(runs):
         assert json.loads((solo / "manifest.json").read_text())["outputs"] == point["outputs"]
 
 
+
+def test_a_sweep_point_with_an_invalid_w_writes_its_own_manifest(tmp_path):
+    # p = 1 is not a valid power (p must exceed 2): the first point fails
+    # before its first stage, the second runs
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(_config(sweep={"w_params": {"p": [1.0, 4.0]}})))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    top = json.loads((out / "manifest.json").read_text())["sweep_runs"]
+    assert top["run_000"]["status"].startswith("invalid: ")
+    assert top["run_001"]["status"] == "ok"
+    invalid = _registered_manifest(out / "run_000")
+    assert (invalid["status"], invalid["failure_stage"]) == ("invalid", "setup")
+    assert invalid["outputs"] == {} and invalid["stages"] == []
+    assert invalid["error"] in top["run_000"]["status"]
+    assert invalid["config"]["sweep_point"] == top["run_000"]["label"]
+    assert _registered_manifest(out / "run_001")["outputs"]
+
 # -- cli.py writes only through the run ---------------------------------------
 
 WRITERS = {name for name in vars(fileio) if name.startswith(("write_", "dump_"))}
