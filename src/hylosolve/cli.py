@@ -271,31 +271,41 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     block = config.get("evolve")
     if block is None:
         raise ConfigError("evolve subcommand needs an 'evolve' config block")
-    if state_path:
-        try:
-            state0 = read_field(state_path)
-        except (OSError, KeyError, ValueError) as err:
-            raise ConfigError(f"--state {state_path} is not a readable field file: "
-                              f"{err!r}") from err
-        if state0.model_tag != spec.model_tag or state0.grid != spec.grid:
-            raise ConfigError(
-                f"--state holds a {state0.model_tag} field on grid n={list(state0.grid.n)}, "
-                f"L={list(state0.grid.box_length)}; the config describes a "
-                f"{spec.model_tag} model on n={list(spec.grid.n)}, "
-                f"L={list(spec.grid.box_length)}")
-    else:
-        require_probe_widths(spec.grid)
-        params, _ = resolve_penalty(config, spec, seed)
-        state0, _ = penalized_probe_seed(spec, params)
-        run.say("no --state given: evolving the best penalized Gaussian probe")
+    start = [_start_state(run, config, spec, seed, state_path)]
     run.stage("evolve")
-    trace = evolve(spec, state0, block["T"], block["dt"],
+    # pop leaves no name here bound to the start state, so evolve holds the
+    # only reference and frees it when the first record block replaces it
+    trace = evolve(spec, start.pop(), block["T"], block["dt"],
                    record_every=block.get("record_every", 1))
     run.write("trace.csv", write_trace_csv, trace)
     if trace.blew_up:
         raise NumericalFailure("evolution aborted on blow-up (partial trace written)")
     run.say(f"trace written: {trace.times.size} samples")
     return EXIT_OK
+
+
+def _start_state(run: _Run, config: dict, spec: ModelSpec, seed: int,
+                 state_path: str | None):
+    """The state evolve starts from: the --state field file, else the best
+    penalized Gaussian probe."""
+    if not state_path:
+        require_probe_widths(spec.grid)
+        params, _ = resolve_penalty(config, spec, seed)
+        state, _ = penalized_probe_seed(spec, params)
+        run.say("no --state given: evolving the best penalized Gaussian probe")
+        return state
+    try:
+        state = read_field(state_path)
+    except (OSError, KeyError, ValueError) as err:
+        raise ConfigError(f"--state {state_path} is not a readable field file: "
+                          f"{err!r}") from err
+    if state.model_tag != spec.model_tag or state.grid != spec.grid:
+        raise ConfigError(
+            f"--state holds a {state.model_tag} field on grid n={list(state.grid.n)}, "
+            f"L={list(state.grid.box_length)}; the config describes a "
+            f"{spec.model_tag} model on n={list(spec.grid.n)}, "
+            f"L={list(spec.grid.box_length)}")
+    return state
 
 
 def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
@@ -422,8 +432,13 @@ def cli_main(argv=None) -> int:
         else:
             raise ConfigError("--config is required (only demo runs without one)")
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        run = _Run(Path(args.out or config.get("out_dir", "hylosolve-out")), config, seed,
-                   args.quiet)
+        # the streams take seeds modulo 2^64, so any other seed would run as
+        # one the manifest does not record
+        in_range = 0 <= seed < 2**64
+        run = _Run(Path(args.out or config.get("out_dir", "hylosolve-out")), config,
+                   seed if in_range else None, args.quiet)
+        if not in_range:
+            raise ConfigError(f"seed {seed} is outside the unsigned 64-bit range [0, 2^64)")
         code = handlers[args.command](run, config, build_spec(config), seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -56,10 +56,17 @@ def evolve(spec: ModelSpec, state0, T: float, dt: float,
     A field that turns non-finite inside a block stays so up to the
     block's end, so the trace is the one a check after every step would
     give.
+
+    The rows live only in evolve's own list, where each block's outputs
+    replace their inputs; no other name here stays bound to a start state,
+    so one that the caller does not hold either is freed when the first
+    record block replaces it.
     """
     if T <= 0 or dt <= 0 or record_every < 1:
         raise ValueError("need T > 0, dt > 0, record_every >= 1")
-    states = [state0] if isinstance(state0, FieldState) else list(state0)
+    single = isinstance(state0, FieldState)
+    states = [state0] if single else list(state0)
+    del state0
     n_steps = max(1, int(round(T / dt)))
     e_ref = c_ref = None
     if reference is not None:
@@ -109,7 +116,7 @@ def evolve(spec: ModelSpec, state0, T: float, dt: float,
             dt=dt, n_steps=n_steps, blew_up=failed, final_state=state)
         for (times, es, cs, sharps, xns, vs, ods), failed, state
         in zip(samples, blew_up, states)]
-    return traces[0] if isinstance(state0, FieldState) else traces
+    return traces[0] if single else traces
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,9 @@ def write_field(state: FieldState, path) -> None:
 
 def read_field(path) -> FieldState:
     """Inverse of write_field; any header/row inconsistency raises before
-    a state is built (no partial states)."""
+    a state is built (no partial states).  The complex components are the
+    contiguous arrays made from the file's columns, handed to the state
+    without a second copy."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         tag = header["model_tag"]
@@ -94,7 +96,8 @@ def read_field(path) -> FieldState:
                  for ci in range(len(names))]
     else:
         comps = [values[:, ci] for ci in range(len(names))]
-    return FieldState(tag, grid, tuple(c.reshape(grid.n) for c in comps))
+    # the strided NBE columns are not contiguous, so the state copies them
+    return FieldState(tag, grid, tuple(c.reshape(grid.n) for c in comps), owned=True)
 
 
 def _check_index_columns(grid: Grid, index: np.ndarray) -> None:

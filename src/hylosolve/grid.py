@@ -143,9 +143,11 @@ class SpectralSymbols:
     the discrete energy and its gradient agree on every mode.
     """
 
-    kinetic: np.ndarray              # |k|^2 (NLS, NWE) or k_x^4 (NBE)
-    weights: tuple[np.ndarray, ...]  # metric weight per component: 1 + kinetic, then 1
-    ddx: np.ndarray                  # first derivative along axis 0
+    kinetic: np.ndarray                      # |k|^2 (NLS, NWE) or k_x^4 (NBE)
+    # metric weight per component: the array 1 + kinetic for the field, then
+    # the scalar 1.0 (a product with it is bitwise one with an array of ones)
+    weights: tuple[np.ndarray | float, ...]
+    ddx: np.ndarray                          # first derivative along axis 0
 
 
 @lru_cache(maxsize=64)
@@ -155,10 +157,10 @@ def symbols(model_tag: str, grid: Grid) -> SpectralSymbols:
         kinetic = np.broadcast_to(_axis_k_mesh(grid, 0) ** 4, grid.n)
     else:
         kinetic = k_squared(grid)
-    weights = [1.0 + kinetic] + [np.ones(grid.n)] * (len(COMPONENT_NAMES[model_tag]) - 1)
-    for w in weights:
-        w.setflags(write=False)
-    return SpectralSymbols(kinetic, tuple(weights), _first_derivative(grid, 0))
+    field_weight = 1.0 + kinetic
+    field_weight.setflags(write=False)
+    weights = (field_weight,) + (1.0,) * (len(COMPONENT_NAMES[model_tag]) - 1)
+    return SpectralSymbols(kinetic, weights, _first_derivative(grid, 0))
 
 
 def _on_grid(grid: Grid, values) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,22 @@ def transform_sizes(monkeypatch):
 
         monkeypatch.setattr(gridmod, name, recorded)
     return sizes
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(call): run call() once to warm the caches (symbol tables,
+    propagators, transform plans), then again under tracemalloc, where numpy
+    reports its array allocations, and return the second run's peak traced
+    bytes above the level before it.  Deterministic, unlike ru_maxrss."""
+    def peak(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            call()
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before
+    return peak

@@ -470,6 +470,48 @@ def test_cli_requires_config_for_non_demo(tmp_path):
     assert "seed" not in manifest
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2^64"])
+def test_cli_seed_outside_64_bits_is_a_config_error(tmp_path, seed):
+    # the streams would run seed mod 2^64 under the seed the manifest names
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_config()))
+    out = tmp_path / "out"
+    code = cli_main(["lambda0", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", str(seed), "--quiet"])
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert manifest["failure_stage"] == "config"
+    assert "seed" not in manifest
+    assert set(os.listdir(out)) == {"manifest.json"}
+
+
+def test_cli_config_seed_of_2_to_the_64_is_a_config_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_config(seed=2**64)))
+    out = tmp_path / "out"
+    code = cli_main(["lambda0", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
+    cfg = _small_config(stability={"perturbations": [
+        {"kind": "additive_noise", "eps": 0.01, "seed": 2**64}]})
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError):
+        load_config(cfg_path)
+
+
+def test_cli_largest_64_bit_seed_runs(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_small_config()))
+    out = tmp_path / "out"
+    code = cli_main(["lambda0", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", str(2**64 - 1), "--quiet"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["seed"] == 2**64 - 1
+
+
 def test_cli_stability_subcommand(tmp_path):
     cfg = _small_config()
     cfg["stability"] = {
