@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import Inadmissible
-from .functionals import (PenaltyParams, _chunk_rows, _gaussian_components, _probe_draws,
-                          _probe_stack, choose_coercivity_params, gaussian_profile,
-                          hylomorphy_check, nash_sweep, probe_chunks)
+from .functionals import (NASH_FIELDS, PenaltyParams, _chunk_rows, _gaussian_components,
+                          _probe_draws, _probe_stack, choose_coercivity_params,
+                          gaussian_profile, hylomorphy_check, nash_sweep, probe_chunks)
 from .grid import NBE, NLS, NWE, min_image_distances
 from .models import (ModelSpec, charge, charge_of, energy, energy_of, evaluate, grad_charge,
                      grad_energy)
@@ -248,10 +248,10 @@ def _nash_stability_check(spec: ModelSpec, seed: int) -> CheckResult:
         return CheckResult("skipped", "analytic",
                            {"reason": "interpolation constant probed for NLS power families only"})
     try:
-        sweep = nash_sweep(spec.grid, fam.p, seed=seed, n_random=600)
+        sweep = nash_sweep(spec.grid, fam.p, seed, NASH_FIELDS)
     except Inadmissible as err:  # a supercritical power
         return CheckResult("skipped", "analytic", {"reason": str(err)})
-    b_half, b_full = float(sweep[300]), float(sweep[600])
+    b_half, b_full = float(sweep[NASH_FIELDS // 2]), float(sweep[NASH_FIELDS])
     drift = abs(b_full - b_half) / max(b_half, 1e-30)
     ok = np.isfinite(b_full) and drift <= 0.10
     return CheckResult("pass" if ok else "fail", "sampled",

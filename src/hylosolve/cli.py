@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .checkers import audit, gate_passed
-from .dynamics import evolve
+from .dynamics import evolve, step_count
 from .exceptions import NearZeroCharge, NumericalFailure
 from .fileio import (ConfigError, certificate_to_json, dump_json, load_config,
                      minimize_result_to_json, penalty_to_json, read_field,
@@ -196,6 +196,14 @@ def _perturbations(config: dict, spec: ModelSpec) -> list[Perturbation]:
     return out
 
 
+def _require_span(T, dt) -> None:
+    """A config error unless evolve takes the span T in whole steps dt."""
+    try:
+        step_count(T, dt)
+    except ValueError as err:
+        raise ConfigError(f"invalid evolution span: {err}") from err
+
+
 def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams | None, seed: int,
               stage: str):
     """Audit in the named stage and write certificate.json; True iff the gate passed."""
@@ -271,6 +279,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     block = config.get("evolve")
     if block is None:
         raise ConfigError("evolve subcommand needs an 'evolve' config block")
+    _require_span(block["T"], block["dt"])
     start = [_start_state(run, config, spec, seed, state_path)]
     run.stage("evolve")
     # pop leaves no name here bound to the start state, so evolve holds the
@@ -309,16 +318,17 @@ def _start_state(run: _Run, config: dict, spec: ModelSpec, seed: int,
 
 
 def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
+    block = config.get("stability", {})
+    T, dt = block.get("T", 10.0), block.get("dt", 1e-3)
+    _require_span(T, dt)
     perturbations = _perturbations(config, spec)
     params, deltas = resolve_penalty(config, spec, seed)
     family = _gated_chain(run, config, spec, params, deltas[:1], seed)
     if family is None:
         return EXIT_GATE
     result = family.results[0]
-    block = config.get("stability", {})
     run.stage("stability")
-    report = run_stability(spec, result, perturbations,
-                           T=block.get("T", 10.0), dt=block.get("dt", 1e-3),
+    report = run_stability(spec, result, perturbations, T=T, dt=dt,
                            record_every=block.get("record_every", 100),
                            kappa=block.get("kappa", 4.0),
                            abs_tol=block.get("abs_tol", 1e-6), seed=seed)

@@ -10,6 +10,7 @@ per record block, and each gets the trace it would get alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ from .grid import FieldState, orbit_distance, sharp_seminorm, x_norm as state_x_
 # bound because bench/tracer.py lists it among the record-point names here
 from .models import ModelSpec, charge, energy, evolve_step, lyapunov_v, lyapunov_v_of  # noqa: F401
 
-__all__ = ["EvolutionTrace", "ConservationReport", "evolve", "conservation_report"]
+__all__ = ["EvolutionTrace", "ConservationReport", "step_count", "evolve",
+           "conservation_report"]
 
 
 @dataclass
@@ -38,10 +40,23 @@ class EvolutionTrace:
     final_state: FieldState
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of steps dt that span T.  ValueError unless T and dt are
+    positive and T is a whole number of steps, to 1e-9 relative: a span
+    that is not would be run to the nearest whole step, not to T."""
+    if not (T > 0 and dt > 0 and math.isfinite(T / dt)):
+        raise ValueError("need T > 0 and dt > 0 with a finite ratio")
+    steps = round(T / dt)
+    if steps < 1 or abs(T / dt - steps) > 1e-9 * steps:
+        raise ValueError(f"T = {T} is not a whole number of steps dt = {dt}")
+    return steps
+
+
 def evolve(spec: ModelSpec, state0, T: float, dt: float,
            record_every: int = 1, reference: FieldState | None = None,
            abort_factor: float = 1e6):
-    """Evolve for T with fixed dt, sampling every record_every steps.
+    """Evolve for T with fixed dt, sampling every record_every steps; T
+    must be a whole number of steps (step_count).
 
     state0 is one FieldState, which gives one EvolutionTrace, or a sequence
     of them, which gives a list of traces, one per row.  The rows advance as
@@ -62,12 +77,12 @@ def evolve(spec: ModelSpec, state0, T: float, dt: float,
     so one that the caller does not hold either is freed when the first
     record block replaces it.
     """
-    if T <= 0 or dt <= 0 or record_every < 1:
-        raise ValueError("need T > 0, dt > 0, record_every >= 1")
+    if record_every < 1:
+        raise ValueError("need record_every >= 1")
+    n_steps = step_count(T, dt)
     single = isinstance(state0, FieldState)
     states = [state0] if single else list(state0)
     del state0
-    n_steps = max(1, int(round(T / dt)))
     e_ref = c_ref = None
     if reference is not None:
         e_ref = energy(spec, reference)

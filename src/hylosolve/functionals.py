@@ -45,6 +45,12 @@ CHARGE_FLOOR = 1e-12
 PROBE_CHUNK_POINTS = 2**15
 # factor on the empirical coercivity coefficient a
 COERCIVITY_SAFETY = 2.0
+# random fields of the interpolation-constant sweep of a run: the audit reads
+# its constant after 300 and 600 fields, choose_coercivity_params after 400
+NASH_FIELDS = 600
+# the longest interpolation-constant sweep made so far per (grid, p, seed),
+# read-only, for at most 16 streams (the least recently used goes first)
+_nash_sweeps: dict[tuple[Grid, float, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -205,26 +211,53 @@ def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.
     PROBE_CHUNK_POINTS grid points.  Each stack of random fields takes one
     block of the stream, so every field gets the draws it would get alone,
     and the sweep is bitwise the one-field-at-a-time loop.
+
+    One read-only sweep is kept per (grid, p, seed): a call for fewer
+    fields reads its prefix, and a call for more extends it from where its
+    stream stopped.  So a run's coercivity parameters (400 fields) and its
+    audit (600) draw 600 fields in all, and no call draws more than it
+    reads.
     """
     require_subcritical(p, grid.dim)
+    key = (grid, p, seed)
+    sweep = _nash_sweeps.pop(key, None)
+    if sweep is None or sweep.size <= n_random:
+        sweep = _extended_sweep(grid, p, seed, sweep, n_random)
+    _nash_sweeps[key] = sweep
+    if len(_nash_sweeps) > 16:
+        del _nash_sweeps[next(iter(_nash_sweeps))]
+    return sweep[:n_random + 1]
+
+
+def _extended_sweep(grid: Grid, p: float, seed: int, head: np.ndarray | None,
+                    n_random: int) -> np.ndarray:
+    """nash_sweep over n_random fields, from its first head.size - 1 fields
+    when head (a shorter sweep) is given."""
     q, r = nash_exponents(p, grid.dim)
     rows = _chunk_rows(grid)
-    sig_hi = min(grid.box_length) / 8.0
-    sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
-    sigmas = np.geomspace(sig_lo, sig_hi, 30)
-    best = 0.0
-    for i in range(0, len(sigmas), rows):
-        bumps = np.stack([gaussian_profile(grid, 1.0, sigma) for sigma in sigmas[i:i + rows]])
-        best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
-    rng = SplitMix64(seed).split("nash-check")
-    ratios = [[best]]
-    for start in range(0, n_random, rows):
+    if head is None:
+        sig_hi = min(grid.box_length) / 8.0
+        sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
+        sigmas = np.geomspace(sig_lo, sig_hi, 30)
+        best = 0.0
+        for i in range(0, len(sigmas), rows):
+            bumps = np.stack([gaussian_profile(grid, 1.0, sigma)
+                              for sigma in sigmas[i:i + rows]])
+            best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
+        head = np.array([best])
+    done = head.size - 1
+    rng = SplitMix64(seed).split("nash-check").skip(done * grid.size)
+    ratios = [head]
+    for start in range(done, n_random, rows):
         count = min(rows, n_random - start)
         f = symmetric_from_bits(rng.next_block_u64(count * grid.size)).reshape((count,) + grid.n)
         f = low_pass(grid, f, min(grid.n) // 4).real
         ratios.append(_lp_gradient_ratio(grid, f, p, q, r))
-    # NaN (an excluded field) never wins the running maximum
-    return np.fmax.accumulate(np.concatenate(ratios))
+    # NaN (an excluded field) never wins the running maximum; the head is
+    # one already, so it passes through unchanged
+    sweep = np.fmax.accumulate(np.concatenate(ratios))
+    sweep.setflags(write=False)
+    return sweep
 
 
 def gaussian_profile(grid: Grid, amplitude: float, sigma: float,

@@ -308,18 +308,23 @@ def _transform_axes(func, values, axes: tuple[int, ...], out) -> np.ndarray:
 def fft(values, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """The discrete Fourier transform over the trailing axes `axes` (leading
     axes are a batch), into out when given.  Every transform of the package
-    goes through here or ifft.  Over one axis this is numpy's 1-d fft, the
-    very call fftn makes for one axis, without fftn's argument handling;
-    over several, the same 1-d transforms in slabs (see _transform_axes)."""
+    goes through here or ifft.  Over one axis this calls numpy's pocketfft
+    gufunc, the very call np.fft.fft (and fftn, for one axis) makes, without
+    their argument handling; over several, the same 1-d transforms in slabs
+    (see _transform_axes)."""
     if len(axes) == 1:
-        return np.fft.fft(values, axis=-1, out=out)
+        if out is None:
+            out = np.empty(np.shape(values), np.complex128)
+        return np.fft._pocketfft_umath.fft(values, 1, out=out)
     return _transform_axes(np.fft.fft, values, axes, out)
 
 
 def ifft(values, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """The inverse of fft, over the same trailing axes."""
     if len(axes) == 1:
-        return np.fft.ifft(values, axis=-1, out=out)
+        if out is None:
+            out = np.empty(np.shape(values), np.complex128)
+        return np.fft._pocketfft_umath.ifft(values, 1.0 / out.shape[-1], out=out)
     return _transform_axes(np.fft.ifft, values, axes, out)
 
 

@@ -264,23 +264,37 @@ class _Propagator:
             return self._wave(*comps, steps)
 
     def _nls(self, psi: np.ndarray, steps: int) -> np.ndarray:
-        # one spectrum buffer per block; each inverse transform lands in the
-        # array the last rotation made, which the block owns
-        dt, axes = self.dt, self.axes
+        # A block allocates three arrays and nothing per step: the spectrum,
+        # whose two float halves hold |psi| and the phase while it is free
+        # (the wave kernel's mixing trick), the phase factor, and the first
+        # rotation's output, which every later step updates in place.  A
+        # stack of rows also gets its own copy of the kinetic phase: numpy
+        # buffers a product with lin broadcast over rows, which makes a
+        # temporary as large as the stack on every step.
+        dt, axes, w = self.dt, self.axes, self.spec.w
+        lin = self.lin if len(psi) == 1 else np.broadcast_to(self.lin, psi.shape).copy()
         spec = np.empty(psi.shape, np.complex128)
-        psi = self._rotate(psi, -0.25j * dt)
-        for i in range(steps):
-            gridmod.fft(psi, axes, out=spec)
-            np.multiply(self.lin, spec, out=spec)
-            gridmod.ifft(spec, axes, out=psi)
-            psi = self._rotate(psi, -0.5j * dt if i < steps - 1 else -0.25j * dt)
-        return psi
+        modulus, theta = spec.reshape(-1).view(np.float64).reshape((2,) + psi.shape)
+        rot = np.empty(psi.shape, np.complex128)
 
-    def _rotate(self, psi: np.ndarray, coef: complex) -> np.ndarray:
-        # exp(coef W'(|psi|)/|psi|) psi, built in one buffer
-        rot = coef * w_prime_over_s(self.spec.w, np.abs(psi))
-        np.exp(rot, out=rot)
-        return np.multiply(rot, psi, out=rot)
+        def rotate(src, dst, c):
+            # dst <- exp(i theta) src, theta = c W'(|src|)/|src|; cos theta +
+            # i sin theta is bitwise the complex exp of (+-0 + i theta)
+            np.abs(src, out=modulus)
+            w_prime_over_s(w, modulus, out=theta)
+            np.multiply(theta, c, out=theta)
+            np.cos(theta, out=rot.real)
+            np.sin(theta, out=rot.imag)
+            np.multiply(rot, src, out=dst)
+
+        out = np.empty(psi.shape, np.complex128)
+        rotate(psi, out, -0.25 * dt)
+        for i in range(steps):
+            gridmod.fft(out, axes, out=spec)
+            np.multiply(lin, spec, out=spec)
+            gridmod.ifft(spec, axes, out=out)
+            rotate(out, out, -0.5 * dt if i < steps - 1 else -0.25 * dt)
+        return out
 
     def _wave(self, a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         # The block stays in Fourier space: after the first half-kick each

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hylosolve import (DoublePower, Grid, ModelSpec, SinglePower,
-                       Saturating, WSpec, conservation_report, evolve)
+from hylosolve import (DoublePower, Grid, ModelSpec, Perturbation, SinglePower,
+                       Saturating, WSpec, conservation_report, evolve, run_stability)
+from hylosolve.dynamics import step_count
 from hylosolve.functionals import gaussian_state
 from hylosolve.grid import random_state
 from hylosolve.models import time_reverse
@@ -146,3 +149,28 @@ def test_evolve_validation():
         evolve(SPEC, SPEC.zero_state(), T=1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         evolve(SPEC, SPEC.zero_state(), T=1.0, dt=1e-3, record_every=0)
+
+
+@pytest.mark.parametrize("T,dt", [(0.25, 0.1), (0.35, 0.1), (0.1, 0.25), (0.04, 0.1)])
+def test_a_span_of_no_whole_step_count_is_refused(T, dt):
+    # rounding would run these to 0.2, 0.4, 0.25 and 0.1
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        step_count(T, dt)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        evolve(SPEC, SPEC.zero_state(), T=T, dt=dt)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        run_stability(SPEC, SimpleNamespace(converged=True, state=SPEC.zero_state()),
+                      [Perturbation.amplitude_scale(0.0)], T=T, dt=dt)
+
+
+def test_whole_spans_run_to_their_end():
+    # the benchmark's spans, whose quotients T/dt are not exact in floating point
+    assert (step_count(1.0, 0.01), step_count(20.0, 1e-3), step_count(0.3, 0.1)) == (100, 20000, 3)
+    grid = Grid((16,), (10.0,))
+    spec = ModelSpec("NLS", grid, SPEC.w)
+    state = random_state("NLS", grid, SplitMix64(4), amplitude=0.5, band_limit=3)
+    for T, dt, every in [(1.0, 0.01, 25), (20.0, 1e-3, 5000)]:
+        trace = evolve(spec, state, T=T, dt=dt, record_every=every)
+        assert trace.n_steps == step_count(T, dt)
+        assert not trace.blew_up
+        assert trace.times.tolist() == [k * every * dt for k in range(5)]

@@ -350,6 +350,29 @@ def test_cli_input_errors_keep_the_exit_contract(tmp_path, command, cfg, state, 
     assert json.loads((out / "manifest.json").read_text())["status"] == status
 
 
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+def test_cli_span_of_no_whole_step_count_exits_2_before_the_gate(tmp_path, monkeypatch,
+                                                                command):
+    # T = 0.25 with dt = 0.1 would run 2 steps, to t = 0.2
+    import hylosolve.cli as climod
+
+    def no_gate_work(*args, **kwargs):
+        raise AssertionError("the span is checked before any gate work")
+
+    for name in ("audit", "choose_coercivity_params"):
+        monkeypatch.setattr(climod, name, no_gate_work)
+    cfg = _small_config()
+    cfg[command] = {"T": 0.25, "dt": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failure_stage"]) == ("config_error", "config")
+    assert "not a whole number of steps" in manifest["error"]
+    assert manifest["stages"] == [] and manifest["outputs"] == {}
+
+
 def test_cli_unconverged_link_is_diagnosed(tmp_path):
     cfg = _small_config(minimize={"max_iters": 3, "grad_tol": 1e-7})
     cfg_path = tmp_path / "cfg.json"

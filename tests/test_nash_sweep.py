@@ -10,8 +10,9 @@ running maximum, not how the platform vectorizes `pow` over a stack.
 import numpy as np
 import pytest
 
-from hylosolve import Grid, functionals
-from hylosolve.functionals import (PROBE_CHUNK_POINTS, _lp_gradient_ratio, gaussian_profile,
+from hylosolve import Grid, ModelSpec, SinglePower, WSpec, audit, functionals
+from hylosolve.functionals import (NASH_FIELDS, PROBE_CHUNK_POINTS, _lp_gradient_ratio,
+                                   choose_coercivity_params, gaussian_profile, nash_check,
                                    nash_exponents, nash_sweep)
 from hylosolve.grid import low_pass
 from hylosolve.rng import SplitMix64
@@ -22,6 +23,13 @@ CASES = {
     # one field per stack
     "3d-32^3": (Grid((32, 32, 32), (16.0, 16.0, 16.0)), 3.0),
 }
+
+
+@pytest.fixture(autouse=True)
+def fresh_sweeps():
+    """Every test here computes its sweeps: none is served by the memo of
+    an earlier one, which would hide the draws and transforms it counts."""
+    functionals._nash_sweeps.clear()
 
 
 def _one_row_ratio(grid, f, p, q, r):
@@ -87,6 +95,7 @@ def test_a_constant_field_is_excluded_from_the_maximum(monkeypatch):
         return values
 
     plain = nash_sweep(grid, p, 6, 100)
+    functionals._nash_sweeps.clear()
     monkeypatch.setattr(functionals, "symmetric_from_bits", second_field_constant)
     sweep = nash_sweep(grid, p, 6, 100)
     assert not np.any(np.isnan(sweep))
@@ -106,3 +115,65 @@ def test_no_sweep_transform_exceeds_the_chunk_bound(transform_sizes):
     nash_sweep(grid, p, 6, 3)
     assert transform_sizes
     assert max(transform_sizes) <= PROBE_CHUNK_POINTS
+
+
+def test_one_sweep_serves_the_coercivity_params_and_the_audit(monkeypatch):
+    grid, p = CASES["NLS-512"]
+    spec = ModelSpec("NLS", grid, WSpec(1.0, SinglePower(1.0, p)))
+    fields = []
+    draw = functionals.symmetric_from_bits
+
+    def counted(bits):
+        fields.append(bits.size // grid.size)
+        return draw(bits)
+
+    monkeypatch.setattr(functionals, "symmetric_from_bits", counted)
+    # the audit chooses its coercivity parameters (400 fields), then its Nash
+    # check extends that sweep to NASH_FIELDS
+    cert = audit(spec, budget=100, seed=6)
+    assert sum(fields) == NASH_FIELDS
+    sweep = nash_sweep(grid, p, 6, NASH_FIELDS)
+    assert sum(fields) == NASH_FIELDS and not sweep.flags.writeable
+    assert cert.results["Nash"].parameters["b_emp"] == sweep[NASH_FIELDS]
+    # the extended sweep is bitwise one drawn whole, and its entry 400 is the
+    # constant the parameters take
+    functionals._nash_sweeps.clear()
+    assert nash_sweep(grid, p, 6, NASH_FIELDS).tobytes() == sweep.tobytes()
+    params = choose_coercivity_params(spec, seed=6, n_probes=100)
+    assert params.nash_b == nash_check(grid, p, seed=6, n_random=400) == sweep[400]
+
+
+def test_an_extended_sweep_draws_what_a_whole_one_draws(monkeypatch):
+    # the Gaussians set the constant on these grids, so compare the draws too
+    grid, p = CASES["NLS-512"]
+    blocks = []
+    draw = functionals.symmetric_from_bits
+
+    def recorded(bits):
+        blocks.append(bits.copy())
+        return draw(bits)
+
+    monkeypatch.setattr(functionals, "symmetric_from_bits", recorded)
+    nash_sweep(grid, p, 6, 100)
+    extended = nash_sweep(grid, p, 6, 250)
+    assert nash_sweep(grid, p, 6, 180).tobytes() == extended[:181].tobytes()
+    split = np.concatenate(blocks)
+    blocks.clear()
+    functionals._nash_sweeps.clear()
+    whole = nash_sweep(grid, p, 6, 250)
+    assert split.size == 250 * grid.size
+    assert np.concatenate(blocks).tobytes() == split.tobytes()
+    assert extended.tobytes() == whole.tobytes()
+
+
+def test_the_memo_keeps_sixteen_streams():
+    grid, p = CASES["NLS-512"]
+    for seed in range(17):
+        nash_sweep(grid, p, seed, 10)
+    assert len(functionals._nash_sweeps) == 16
+    assert (grid, p, 0) not in functionals._nash_sweeps
+    # a read refreshes its stream, so the oldest one goes next
+    nash_sweep(grid, p, 1, 5)
+    nash_sweep(grid, p, 17, 10)
+    assert (grid, p, 1) in functionals._nash_sweeps
+    assert (grid, p, 2) not in functionals._nash_sweeps

@@ -10,6 +10,7 @@ import pytest
 from hylosolve import DoublePower, Grid, ModelSpec, Saturating, SinglePower, WSpec
 from hylosolve import grid as gridmod
 from hylosolve.grid import random_state, symbols
+from hylosolve.dynamics import evolve
 from hylosolve.models import _propagator
 from hylosolve.nonlinearity import w_prime_over_s
 from hylosolve.rng import SplitMix64
@@ -18,8 +19,14 @@ DOUBLE_POWER = WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))
 # (spec, rows): the rows are evolved as one stack
 CASES = {
     "NLS-1d": (ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))), 2),
+    # the double power builds W'(s)/s in place over |psi|: the two must not share memory
+    "NLS-1d-double": (ModelSpec("NLS", Grid((512,), (40.0,)), DOUBLE_POWER), 2),
+    "NLS-1d-saturating": (ModelSpec("NLS", Grid((512,), (40.0,)),
+                                    WSpec(1.0, Saturating(0.0, 0.5))), 2),
     "NLS-2d": (ModelSpec("NLS", Grid((32, 32), (20.0, 20.0)),
                          WSpec(1.0, SinglePower(1.0, 3.0))), 1),
+    "NLS-2d-rows": (ModelSpec("NLS", Grid((32, 32), (20.0, 20.0)),
+                              WSpec(1.0, SinglePower(1.0, 3.0))), 2),
     "NWE-1d": (ModelSpec("NWE", Grid((256,), (40.0,)), DOUBLE_POWER), 1),
     "NBE-1d": (ModelSpec("NBE", Grid((256,), (40.0,)), WSpec(1.0, Saturating(0.0, 0.5))), 1),
     "NWE-3d": (ModelSpec("NWE", Grid((16, 16, 16), (12.0, 12.0, 12.0)), DOUBLE_POWER), 1),
@@ -54,6 +61,41 @@ def fftn_nls_block(spec, psi, dt, steps):
         psi = np.fft.ifftn(lin * np.fft.fftn(psi, axes=axes), axes=axes)
         psi = rotate(psi, -0.5j * dt if i < steps - 1 else -0.25j * dt)
     return (psi,)
+
+
+def test_nls_block_peak_memory_is_its_work_arrays(traced_peak):
+    # the spectrum, the phase factor, the output and the stack's copy of the
+    # kinetic phase: four stacks plus the transforms' line buffers (4.14);
+    # phase factors built from fresh temporaries peaked at 4.63
+    spec, rows = CASES["NLS-1d"]
+    comps = _stack(spec, rows)
+    prop = _propagator(spec, DT)
+    peak = traced_peak(lambda: prop.step(comps, STEPS))
+    assert peak <= 4.25 * comps[0].nbytes
+
+
+def test_a_row_that_overflows_mid_block_stops_alone():
+    # W'(s)/s = 1 - s^38 overflows above about 1.3e8, and the phase it
+    # gives turns the field non-finite; the second row, whose huge phases
+    # scramble it, gets there inside its fourth record block
+    spec = ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 40.0)))
+    healthy, wild = (random_state("NLS", spec.grid, SplitMix64(seed), amplitude=amp,
+                                  band_limit=6) for seed, amp in ((80, 1.0), (81, 2.98e7)))
+    every = 10
+    # the reference: the complex-exp block, a record block at a time
+    psi, healthy_blocks = wild.psi[None], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(psi := fftn_nls_block(spec, psi, DT, every)[0]).all():
+            healthy_blocks += 1
+        traces = evolve(spec, [healthy, wild], T=1.0, dt=DT, record_every=every)
+    assert healthy_blocks == 3
+    assert traces[1].blew_up
+    assert traces[1].times.tolist() == [k * every * DT for k in range(healthy_blocks + 1)]
+    solo = evolve(spec, healthy, T=1.0, dt=DT, record_every=every)
+    assert not traces[0].blew_up
+    for name in ("times", "energy", "charge", "sharp", "xnorm"):
+        assert getattr(traces[0], name).tobytes() == getattr(solo, name).tobytes()
+    assert traces[0].final_state.psi.tobytes() == solo.final_state.psi.tobytes()
 
 
 def fftn_wave_block(spec, a, b, dt, steps):
@@ -121,6 +163,62 @@ def test_owner_is_bitwise_fftn_on_stacks(grid):
     assert out.tobytes() == spec.tobytes()
     assert gridmod.ifft(out, grid.axes, out=out) is out
     assert out.tobytes() == back.tobytes()
+
+
+def _one_axis_inputs():
+    rng = np.random.default_rng(5)
+
+    def plane(rows, n):
+        return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+    return {
+        "complex-stack": plane(3, 256),
+        "complex-row": plane(1, 256)[0],
+        "real-stack": rng.standard_normal((3, 256)),
+        "real-row": rng.standard_normal(256),
+        "strided-samples": plane(3, 512)[:, ::2],
+        "strided-rows": plane(6, 256)[::2],
+        "real-strided": rng.standard_normal((3, 512))[:, 1::2],
+        "list-row": rng.standard_normal(256).tolist(),
+        "list-stack": plane(2, 256).tolist(),
+    }
+
+
+ONE_AXIS_INPUTS = _one_axis_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(ONE_AXIS_INPUTS))
+@pytest.mark.parametrize("owner,reference", [(gridmod.fft, np.fft.fft),
+                                             (gridmod.ifft, np.fft.ifft)], ids=["fft", "ifft"])
+def test_one_axis_owner_is_bitwise_numpys_1d_transform(name, owner, reference):
+    values = ONE_AXIS_INPUTS[name]
+    want = reference(values, axis=-1)
+    got = owner(values, (-1,))
+    assert (got.dtype, got.shape) == (np.complex128, want.shape)
+    assert got.tobytes() == want.tobytes()
+    out = np.empty(np.shape(values), np.complex128)
+    assert owner(values, (-1,), out=out) is out
+    assert out.tobytes() == want.tobytes()
+    # in place, into a contiguous array and into a strided view of a larger one
+    inplace = np.array(values, np.complex128)
+    assert owner(inplace, (-1,), out=inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()
+    wide = np.zeros(np.shape(values)[:-1] + (2 * np.shape(values)[-1],), np.complex128)
+    view = wide[..., ::2]
+    view[...] = values
+    assert owner(view, (-1,), out=view) is view
+    assert view.tobytes() == want.tobytes()
+    assert not wide[..., 1::2].any()
+
+
+def test_numpy_still_has_the_pocketfft_gufuncs_the_owner_calls():
+    umath = getattr(np.fft, "_pocketfft_umath", None)
+    found = {name: getattr(umath, name, None) for name in ("fft", "ifft")}
+    assert all(isinstance(f, np.ufunc) and (f.nin, f.nout) == (2, 1) and f.signature
+               for f in found.values()), (
+        f"numpy {np.__version__} no longer has the gufuncs numpy.fft._pocketfft_umath."
+        f"fft/ifft(values, factor, out=) (found {found}); grid.fft/ifft call them over "
+        "one axis and must move to the transform numpy.fft.fft makes now")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hylosolve"
