@@ -48,9 +48,8 @@ COERCIVITY_SAFETY = 2.0
 # random fields of the interpolation-constant sweep of a run: the audit reads
 # its constant after 300 and 600 fields, choose_coercivity_params after 400
 NASH_FIELDS = 600
-# the longest interpolation-constant sweep made so far per (grid, p, seed),
-# read-only, for at most 16 streams (the least recently used goes first)
-_nash_sweeps: dict[tuple[Grid, float, int], np.ndarray] = {}
+# the last interpolation-constant sweep, read-only, by (grid, p, seed, n_random)
+_nash_sweeps: dict[tuple[Grid, float, int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -212,49 +211,35 @@ def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.
     block of the stream, so every field gets the draws it would get alone,
     and the sweep is bitwise the one-field-at-a-time loop.
 
-    One read-only sweep is kept per (grid, p, seed): a call for fewer
-    fields reads its prefix, and a call for more extends it from where its
-    stream stopped.  So a run's coercivity parameters (400 fields) and its
-    audit (600) draw 600 fields in all, and no call draws more than it
-    reads.
+    The last sweep is kept, read-only, so a run's coercivity parameters and
+    its audit read one NASH_FIELDS sweep.
     """
     require_subcritical(p, grid.dim)
-    key = (grid, p, seed)
-    sweep = _nash_sweeps.pop(key, None)
-    if sweep is None or sweep.size <= n_random:
-        sweep = _extended_sweep(grid, p, seed, sweep, n_random)
-    _nash_sweeps[key] = sweep
-    if len(_nash_sweeps) > 16:
-        del _nash_sweeps[next(iter(_nash_sweeps))]
-    return sweep[:n_random + 1]
+    key = (grid, p, seed, n_random)
+    if key not in _nash_sweeps:
+        _nash_sweeps.clear()
+        _nash_sweeps[key] = _sweep(grid, p, seed, n_random)
+    return _nash_sweeps[key]
 
 
-def _extended_sweep(grid: Grid, p: float, seed: int, head: np.ndarray | None,
-                    n_random: int) -> np.ndarray:
-    """nash_sweep over n_random fields, from its first head.size - 1 fields
-    when head (a shorter sweep) is given."""
+def _sweep(grid: Grid, p: float, seed: int, n_random: int) -> np.ndarray:
     q, r = nash_exponents(p, grid.dim)
     rows = _chunk_rows(grid)
-    if head is None:
-        sig_hi = min(grid.box_length) / 8.0
-        sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
-        sigmas = np.geomspace(sig_lo, sig_hi, 30)
-        best = 0.0
-        for i in range(0, len(sigmas), rows):
-            bumps = np.stack([gaussian_profile(grid, 1.0, sigma)
-                              for sigma in sigmas[i:i + rows]])
-            best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
-        head = np.array([best])
-    done = head.size - 1
-    rng = SplitMix64(seed).split("nash-check").skip(done * grid.size)
-    ratios = [head]
-    for start in range(done, n_random, rows):
+    sig_hi = min(grid.box_length) / 8.0
+    sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
+    sigmas = np.geomspace(sig_lo, sig_hi, 30)
+    best = 0.0
+    for i in range(0, len(sigmas), rows):
+        bumps = np.stack([gaussian_profile(grid, 1.0, sigma) for sigma in sigmas[i:i + rows]])
+        best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
+    rng = SplitMix64(seed).split("nash-check")
+    ratios = [[best]]
+    for start in range(0, n_random, rows):
         count = min(rows, n_random - start)
         f = symmetric_from_bits(rng.next_block_u64(count * grid.size)).reshape((count,) + grid.n)
         f = low_pass(grid, f, min(grid.n) // 4).real
         ratios.append(_lp_gradient_ratio(grid, f, p, q, r))
-    # NaN (an excluded field) never wins the running maximum; the head is
-    # one already, so it passes through unchanged
+    # NaN (an excluded field) never wins the running maximum
     sweep = np.fmax.accumulate(np.concatenate(ratios))
     sweep.setflags(write=False)
     return sweep
@@ -458,7 +443,7 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
     if spec.model_tag == NLS and isinstance(fam, (SinglePower, DoublePower)):
         s_exp = coercivity_exponent(fam.p, spec.grid.dim)
         q, r = nash_exponents(fam.p, spec.grid.dim)
-        b_emp = nash_check(spec.grid, fam.p, seed=seed, n_random=400)
+        b_emp = float(nash_sweep(spec.grid, fam.p, seed, NASH_FIELDS)[400])
         c3 = fam.b / fam.p
         k_young = ((1.0 - q / 2.0) * q ** (q / (2.0 - q))
                    * (c3 * b_emp) ** (2.0 / (2.0 - q)))

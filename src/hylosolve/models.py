@@ -264,15 +264,11 @@ class _Propagator:
             return self._wave(*comps, steps)
 
     def _nls(self, psi: np.ndarray, steps: int) -> np.ndarray:
-        # A block allocates three arrays and nothing per step: the spectrum,
-        # whose two float halves hold |psi| and the phase while it is free
-        # (the wave kernel's mixing trick), the phase factor, and the first
-        # rotation's output, which every later step updates in place.  A
-        # stack of rows also gets its own copy of the kinetic phase: numpy
-        # buffers a product with lin broadcast over rows, which makes a
-        # temporary as large as the stack on every step.
+        # A block allocates three arrays: the spectrum, whose two float
+        # halves hold |psi| and the phase while it is free (the wave
+        # kernel's mixing trick), the phase factor, and the first rotation's
+        # output, which every later step updates in place.
         dt, axes, w = self.dt, self.axes, self.spec.w
-        lin = self.lin if len(psi) == 1 else np.broadcast_to(self.lin, psi.shape).copy()
         spec = np.empty(psi.shape, np.complex128)
         modulus, theta = spec.reshape(-1).view(np.float64).reshape((2,) + psi.shape)
         rot = np.empty(psi.shape, np.complex128)
@@ -291,7 +287,7 @@ class _Propagator:
         rotate(psi, out, -0.25 * dt)
         for i in range(steps):
             gridmod.fft(out, axes, out=spec)
-            np.multiply(lin, spec, out=spec)
+            np.multiply(self.lin, spec, out=spec)
             gridmod.ifft(spec, axes, out=out)
             rotate(out, out, -0.5 * dt if i < steps - 1 else -0.25 * dt)
         return out

@@ -77,11 +77,6 @@ class SplitMix64:
             np.bitwise_xor(part, shifted, out=part)
         return z
 
-    def skip(self, n: int) -> "SplitMix64":
-        """Move past n outputs without making them; returns the stream."""
-        self._count += n
-        return self
-
     def uniform(self, n: int | None = None):
         """Uniforms in [0, 1) with 53-bit mantissas (scalar if n is None)."""
         if n is None:

@@ -71,7 +71,9 @@ def test_stacked_sweep_is_bitwise_the_per_field_loop(name, n_random):
 
 def test_a_longer_sweep_extends_a_shorter_one():
     grid, p = CASES["NLS-512"]
-    assert nash_sweep(grid, p, 6, 600)[:401].tobytes() == nash_sweep(grid, p, 6, 400).tobytes()
+    longer = nash_sweep(grid, p, 6, 600)
+    functionals._nash_sweeps.clear()
+    assert longer[:401].tobytes() == nash_sweep(grid, p, 6, 400).tobytes()
 
 
 def test_a_constant_field_is_excluded_from_the_maximum(monkeypatch):
@@ -128,52 +130,26 @@ def test_one_sweep_serves_the_coercivity_params_and_the_audit(monkeypatch):
         return draw(bits)
 
     monkeypatch.setattr(functionals, "symmetric_from_bits", counted)
-    # the audit chooses its coercivity parameters (400 fields), then its Nash
-    # check extends that sweep to NASH_FIELDS
+    # the audit's coercivity parameters draw the NASH_FIELDS sweep, and its
+    # Nash check reads the same one
     cert = audit(spec, budget=100, seed=6)
     assert sum(fields) == NASH_FIELDS
     sweep = nash_sweep(grid, p, 6, NASH_FIELDS)
     assert sum(fields) == NASH_FIELDS and not sweep.flags.writeable
     assert cert.results["Nash"].parameters["b_emp"] == sweep[NASH_FIELDS]
-    # the extended sweep is bitwise one drawn whole, and its entry 400 is the
-    # constant the parameters take
+    # the kept sweep is bitwise a fresh one, and its entry 400 is the
+    # constant of a 400-field sweep, which the parameters take
     functionals._nash_sweeps.clear()
     assert nash_sweep(grid, p, 6, NASH_FIELDS).tobytes() == sweep.tobytes()
     params = choose_coercivity_params(spec, seed=6, n_probes=100)
     assert params.nash_b == nash_check(grid, p, seed=6, n_random=400) == sweep[400]
 
 
-def test_an_extended_sweep_draws_what_a_whole_one_draws(monkeypatch):
-    # the Gaussians set the constant on these grids, so compare the draws too
+def test_the_memo_keeps_the_last_sweep():
     grid, p = CASES["NLS-512"]
-    blocks = []
-    draw = functionals.symmetric_from_bits
-
-    def recorded(bits):
-        blocks.append(bits.copy())
-        return draw(bits)
-
-    monkeypatch.setattr(functionals, "symmetric_from_bits", recorded)
-    nash_sweep(grid, p, 6, 100)
-    extended = nash_sweep(grid, p, 6, 250)
-    assert nash_sweep(grid, p, 6, 180).tobytes() == extended[:181].tobytes()
-    split = np.concatenate(blocks)
-    blocks.clear()
-    functionals._nash_sweeps.clear()
-    whole = nash_sweep(grid, p, 6, 250)
-    assert split.size == 250 * grid.size
-    assert np.concatenate(blocks).tobytes() == split.tobytes()
-    assert extended.tobytes() == whole.tobytes()
-
-
-def test_the_memo_keeps_sixteen_streams():
-    grid, p = CASES["NLS-512"]
-    for seed in range(17):
-        nash_sweep(grid, p, seed, 10)
-    assert len(functionals._nash_sweeps) == 16
-    assert (grid, p, 0) not in functionals._nash_sweeps
-    # a read refreshes its stream, so the oldest one goes next
-    nash_sweep(grid, p, 1, 5)
-    nash_sweep(grid, p, 17, 10)
-    assert (grid, p, 1) in functionals._nash_sweeps
-    assert (grid, p, 2) not in functionals._nash_sweeps
+    first = nash_sweep(grid, p, 6, 10)
+    assert nash_sweep(grid, p, 6, 10) is first
+    nash_sweep(grid, p, 7, 10)
+    assert list(functionals._nash_sweeps) == [(grid, p, 7, 10)]
+    again = nash_sweep(grid, p, 6, 10)
+    assert again is not first and again.tobytes() == first.tobytes()

@@ -83,11 +83,3 @@ def test_bit_converters_match_the_plain_formulas():
     block = SplitMix64(5).next_block_u64(64).reshape(8, 8)
     column = [int(v) for v in block[:, 3]]
     assert uniform_from_bits(block[:, 3]).tolist() == [(x >> 11) * 2.0**-53 for x in column]
-
-
-def test_skip_moves_past_draws_it_does_not_make():
-    whole = SplitMix64(7).next_block_u64(50)
-    rng = SplitMix64(7)
-    assert rng.skip(20) is rng
-    assert rng.next_block_u64(30).tobytes() == whole[20:].tobytes()
-    assert SplitMix64(7).skip(49).next_u64() == int(whole[49])
