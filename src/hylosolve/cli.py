@@ -305,7 +305,7 @@ def _start_state(run: _Run, config: dict, spec: ModelSpec, seed: int,
         return state
     try:
         state = read_field(state_path)
-    except (OSError, KeyError, ValueError) as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"--state {state_path} is not a readable field file: "
                           f"{err!r}") from err
     if state.model_tag != spec.model_tag or state.grid != spec.grid:

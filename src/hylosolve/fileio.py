@@ -1,8 +1,9 @@
 """Persistence: field files, trace CSV, JSON reports, and config validation.
 
-Formats are diff-able text: JSON for configs and reports, CSV with 17
-significant digits for traces and field samples (17 digits round-trips
-IEEE doubles exactly).
+Configs, reports, traces and profiles are diff-able text: JSON, and CSV with
+17 significant digits (17 digits round-trip IEEE doubles exactly).  Field
+files carry a JSON header line and then the samples as raw little-endian
+float64, exact by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from jsonschema.validators import validator_for
 from .checkers import HypothesisCertificate
 from .dynamics import EvolutionTrace
 from .functionals import PenaltyParams
-from .grid import COMPONENT_NAMES, COMPLEX_MODELS, FieldState, Grid
+from .grid import COMPONENT_NAMES, COMPLEX_MODELS, MODEL_TAGS, FieldState, Grid
 from .minimize import MinimizeResult
 from .nonlinearity import DoublePower, Saturating, SinglePower, WSpec
 from .stability import StabilityReport
@@ -31,8 +32,8 @@ __all__ = [
 
 TRACE_HEADER = "t,E,C,V,sharp,xnorm,orbit_dist"
 _FMT = "%.17g"
-# rows of a field file formatted by one % operation (bounds the writer's memory)
-_ROW_BLOCK = 2**15
+# the field file body: every sample's float64 bytes, little-endian
+FIELD_ENCODING = "float64-le"
 
 
 class ConfigError(ValueError):
@@ -43,9 +44,13 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
+def _field_dtype(model_tag: str) -> np.dtype:
+    return np.dtype("<c16" if model_tag in COMPLEX_MODELS else "<f8")
+
+
 def write_field(state: FieldState, path) -> None:
-    """Field file: one JSON header line, then one CSV row per grid point
-    (index tuple, then re/im columns per component)."""
+    """Field file: one JSON header line, then each component in C order as
+    little-endian float64 (complex samples as adjacent re/im pairs)."""
     grid = state.grid
     header = {
         "model_tag": state.model_tag,
@@ -53,67 +58,52 @@ def write_field(state: FieldState, path) -> None:
         "n": list(grid.n),
         "box_length": list(grid.box_length),
         "components": list(COMPONENT_NAMES[state.model_tag]),
+        "encoding": FIELD_ENCODING,
     }
-    # per component one float column per real number (re, im adjacent)
-    columns = [c.reshape(grid.size, -1).view(np.float64) for c in state.components]
-    width = sum(col.shape[1] for col in columns)
-    row = ",".join(["%d"] * grid.dim + [_FMT] * width) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for start in range(0, grid.size, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, grid.size)
-            index = np.unravel_index(np.arange(start, stop), grid.n)
-            block = np.column_stack(index + tuple(col[start:stop] for col in columns))
-            fh.write((row * (stop - start)) % tuple(block.ravel().tolist()))
+    dtype = _field_dtype(state.model_tag)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        for c in state.components:
+            fh.write(np.ascontiguousarray(c, dtype=dtype))
+
+
+def _field_header(header) -> tuple[str, Grid]:
+    """The model tag and grid of a field header; ValueError unless it is one
+    that write_field writes."""
+    if not isinstance(header, dict):
+        raise ValueError("the field header is not a JSON object")
+    if header.get("encoding") != FIELD_ENCODING:
+        raise ValueError("this is a text field file from an earlier version of hylosolve; "
+                         "write it again with write_field (README: Output formats)")
+    tag = header.get("model_tag")
+    if tag not in MODEL_TAGS:
+        raise ValueError(f"unknown model tag {tag!r}")
+    n, box = header.get("n"), header.get("box_length")
+    if not (isinstance(n, list) and isinstance(box, list)
+            and len(n) == len(box) == header.get("dim")):
+        raise ValueError("n and box_length must be lists of dim entries")
+    if header.get("components") != list(COMPONENT_NAMES[tag]):
+        raise ValueError("component names do not match the model tag")
+    try:
+        return tag, Grid(tuple(n), tuple(box))
+    except TypeError as err:
+        raise ValueError(f"invalid grid in the field header: {err}") from err
 
 
 def read_field(path) -> FieldState:
-    """Inverse of write_field; any header/row inconsistency raises before
-    a state is built (no partial states).  The complex components are the
-    contiguous arrays made from the file's columns, handed to the state
-    without a second copy."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        tag = header["model_tag"]
-        grid = Grid(tuple(header["n"]), tuple(header["box_length"]))
-        names = COMPONENT_NAMES[tag]
-        if list(header["components"]) != list(names):
-            raise ValueError("component names do not match the model tag")
-        complex_valued = tag in COMPLEX_MODELS
-        total = int(np.prod(grid.n))
-        width = grid.dim + len(names) * (2 if complex_valued else 1)
-        # a row whose width differs from the first row's raises ValueError here
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if table.shape[0] != total:
-        raise ValueError(f"file has {table.shape[0]} rows for a {total}-point grid")
-    if table.shape[1] != width:
-        raise ValueError(f"row width {table.shape[1]} != expected {width}")
-    _check_index_columns(grid, table[:, :grid.dim])
-    values = table[:, grid.dim:]
-    if complex_valued:
-        # adjacent (re, im) columns are the bits of one complex sample
-        comps = [np.ascontiguousarray(values[:, 2 * ci:2 * ci + 2]).view(np.complex128)
-                 for ci in range(len(names))]
-    else:
-        comps = [values[:, ci] for ci in range(len(names))]
-    # the strided NBE columns are not contiguous, so the state copies them
-    return FieldState(tag, grid, tuple(c.reshape(grid.n) for c in comps), owned=True)
-
-
-def _check_index_columns(grid: Grid, index: np.ndarray) -> None:
-    """Raise ValueError unless row r of the index columns is the C-order
-    grid index of sample r, as write_field writes it."""
-    index = index.reshape(grid.n + (grid.dim,))
-    in_place = np.ones(grid.n, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        in_place &= index[..., axis] == np.arange(grid.n[axis]).reshape(shape)
-    if not in_place.all():
-        row = int(np.argmin(in_place))
-        found = tuple(index.reshape(-1, grid.dim)[row].tolist())
-        expected = tuple(int(i) for i in np.unravel_index(row, grid.n))
-        raise ValueError(f"row {row} has grid index {found}; C order puts {expected} there")
+    """Inverse of write_field; a bad header or a body of the wrong length
+    raises ValueError before a state is built (no partial states).  The
+    body is read into one array, whose rows the state keeps without a copy."""
+    with open(path, "rb") as fh:
+        tag, grid = _field_header(json.loads(fh.readline()))
+        ncomp = len(COMPONENT_NAMES[tag])
+        body = np.empty((ncomp,) + grid.n, dtype=_field_dtype(tag))
+        size = fh.readinto(body)
+        if size != body.nbytes or fh.read(1):
+            raise ValueError(f"the field body is not the {body.nbytes} bytes of "
+                             f"{ncomp} component(s) on a {grid.size}-point grid")
+    native = body.astype(body.dtype.newbyteorder("="), copy=False)
+    return FieldState(tag, grid, tuple(native), owned=True)
 
 
 def write_trace_csv(trace: EvolutionTrace, path) -> None:

@@ -1,10 +1,10 @@
 """Every full-grid array on the evolve path has one owner.
 
 The velocity-like component's unit metric weight is the scalar 1.0, not an
-array of ones; read_field hands the arrays it makes to its state; and
-evolve, once its rows are in its own list, keeps no other reference to the
-start state, so a start state nothing else holds is freed when the first
-record block replaces it.  The hand-over of a call argument needs CPython
+array of ones; read_field hands the array it reads the body into to its
+state; and evolve, once its rows are in its own list, keeps no other
+reference to the start state, so a start state nothing else holds is freed
+when the first record block replaces it.  The hand-over of a call argument needs CPython
 3.11 or later, which moves the arguments into the callee's frame; on 3.10
 the caller's stack keeps them for the whole call.
 """
@@ -106,15 +106,17 @@ def test_evolve_peak_stays_within_six_and_a_half_fields(traced_peak):
 
 
 def test_read_field_peak_is_the_table_and_the_components(tmp_path, traced_peak):
-    # the text table (3 index and 4 value columns), the two components made
-    # from it, and at most one field of temporaries; copying the components
-    # again into the state adds two more
+    # the body (two complex fields) is read straight into the one array whose
+    # rows the state keeps; what remains is the header parse and the file's
+    # buffer (0.07 of a field measured).  Reading the body as bytes first
+    # adds a second body, and copying the components into the state two
+    # more fields.
     grid = Grid((32, 32, 32), (12.0, 12.0, 12.0))
     path = tmp_path / "f.field"
     write_field(random_state("NWE", grid, SplitMix64(3), amplitude=0.5, band_limit=4), path)
-    table = grid.size * (grid.dim + 4) * np.dtype(np.float64).itemsize
+    body = 2 * grid.size * np.dtype(np.complex128).itemsize
     peak = traced_peak(lambda: read_field(path))
-    assert _complex_fields(grid, peak - table) <= 3.0
+    assert _complex_fields(grid, peak - body) <= 0.25
 
 
 def test_the_unit_metric_weight_is_the_scalar_one():

@@ -37,26 +37,31 @@ def test_field_roundtrip_random(tag, tmp_path):
     state = random_state(tag, g, SplitMix64(8), amplitude=1.3, band_limit=5)
     path = tmp_path / f"{tag}.field"
     write_field(state, path)
-    # 17 significant digits round-trip doubles exactly
     assert _bitwise_equal(read_field(path), state)
+
+
+def _header_and_body(path):
+    """A field file's header (parsed) and its body bytes."""
+    line, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), body
+
+
+def _write_raw(path, header, body: bytes):
+    path.write_bytes((json.dumps(header) + "\n").encode("utf-8") + body)
+    return path
 
 
 def test_field_read_rejects_mismatch(tmp_path):
     g = Grid((32,), (5.0,))
-    state = random_state("NLS", g, SplitMix64(9))
     path = tmp_path / "state.field"
-    write_field(state, path)
-    lines = path.read_text().splitlines()
-    truncated = tmp_path / "bad.field"
-    truncated.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(ValueError):
-        read_field(truncated)
-    header = json.loads(lines[0])
-    header["n"] = [64]
-    wrong = tmp_path / "wrong.field"
-    wrong.write_text(json.dumps(header) + "\n" + "\n".join(lines[1:]) + "\n")
-    with pytest.raises(ValueError):
-        read_field(wrong)
+    write_field(random_state("NLS", g, SplitMix64(9)), path)
+    header, body = _header_and_body(path)
+    # one complex sample (16 bytes) short
+    with pytest.raises(ValueError, match="field body"):
+        read_field(_write_raw(tmp_path / "short.field", header, body[:-16]))
+    # a header n that disagrees with the body
+    with pytest.raises(ValueError, match="field body"):
+        read_field(_write_raw(tmp_path / "wrong.field", dict(header, n=[64]), body))
 
 
 def _bytes_equal(a: FieldState, b: FieldState) -> bool:
@@ -79,32 +84,96 @@ def test_field_read_rejects_bad_row_width_and_missing_row(tmp_path):
     g = Grid((16,), (5.0,))
     path = tmp_path / "state.field"
     write_field(random_state("NWE", g, SplitMix64(11)), path)
-    lines = path.read_text().splitlines()
-    short_row = tmp_path / "short_row.field"
-    short_row.write_text("\n".join(lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]) + "\n")
-    with pytest.raises(ValueError):
-        read_field(short_row)
-    missing = tmp_path / "missing.field"
-    missing.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError):
-        read_field(missing)
+    header, body = _header_and_body(path)
+    assert len(body) == 2 * 16 * 16
+    # one trailing byte
+    with pytest.raises(ValueError, match="field body"):
+        read_field(_write_raw(tmp_path / "trailing.field", header, body + b"\0"))
+    # the last sample of the last component missing
+    with pytest.raises(ValueError, match="field body"):
+        read_field(_write_raw(tmp_path / "missing.field", header, body[:-16]))
 
 
-@pytest.mark.parametrize("tag,grid,rows", [
-    ("NLS", Grid((16,), (5.0,)), (3, 7)),
-    ("NWE", Grid((16, 16), (5.0, 5.0)), (1, 17)),
-], ids=["nls-1d", "nwe-2d"])
-def test_field_read_rejects_rows_out_of_order(tag, grid, rows, tmp_path):
-    path = tmp_path / "state.field"
-    write_field(random_state(tag, grid, SplitMix64(12)), path)
-    lines = path.read_text().splitlines()
-    # lines[0] is the header, so sample r sits on line r + 1
-    i, j = rows[0] + 1, rows[1] + 1
-    lines[i], lines[j] = lines[j], lines[i]
-    swapped = tmp_path / "swapped.field"
-    swapped.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"row {rows[0]} has grid index"):
-        read_field(swapped)
+def _field_header(**changes):
+    header = {"box_length": [40.0], "components": ["psi"], "dim": 1,
+              "encoding": "float64-le", "model_tag": "NLS", "n": [16]}
+    return dict(header, **changes)
+
+
+MALFORMED_HEADERS = {
+    "json-list": [1, 2],
+    "n-not-a-list": _field_header(n=64),
+    "box-length-null": _field_header(box_length=None),
+    "dim-disagrees": _field_header(dim=2),
+    "unknown-tag": _field_header(model_tag="KdV"),
+    "components-not-a-list": _field_header(components="psi"),
+    "n-entry-null": _field_header(n=[None]),
+}
+
+
+def _malformed_state(tmp_path, name):
+    # the header is followed by a body of the right length for n = 16
+    return _write_raw(tmp_path / f"{name}.field", MALFORMED_HEADERS[name], bytes(16 * 16))
+
+
+def test_field_read_accepts_the_handwritten_header(tmp_path):
+    path = _write_raw(tmp_path / "zero.field", _field_header(), bytes(16 * 16))
+    assert read_field(path).psi.tobytes() == bytes(16 * 16)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_HEADERS))
+def test_field_read_rejects_malformed_header(tmp_path, name):
+    with pytest.raises(ValueError):
+        read_field(_malformed_state(tmp_path, name))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_HEADERS))
+def test_cli_evolve_malformed_state_header_exits_2(tmp_path, name):
+    cfg = _small_config()
+    cfg["model"]["n"] = [16]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "evo"
+    code = cli_main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                     "--state", str(_malformed_state(tmp_path, name)), "--quiet"])
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failure_stage"]) == ("config_error", "config")
+    assert not (out / "trace.csv").exists()
+
+
+def _write_text_field(state, path):
+    """The text layout field files had before the float64 body: the header
+    without an encoding key, then per grid point its index and 17-digit
+    re/im columns."""
+    header = {"box_length": list(state.grid.box_length), "components": ["psi"],
+              "dim": 1, "model_tag": "NLS", "n": list(state.grid.n)}
+    rows = [f"{i},{z.real:.17g},{z.imag:.17g}" for i, z in enumerate(state.psi)]
+    path.write_text(json.dumps(header, sort_keys=True) + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_text_field_file_is_refused_by_name(tmp_path):
+    state = random_state("NLS", Grid((16,), (40.0,)), SplitMix64(13))
+    path = _write_text_field(state, tmp_path / "old.field")
+    with pytest.raises(ValueError, match="text field file from an earlier version"):
+        read_field(path)
+    cfg = _small_config()
+    cfg["model"]["n"] = [16]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "evo"
+    assert cli_main(["evolve", "--config", str(cfg_path), "--out", str(out),
+                     "--state", str(path), "--quiet"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert "text field file from an earlier version" in manifest["error"]
+    # README's conversion recipe: the value columns, a state, write_field
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    psi = table[:, 1] + 1j * table[:, 2]
+    converted = tmp_path / "new.field"
+    write_field(FieldState("NLS", state.grid, (psi,)), converted)
+    assert read_field(converted).psi.tobytes() == state.psi.tobytes()
 
 
 def test_trace_csv_schema(tmp_path):
