@@ -15,7 +15,7 @@ from .grid import (Grid, FieldState, LatticeShift, NLS, NWE, NBE,
 from .nonlinearity import (WSpec, SinglePower, DoublePower, Saturating,
                            w_eval, check_w_conditions, WConditionReport)
 from .models import (ModelSpec, energy, charge, grad_energy, grad_charge,
-                     evolve_step, time_reverse)
+                     evolve_step, time_reverse, lyapunov_v)
 from .functionals import (PenaltyParams, HylomorphyReport, lambda_ratio, phi,
                           j_delta, bound_m, nash_check, nash_exponents,
                           coercivity_exponent, choose_coercivity_params,
@@ -24,8 +24,7 @@ from .minimize import (MinimizeOptions, MinimizeResult, ContinuationResult,
                        minimize_jdelta, refine_constrained, delta_continuation)
 from .dynamics import EvolutionTrace, ConservationReport, evolve, conservation_report
 from .stability import (Perturbation, StabilityReport, StabilityRow,
-                        lyapunov_v, apply_perturbation, run_stability,
-                        v_separation_scan)
+                        apply_perturbation, run_stability)
 from .checkers import HypothesisCertificate, CheckResult, audit, gate_passed
 from .rng import SplitMix64
 
@@ -37,15 +36,15 @@ __all__ = [
     "WSpec", "SinglePower", "DoublePower", "Saturating", "w_eval",
     "check_w_conditions", "WConditionReport",
     "ModelSpec", "energy", "charge", "grad_energy", "grad_charge",
-    "evolve_step", "time_reverse",
+    "evolve_step", "time_reverse", "lyapunov_v",
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta",
     "bound_m", "nash_check", "nash_exponents", "coercivity_exponent",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
     "MinimizeOptions", "MinimizeResult", "ContinuationResult",
     "minimize_jdelta", "refine_constrained", "delta_continuation",
     "EvolutionTrace", "ConservationReport", "evolve", "conservation_report",
-    "Perturbation", "StabilityReport", "StabilityRow", "lyapunov_v",
-    "apply_perturbation", "run_stability", "v_separation_scan",
+    "Perturbation", "StabilityReport", "StabilityRow",
+    "apply_perturbation", "run_stability",
     "HypothesisCertificate", "CheckResult", "audit", "gate_passed",
     "SplitMix64",
     "GridMismatch", "Inadmissible", "NearZeroCharge", "NonFinite", "NumericalFailure",

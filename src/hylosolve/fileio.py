@@ -9,6 +9,7 @@ float64, exact by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -162,6 +163,15 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _finite_number(literal: str) -> float:
+    # json.loads takes NaN, +-Infinity and literals beyond the float range
+    # (1e309 reads as inf), which no schema bound rejects
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config is not valid JSON: {literal} is not a finite number")
+    return value
+
+
 def load_config(path) -> dict:
     """Parse and schema-validate a run config; raises ConfigError on any
     problem so the CLI can map it to the config exit code."""
@@ -169,7 +179,8 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        data = json.loads(p.read_text(encoding="utf-8"), parse_float=_finite_number,
+                          parse_constant=_finite_number)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     # jsonschema.validate without its check of the packaged schema against

@@ -60,6 +60,12 @@ class MinimizeOptions:
     initial_step: float = 1.0
 
     def __post_init__(self):
+        # NaN passes the comparisons below, and an infinite step never ends
+        # the line search (inf * backtrack is inf); an int is always finite
+        values = (self.max_iters, self.grad_tol, self.armijo_c1, self.backtrack,
+                  self.initial_step)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError("options must be finite")
         if min(self.max_iters, self.grad_tol, self.armijo_c1, self.initial_step) <= 0:
             raise ValueError("options must be positive")
         if not 0.0 < self.backtrack < 1.0:

@@ -297,7 +297,10 @@ class _Propagator:
         # component is transformed once; a step mixes the transforms and
         # brings back only the field, whose force kicks the second transform.
         # 2 * steps + 2 FFTs per block.  The block allocates its four work
-        # arrays and nothing else; its elementwise passes run on slabs
+        # arrays and numpy's casting buffer (at most np.getbufsize() = 8192
+        # samples, 128 KB at any grid size), which each real-by-complex
+        # product passes through: the symbols times the transforms and the
+        # force factor times the field.  Its elementwise passes run on slabs
         # (grid.in_slabs), two at once on large fields of multi-axis grids.
         dt, axes, w = self.dt, self.axes, self.spec.w
         cos, sinc, neg_lam_sin = self.cos, self.sinc, self.neg_lam_sin

@@ -2,8 +2,7 @@
 quadratic level-set functional and the orbit distance.
 
 All perturbed copies evolve together as one stack (one evolve call), each
-row with the trace it would get alone; the static V scan evaluates its
-probes of one radius as one stack as well.
+row with the trace it would get alone.
 
 Verdict thresholds are engineering constants recorded in the report; the
 whole lab is sampled evidence, never a certificate, and every report says
@@ -14,19 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .grid import (COMPLEX_MODELS, FieldState, LatticeShift, phase_rotate, random_state,
                    translate, x_norm as state_x_norm, x_norm_of)
 from .dynamics import EvolutionTrace, evolve
-from .functionals import _chunk_rows
 from .minimize import MinimizeResult
-from .models import ModelSpec, charge, charge_of, energy, energy_of, lyapunov_v, lyapunov_v_of
+from .models import ModelSpec, charge, energy
 from .rng import SplitMix64
 
 __all__ = [
-    "Perturbation", "StabilityRow", "StabilityReport", "lyapunov_v",
-    "apply_perturbation", "run_stability", "v_separation_scan",
+    "Perturbation", "StabilityRow", "StabilityReport",
+    "apply_perturbation", "run_stability",
 ]
 
 EMPIRICAL_BANNER = "empirical only: sampled perturbation shells, not a stability proof"
@@ -70,28 +66,19 @@ class Perturbation:
         return out
 
 
-def noise_state(spec: ModelSpec, rng: SplitMix64, band_limit: int | None,
-                xnorm_target: float) -> FieldState:
-    """Band-limited random state (grid.random_state at unit rms) scaled to
-    the requested phase-space norm."""
-    raw = random_state(spec.model_tag, spec.grid, rng, band_limit=band_limit)
-    norm = state_x_norm(raw)
-    if norm == 0.0:
-        return raw
-    factor = xnorm_target / norm
-    return raw.replace_components(tuple(factor * c for c in raw.components))
-
-
 def apply_perturbation(spec: ModelSpec, state: FieldState, pert: Perturbation,
                        seed_offset: int = 0) -> FieldState:
     if pert.eps == 0.0 and pert.kind in ("additive_noise", "amplitude_scale"):
         return state
     if pert.kind == "additive_noise":
+        # band-limited noise (grid.random_state at unit rms) scaled to
+        # eps * max(1, ||state||_X) in the phase-space norm
         rng = SplitMix64(pert.seed + seed_offset).split("stability-noise")
-        target = pert.eps * max(1.0, state_x_norm(state))
-        noise = noise_state(spec, rng, pert.band_limit, target)
+        noise = random_state(spec.model_tag, spec.grid, rng, band_limit=pert.band_limit)
+        norm = state_x_norm(noise)
+        factor = pert.eps * max(1.0, state_x_norm(state)) / norm if norm else 1.0
         return state.replace_components(tuple(
-            a + b for a, b in zip(state.components, noise.components)))
+            a + factor * b for a, b in zip(state.components, noise.components)))
     if pert.kind == "amplitude_scale":
         return state.replace_components(tuple((1.0 + pert.eps) * c for c in state.components))
     shifted = translate(state, LatticeShift(pert.z or (0,) * state.grid.dim))
@@ -166,40 +153,3 @@ def run_stability(spec: ModelSpec, result: MinimizeResult, perturbations,
                                  pert_norm, verdict, trace.blew_up))
     return StabilityReport(rows=rows, e_ref=e_ref, c_ref=c_ref, kappa=kappa,
                            abs_tol=abs_tol, T=T, dt=dt, traces=traces)
-
-
-def v_separation_scan(spec: ModelSpec, result: MinimizeResult, radius_list,
-                      K: int = 64, seed: int = 0, band_limit: int = 8):
-    """Min of the level-set functional over K random shells per radius.
-
-    Static scan (no evolution): evidence that V separates from zero as the
-    perturbation radius grows.  The K unit directions are drawn once and
-    rescaled per radius, so the min column reflects the radius dependence
-    rather than per-shell sampling noise.  The K probes of one radius are
-    evaluated as stacks of at most PROBE_CHUNK_POINTS grid points (all K at
-    once on small grids), with the values of one probe at a time.  Returns
-    (radius, min V) rows.
-    """
-    reference = result.state
-    e_ref = energy(spec, reference)
-    c_ref = charge(spec, reference)
-    directions = [
-        noise_state(spec, SplitMix64(seed + k).split("v-scan"), band_limit, 1.0)
-        for k in range(K)
-    ]
-    step = _chunk_rows(spec.grid)
-    stacks = [[np.stack(cs) for cs in zip(*(d.components for d in directions[i:i + step]))]
-              for i in range(0, K, step)]
-    del directions  # the stacks hold the same fields
-    rows = []
-    for radius in radius_list:
-        if radius == 0.0:
-            rows.append((0.0, lyapunov_v(spec, reference, e_ref, c_ref)))
-            continue
-        best = np.inf
-        for stack in stacks:
-            probes = [a + float(radius) * b for a, b in zip(reference.components, stack)]
-            v = lyapunov_v_of(energy_of(spec, probes), charge_of(spec, probes), e_ref, c_ref)
-            best = min(best, float(v.min()))
-        rows.append((float(radius), best))
-    return rows

@@ -317,6 +317,26 @@ def test_cli_invalid_config_exits_2(tmp_path, text):
     assert set(os.listdir(out)) == {"manifest.json"}
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309"])
+@pytest.mark.parametrize("command", ["minimize", "stability"])
+def test_cli_non_finite_number_exits_2(tmp_path, command, literal):
+    # json.loads reads each literal as a float that is not finite
+    if command == "minimize":
+        cfg = _small_config(minimize={"max_iters": 20000, "grad_tol": 0.125})
+    else:
+        cfg = _small_config(stability={"T": 0.5, "dt": 1e-2, "kappa": 0.125})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg).replace("0.125", literal))
+    out = tmp_path / "out"
+    code = cli_main([command, "--config", str(bad), "--out", str(out), "--quiet"])
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert manifest["failure_stage"] == "config"
+    assert f"{literal} is not a finite number" in manifest["error"]
+    assert set(os.listdir(out)) == {"manifest.json"}
+
+
 def test_cli_gate_failure_exits_4(tmp_path):
     cfg = _small_config()
     cfg["model"]["w"]["family"]["b"] = 0.0  # pure quadratic: hylomorphy fails

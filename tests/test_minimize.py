@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,15 @@ def test_minimize_options_validation():
         MinimizeOptions(max_iters=0)
     with pytest.raises(ValueError):
         MinimizeOptions(backtrack=1.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["max_iters", "grad_tol", "armijo_c1", "backtrack",
+                                  "initial_step"])
+def test_minimize_options_refuse_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        MinimizeOptions(**{name: value})
+
+
+def test_minimize_options_take_an_int_beyond_the_float_range():
+    assert MinimizeOptions(max_iters=10**400).max_iters == 10**400

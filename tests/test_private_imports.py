@@ -20,8 +20,6 @@ KNOWN = {
         "EC-2 takes a probe's stream draws in the block it shares with the shifts",
     ("checkers.py", "_probe_stack"):
         "EC-2's stacks come from the probe families' one random-stack builder",
-    ("stability.py", "_chunk_rows"):
-        "the static V scan stacks its probes by the probe families' chunk size",
 }
 
 

@@ -1,16 +1,13 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from hylosolve import (DoublePower, Grid, LatticeShift, ModelSpec, Perturbation,
-                       Saturating, SinglePower, WSpec, apply_perturbation, charge, energy,
-                       lyapunov_v, orbit_distance, run_stability, translate,
-                       v_separation_scan)
+from hylosolve import (FieldState, Grid, LatticeShift, ModelSpec, Perturbation, SinglePower,
+                       WSpec, apply_perturbation, charge, energy, lyapunov_v,
+                       orbit_distance, run_stability, translate)
 from hylosolve.functionals import gaussian_state
 from hylosolve.grid import random_state, x_norm
 from hylosolve.rng import SplitMix64
-from hylosolve.stability import EMPIRICAL_BANNER, noise_state
+from hylosolve.stability import EMPIRICAL_BANNER
 
 
 def test_lyapunov_basics(nls_acceptance_spec, soliton):
@@ -103,57 +100,46 @@ def test_run_stability_requires_converged(nls_acceptance_spec, soliton):
         run_stability(nls_acceptance_spec, broken, [], T=1.0, dt=1e-3)
 
 
-def test_v_separation_scan_properties(nls_acceptance_spec, soliton):
-    spec = nls_acceptance_spec
-    refined = soliton["refined"]
-    radii = [0.0, 0.05, 0.1, 0.3, 1.0]
-    rows = v_separation_scan(spec, refined, radii, K=32, seed=2)
-    assert rows[0] == (0.0, lyapunov_v(spec, refined.state,
-                                       energy(spec, refined.state),
-                                       charge(spec, refined.state)))
-    vals = [v for _, v in rows]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    # sampling stability on the quadratic-floor shells (small radii are
-    # first-order dominated and the min is not K-stable there)
-    big = v_separation_scan(spec, refined, [0.1, 0.3, 1.0], K=64, seed=2)
-    for (r1, v1), (r2, v2) in zip(rows[2:], big):
-        assert abs(v2 - v1) <= 0.5 * max(v1, 1e-300)
+def two_step_noise(spec, state, pert, seed_offset):
+    """Additive noise as a separate scaled-noise state, then the sum."""
+    rng = SplitMix64(pert.seed + seed_offset).split("stability-noise")
+    target = pert.eps * max(1.0, x_norm(state))
+    raw = random_state(spec.model_tag, spec.grid, rng, band_limit=pert.band_limit)
+    norm = x_norm(raw)
+    noise = raw if norm == 0.0 else raw.replace_components(
+        tuple((target / norm) * c for c in raw.components))
+    return state.replace_components(tuple(
+        a + b for a, b in zip(state.components, noise.components)))
 
 
-def per_probe_scan(spec, reference, radius_list, K, seed, band_limit):
-    """The V scan one FieldState and one lyapunov_v call per probe."""
-    e_ref, c_ref = energy(spec, reference), charge(spec, reference)
-    directions = [noise_state(spec, SplitMix64(seed + k).split("v-scan"), band_limit, 1.0)
-                  for k in range(K)]
-    rows = []
-    for radius in radius_list:
-        if radius == 0.0:
-            rows.append((0.0, lyapunov_v(spec, reference, e_ref, c_ref)))
-            continue
-        best = np.inf
-        for d in directions:
-            probe = reference.replace_components(tuple(
-                a + float(radius) * b for a, b in zip(reference.components, d.components)))
-            best = min(best, lyapunov_v(spec, probe, e_ref, c_ref))
-        rows.append((float(radius), float(best)))
-    return rows
+@pytest.mark.parametrize("spec,pert,seed_offset", [
+    (ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+     Perturbation.additive_noise(1e-2, band_limit=8, seed=3), 0),
+    (ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+     Perturbation.additive_noise(0.3, band_limit=6, seed=1), 0),
+    (ModelSpec("NBE", Grid((256,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+     Perturbation.additive_noise(2e-3, band_limit=None, seed=2), 0),
+    (ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
+     Perturbation.additive_noise(1e-2, band_limit=8, seed=3), 7),
+], ids=["NLS", "NWE", "NBE", "NLS-seed-offset"])
+def test_additive_noise_bitwise_equal_to_the_two_step_form(spec, pert, seed_offset,
+                                                           monkeypatch):
+    state = random_state(spec.model_tag, spec.grid, SplitMix64(8), amplitude=0.7,
+                         band_limit=6)
+    expected = two_step_noise(spec, state, pert, seed_offset)
+    builds = []
+    build = FieldState.__init__
 
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
 
-@pytest.mark.parametrize("spec", [
-    ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
-    # 4096 points: the 64 probes are evaluated in stacks of 8
-    ModelSpec("NLS", Grid((64, 64), (16.0, 16.0)), WSpec(1.0, SinglePower(1.0, 4.0))),
-    ModelSpec("NWE", Grid((512,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))),
-    ModelSpec("NBE", Grid((512,), (40.0,)), WSpec(1.0, Saturating(0.0, 0.5))),
-], ids=["NLS", "NLS-2d", "NWE", "NBE"])
-def test_v_separation_scan_rows_equal_per_probe_loop(spec):
-    reference = random_state(spec.model_tag, spec.grid, SplitMix64(8), amplitude=0.7,
-                             band_limit=6)
-    radii = [0.0, 0.01, 0.1, 1.0]
-    rows = v_separation_scan(spec, SimpleNamespace(state=reference), radii, K=64, seed=3)
-    expected = per_probe_scan(spec, reference, radii, K=64, seed=3, band_limit=8)
-    assert [(r, np.float64(v).tobytes()) for r, v in rows] == \
-        [(r, np.float64(v).tobytes()) for r, v in expected]
+    monkeypatch.setattr(FieldState, "__init__", counting)
+    out = apply_perturbation(spec, state, pert, seed_offset=seed_offset)
+    assert len(builds) == 2  # the raw noise and the perturbed state
+    assert [c.dtype for c in out.components] == [c.dtype for c in expected.components]
+    assert [c.tobytes() for c in out.components] == [c.tobytes() for c in expected.components]
+    assert not all(np.array_equal(a, b) for a, b in zip(out.components, state.components))
 
 
 def test_free_field_gaussian_negative_control(nls_acceptance_spec):

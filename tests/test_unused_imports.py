@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 A stand-in for a linter's unused-import rule (pyflakes F401), which the
 project does not depend on: a name counts as used when the module reads it
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hylosolve"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hylosolve"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +50,7 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(source) == ["3: dumps"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
