@@ -13,6 +13,10 @@ for which the Young split of the interpolation inequality closes with
 matching powers of the L2 mass on both sides (it also equals the
 mass-scaling law of the ground-state energy, so the bound is sharp up to
 the empirical constant).
+
+The coefficient a of E + a|C|^s >= 0 comes from that Young split (NLS power
+families), from W >= 0 (then E >= 0 and a = 0), or else from a random-probe
+supremum; the audit's EC-3i check samples E + a|C|^s whatever the rule.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, G
                    x_norm_of)
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
                      evaluate)
-from .nonlinearity import DoublePower, SinglePower, critical_exponent, power, w_value
+from .nonlinearity import (DoublePower, SinglePower, critical_exponent, power, w_nonnegative,
+                           w_value)
 from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
@@ -430,16 +435,18 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
                              n_probes: int = 2000) -> PenaltyParams:
     """Coercivity coefficient and exponent making E + a|C|^s >= 0 hold.
 
-    For NLS power families below the critical power the coefficient comes
-    from the matched-exponent Young split of the empirical interpolation
-    inequality (see module docstring); the exponent is coercivity_exponent's.
-    A random-probe supremum of -E/|C|^s is folded in as a conservative
-    fallback, and is the sole source for the wave/beam models.  The estimate
-    is scaled by COERCIVITY_SAFETY.  delta is a placeholder the caller
-    (continuation/minimizer) overrides per run.
+    The first rule that applies sets a, times COERCIVITY_SAFETY:
+    - NLS power families below the critical power: the matched-exponent Young
+      split of the empirical interpolation inequality (module docstring),
+      with coercivity_exponent's s;
+    - W >= 0 decided from the coefficients (nonlinearity.w_nonnegative,
+      hypothesis W-i): E >= 0, so a = 0, with s = 1;
+    - otherwise the supremum of -E/|C| over n_probes random probes, s = 1;
+      n_probes feeds only this fallback.
+    The audit's EC-3i check samples E + a|C|^s whatever the rule.  delta is
+    a placeholder the caller (continuation/minimizer) overrides per run.
     """
     fam = spec.w.family
-    rng = SplitMix64(seed).split("coercivity-probes")
     if spec.model_tag == NLS and isinstance(fam, (SinglePower, DoublePower)):
         s_exp = coercivity_exponent(fam.p, spec.grid.dim)
         q, r = nash_exponents(fam.p, spec.grid.dim)
@@ -447,12 +454,12 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
         c3 = fam.b / fam.p
         k_young = ((1.0 - q / 2.0) * q ** (q / (2.0 - q))
                    * (c3 * b_emp) ** (2.0 / (2.0 - q)))
-        a_probe = _probe_supremum(spec, rng, s_exp, n_probes)
-        return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * max(k_young, a_probe),
+        return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * k_young,
                              s_exp=s_exp, nash_q=q, nash_r=r, nash_b=b_emp)
-    s_exp = 1.0
-    a_probe = _probe_supremum(spec, rng, s_exp, n_probes)
-    return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * a_probe, s_exp=s_exp)
+    if w_nonnegative(spec.w):
+        return PenaltyParams(delta=delta, a=0.0, s_exp=1.0)
+    a_probe = _probe_supremum(spec, SplitMix64(seed).split("coercivity-probes"), 1.0, n_probes)
+    return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * a_probe, s_exp=1.0)
 
 
 def _probe_supremum(spec: ModelSpec, rng: SplitMix64, s_exp: float,

@@ -13,9 +13,13 @@ import numpy as np
 
 __all__ = [
     "SinglePower", "DoublePower", "Saturating", "WSpec",
-    "power", "w_value", "w_eval", "w_prime_over_s", "ConditionVerdict", "WConditionReport",
-    "check_w_conditions", "critical_exponent", "sobolev_critical",
+    "power", "w_value", "w_eval", "w_nonnegative", "w_prime_over_s", "ConditionVerdict",
+    "WConditionReport", "check_w_conditions", "critical_exponent", "sobolev_critical",
 ]
+
+# share of its terms' sum by which a double power's minimum of W(s)/s^2 must
+# clear zero for w_nonnegative, far above the rounding of the float energies
+W_NONNEGATIVE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,28 @@ def w_eval(spec: WSpec, s):
     if s.ndim == 0:
         return float(w), float(w1), float(w2)
     return w, w1, w2
+
+
+def w_nonnegative(spec: WSpec) -> bool:
+    """True when W >= 0 on [0, inf) follows from the family's coefficients;
+    False leaves it undecided (to sampling), a tangent minimum included.
+
+    A double power's W(s)/s^2 = m^2/2 - (b/p) s^(p-2) + (c/q~) s^(q~-2) has
+    one interior critical point, its minimum, at
+    s0^(q~-p) = [b (p-2)/p] / [c (q~-2)/q~], where it must exceed
+    W_NONNEGATIVE_MARGIN times the sum of the three terms."""
+    fam = spec.family
+    if isinstance(fam, Saturating) or fam.b == 0:
+        return True
+    if isinstance(fam, SinglePower) or fam.c == 0:
+        return False
+    p, q = fam.p, fam.q_tilde
+    try:
+        s0 = ((fam.b * (p - 2) / p) / (fam.c * (q - 2) / q)) ** (1.0 / (q - p))
+        terms = (0.5 * spec.m_sq, fam.b / p * s0 ** (p - 2), fam.c / q * s0 ** (q - 2))
+    except (OverflowError, ZeroDivisionError):  # coefficients beyond the float range
+        return False
+    return terms[0] - terms[1] + terms[2] > W_NONNEGATIVE_MARGIN * sum(terms)
 
 
 def w_prime_over_s(spec: WSpec, s, out: np.ndarray | None = None):
