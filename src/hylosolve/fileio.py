@@ -4,19 +4,27 @@ Configs, reports, traces and profiles are diff-able text: JSON, and CSV with
 17 significant digits (17 digits round-trip IEEE doubles exactly).  Field
 files carry a JSON header line and then the samples as raw little-endian
 float64, exact by construction.
+
+Configs are checked against the packaged JSON Schema without a schema
+library: `_schema_errors` implements the 14 draft 2020-12 keywords that
+schema uses (type, minimum, maximum, exclusiveMinimum, exclusiveMaximum,
+enum, const, required, properties, additionalProperties, items, minItems,
+maxItems, oneOf) as jsonschema 4.26 applies them, skips the annotations, and
+`_best_match` reports the error jsonschema's `best_match` would pick.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .checkers import HypothesisCertificate
 from .dynamics import EvolutionTrace
@@ -158,9 +166,146 @@ def wspec_from_json(data: dict) -> WSpec:
         raise ConfigError(f"invalid potential spec: {err}") from err
 
 
+@cache
 def _schema() -> dict:
+    """The packaged run-config schema, parsed once per process (callers
+    share the dict and must not change it)."""
     text = resources.files("hylosolve").joinpath("schema/run_config.schema.json").read_text()
     return json.loads(text)
+
+
+# draft 2020-12 types as jsonschema checks them: a bool is no number, and a
+# float with an integral value is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _is_type(value, types) -> bool:
+    return any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types))
+
+
+def _equal(a, b) -> bool:
+    """JSON equality for enum and const: 1 == 1.0, but true != 1."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+# bound keyword -> (the test a number fails it by, the words of its message)
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+
+class _SchemaError(NamedTuple):
+    path: tuple            # where in the instance, from the config's root
+    keyword: str
+    message: str
+    off_type: bool         # the value misses its schema's "type" (or it has none)
+    context: tuple = ()    # oneOf: the errors of every branch
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()) -> list[_SchemaError]:
+    """Every error of value under schema, in the order jsonschema yields
+    them (the schema's keyword order), with jsonschema's messages."""
+    errors = []
+    off_type = not ("type" in schema and _is_type(value, schema["type"]))
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _TYPES["number"](value)
+
+    def fail(keyword, message, context=()):
+        errors.append(_SchemaError(path, keyword, message, off_type, context))
+
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _is_type(value, arg):
+                names = ", ".join(map(repr, [arg] if isinstance(arg, str) else arg))
+                fail(keyword, f"{value!r} is not of type {names}")
+        elif keyword in _BOUNDS:
+            out_of_bounds, words = _BOUNDS[keyword]
+            if is_number and out_of_bounds(value, arg):
+                fail(keyword, f"{value!r} {words} {arg!r}")
+        elif keyword == "enum":
+            if not any(_equal(option, value) for option in arg):
+                fail(keyword, f"{value!r} is not one of {arg!r}")
+        elif keyword == "const":
+            if not _equal(value, arg):
+                fail(keyword, f"{arg!r} was expected")
+        elif keyword == "required":
+            for name in arg if is_object else ():
+                if name not in value:
+                    fail(keyword, f"{name!r} is a required property")
+        elif keyword == "properties":
+            for name, sub in arg.items() if is_object else ():
+                if name in value:
+                    errors += _schema_errors(value[name], sub, path + (name,))
+        elif keyword == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = [name for name in value if name not in known] if is_object else []
+            if isinstance(arg, dict):
+                for name in extras:
+                    errors += _schema_errors(value[name], arg, path + (name,))
+            elif not arg and extras:
+                names = ", ".join(map(repr, sorted(extras)))
+                verb = "was" if len(extras) == 1 else "were"
+                fail(keyword, f"Additional properties are not allowed "
+                              f"({names} {verb} unexpected)")
+        elif keyword == "items":
+            for i, item in enumerate(value if is_array else ()):
+                errors += _schema_errors(item, arg, path + (i,))
+        elif keyword == "minItems":
+            if is_array and len(value) < arg:
+                words = "should be non-empty" if arg == 1 else "is too short"
+                fail(keyword, f"{value!r} {words}")
+        elif keyword == "maxItems":
+            if is_array and len(value) > arg:
+                words = "is expected to be empty" if arg == 0 else "is too long"
+                fail(keyword, f"{value!r} {words}")
+        elif keyword == "oneOf":
+            branches = [_schema_errors(value, sub, path) for sub in arg]
+            valid = [sub for sub, errs in zip(arg, branches) if not errs]
+            if not valid:
+                fail(keyword, f"{value!r} is not valid under any of the given schemas",
+                     tuple(e for errs in branches for e in errs))
+            elif len(valid) > 1:
+                names = ", ".join(map(repr, valid[1:] + valid[:1]))
+                fail(keyword, f"{value!r} is valid under each of {names}")
+    return errors
+
+
+def _relevance(error: _SchemaError) -> tuple:
+    # jsonschema.exceptions.relevance: the shallower error, then the later
+    # sibling, then a keyword other than oneOf, then one whose value misses
+    # its schema's type is the better match
+    return (-len(error.path), error.path, error.keyword != "oneOf", error.off_type)
+
+
+def _best_match(errors: list[_SchemaError]) -> _SchemaError | None:
+    """The error jsonschema.exceptions.best_match picks: the most relevant,
+    then down a failed oneOf to its branches' least relevant error (the
+    deepest), unless two of them tie."""
+    best = max(errors, key=_relevance, default=None)
+    while best is not None and best.context:
+        smallest = sorted(best.context, key=_relevance)[:2]
+        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
+            break
+        best = smallest[0]
+    return best
 
 
 def _finite_number(literal: str) -> float:
@@ -175,20 +320,26 @@ def _finite_number(literal: str) -> float:
 def load_config(path) -> dict:
     """Parse and schema-validate a run config; raises ConfigError on any
     problem so the CLI can map it to the config exit code."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"), parse_float=_finite_number,
-                          parse_constant=_finite_number)
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as err:
+        raise ConfigError(f"config file not found: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read config file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not UTF-8 text: {err}") from err
+    try:
+        data = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    # jsonschema.validate without its check of the packaged schema against
-    # the metaschema (23 ms per run); the same best-match error message
-    schema = _schema()
-    error = best_match(validator_for(schema)(schema).iter_errors(data))
+    except RecursionError as err:
+        raise ConfigError("config is not valid JSON: it is nested too deeply") from err
+    # the package's own validator, so that no CLI call imports a schema
+    # library; its message is the one jsonschema.validate gives against the
+    # packaged schema (tests/test_config_schema.py holds the two to one corpus)
+    error = _best_match(_schema_errors(data, _schema()))
     if error is not None:
-        raise ConfigError(f"config failed schema validation: {error.message}") from error
+        raise ConfigError(f"config failed schema validation: {error.message}")
     return data
 
 

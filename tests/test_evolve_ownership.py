@@ -29,6 +29,13 @@ W = WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))
 GRID_3D = Grid((16, 16, 16), (12.0, 12.0, 12.0))
 CASES = [("NWE", Grid((256,), (40.0,))), ("NBE", Grid((64,), (40.0,))), ("NWE", GRID_3D)]
 
+EVOLVE_CONFIG = {"model": {"tag": "NWE", "n": list(GRID_3D.n),
+                           "box_length": list(GRID_3D.box_length),
+                           "w": {"m_sq": 1.0, "family": {"kind": "double_power", "b": 1.0,
+                                                         "p": 4.0, "c": 0.3, "q_tilde": 6.0}}},
+                 "evolve": {"T": 0.06, "dt": 0.01, "record_every": 2},
+                 "seed": 3}
+
 needs_argument_handover = pytest.mark.skipif(
     sys.version_info < (3, 11),
     reason="CPython moves call arguments into the callee's frame from 3.11 on")
@@ -76,14 +83,8 @@ def test_cli_evolve_frees_the_start_state_after_the_first_block(tmp_path, monkey
     state_path = tmp_path / "start.field"
     write_field(random_state("NWE", GRID_3D, SplitMix64(5), amplitude=0.5, band_limit=3),
                 state_path)
-    cfg = {"model": {"tag": "NWE", "n": list(GRID_3D.n),
-                     "box_length": list(GRID_3D.box_length),
-                     "w": {"m_sq": 1.0, "family": {"kind": "double_power", "b": 1.0,
-                                                   "p": 4.0, "c": 0.3, "q_tilde": 6.0}}},
-           "evolve": {"T": 0.06, "dt": 0.01, "record_every": 2},
-           "seed": 3}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(EVOLVE_CONFIG))
     refs = []
 
     monkeypatch.setattr(cli, "read_field", lambda path: _watch(read_field(path), refs))

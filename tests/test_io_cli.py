@@ -317,6 +317,34 @@ def test_cli_invalid_config_exits_2(tmp_path, text):
     assert set(os.listdir(out)) == {"manifest.json"}
 
 
+def _unreadable_config(tmp_path, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    else:
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
+@pytest.mark.parametrize("kind,error", [
+    pytest.param("directory", "cannot read config file", id="directory"),
+    pytest.param("not-utf8", "config is not UTF-8 text", id="not-utf8"),
+    pytest.param("nested-200000-deep", "config is not valid JSON: it is nested too deeply",
+                 id="nested-200000-deep"),
+])
+def test_cli_unreadable_config_exits_2(tmp_path, kind, error):
+    out = tmp_path / "out"
+    code = cli_main(["check", "--config", str(_unreadable_config(tmp_path, kind)),
+                     "--out", str(out), "--quiet"])
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failure_stage"]) == ("config_error", "config")
+    assert manifest["error"].startswith(error)
+    assert set(os.listdir(out)) == {"manifest.json"}
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e309"])
 @pytest.mark.parametrize("command", ["minimize", "stability"])
 def test_cli_non_finite_number_exits_2(tmp_path, command, literal):

@@ -169,13 +169,16 @@ print(json.dumps({{"code": code, "before": before, "after": threading.active_cou
 """
 
 
+EVOLVE_1D_CONFIG = {"model": {"tag": "NWE", "n": [256], "box_length": [40.0],
+                              "w": {"m_sq": 1.0, "family": {"kind": "double_power", "b": 1.0,
+                                                            "p": 4.0, "c": 0.3,
+                                                            "q_tilde": 6.0}}},
+                    "seed": 1, "evolve": {"T": 0.2, "dt": 0.01, "record_every": 10}}
+
+
 def test_one_dimensional_evolve_starts_no_thread(tmp_path):
-    config = {"model": {"tag": "NWE", "n": [256], "box_length": [40.0],
-                        "w": {"m_sq": 1.0, "family": {"kind": "double_power", "b": 1.0,
-                                                      "p": 4.0, "c": 0.3, "q_tilde": 6.0}}},
-              "seed": 1, "evolve": {"T": 0.2, "dt": 0.01, "record_every": 10}}
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(EVOLVE_1D_CONFIG))
     script = GUARD.format(src=str(SRC), config=str(config_path), out=str(tmp_path / "out"),
                           state=str(tmp_path / "initial.field"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
