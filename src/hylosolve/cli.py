@@ -44,6 +44,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_GATE = 4
+# characters of a config error kept on stderr and in the manifest; a schema
+# message quotes the whole offending value, which may be any size
+CONFIG_ERROR_CHARS = 500
 
 DEMO_CONFIG = {
     "model": {
@@ -133,6 +136,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
+def _capped(message: str) -> str:
+    """message, or its head and tail with its full length when it is longer
+    than CONFIG_ERROR_CHARS."""
+    if len(message) <= CONFIG_ERROR_CHARS:
+        return message
+    half = CONFIG_ERROR_CHARS // 2
+    return f"{message[:half]} ... {message[-half:]} ({len(message)} characters)"
+
+
 def build_spec(config: dict) -> ModelSpec:
     """The model a config describes; a grid or model the schema admits but
     the constructors reject is a config error."""
@@ -175,15 +187,16 @@ def resolve_options(config: dict) -> MinimizeOptions:
 
 def _perturbations(config: dict, spec: ModelSpec) -> list[Perturbation]:
     """The configured perturbations; a shift of the wrong length, or a
-    phase offset on the real beam model, is a config error."""
+    phase offset on the real beam model, is a config error.  Integer slots
+    are read through int(): the schema admits integral floats such as 3.0."""
     block = config.get("stability", {})
     out = []
     for p in block.get("perturbations", [{"kind": "additive_noise", "eps": 0.01}]):
         kind = p["kind"]
         if kind == "additive_noise":
             out.append(Perturbation.additive_noise(p.get("eps", 0.01),
-                                                   p.get("band_limit", 8),
-                                                   p.get("seed", 0)))
+                                                   int(p.get("band_limit", 8)),
+                                                   int(p.get("seed", 0))))
         elif kind == "amplitude_scale":
             out.append(Perturbation.amplitude_scale(p.get("eps", 0.01)))
         else:
@@ -285,7 +298,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     # pop leaves no name here bound to the start state, so evolve holds the
     # only reference and frees it when the first record block replaces it
     trace = evolve(spec, start.pop(), block["T"], block["dt"],
-                   record_every=block.get("record_every", 1))
+                   record_every=int(block.get("record_every", 1)))
     run.write("trace.csv", write_trace_csv, trace)
     if trace.blew_up:
         raise NumericalFailure("evolution aborted on blow-up (partial trace written)")
@@ -329,7 +342,7 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     result = family.results[0]
     run.stage("stability")
     report = run_stability(spec, result, perturbations, T=T, dt=dt,
-                           record_every=block.get("record_every", 100),
+                           record_every=int(block.get("record_every", 100)),
                            kappa=block.get("kappa", 4.0),
                            abs_tol=block.get("abs_tol", 1e-6), seed=seed)
     for i, trace in enumerate(report.traces):
@@ -451,11 +464,12 @@ def cli_main(argv=None) -> int:
             raise ConfigError(f"seed {seed} is outside the unsigned 64-bit range [0, 2^64)")
         code = handlers[args.command](run, config, build_spec(config), seed)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
+        message = _capped(str(err))
+        print(f"config error: {message}", file=sys.stderr)
         if run is None:  # no config loaded: the manifest goes to --out
             run = _Run(Path(args.out or "hylosolve-out"), {"config_path": args.config},
                        None, args.quiet)
-        run.finish("config_error", failure_stage="config", error=str(err))
+        run.finish("config_error", failure_stage="config", error=message)
         return EXIT_CONFIG
     except (NumericalFailure, NearZeroCharge) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Houses the energy/charge ratio, the penalized objective
 j_delta = ratio + delta * (E + 2 a |C|^s), its closed-form lower-bound
-constant, empirical estimation of the interpolation-inequality constant,
-the vanishing threshold lambda0 (a closed form read off the spectral
+constant, the Gaussian-family interpolation-inequality constant, the
+vanishing threshold lambda0 (a closed form read off the spectral
 symbols), and the hylomorphy check, whose verdict is the only probe-family
 evidence here: a Gaussian probe must undercut lambda0.
 
@@ -12,7 +12,7 @@ s = r / (2 - q) with q = N (p - 2) / 2 and r = p - q: the unique exponent
 for which the Young split of the interpolation inequality closes with
 matching powers of the L2 mass on both sides (it also equals the
 mass-scaling law of the ground-state energy, so the bound is sharp up to
-the empirical constant).
+the constant, which nash_check takes from the Gaussian family).
 
 The coefficient a of E + a|C|^s >= 0 comes from that Young split (NLS power
 families), from W >= 0 (then E >= 0 and a = 0), or else from a random-probe
@@ -27,19 +27,19 @@ import numpy as np
 
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
-                   apply_multiplier, band_limited_noise, integrate, k_squared, low_pass,
+                   apply_multiplier, band_limited_noise, integrate, k_squared,
                    min_image_distances, require_finite, spectral_sum, symbols, transform,
                    x_norm_of)
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
                      evaluate)
 from .nonlinearity import (DoublePower, SinglePower, critical_exponent, power, w_nonnegative,
                            w_value)
-from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
+from .rng import SplitMix64, uniform_from_bits
 
 __all__ = [
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
     "penalized_value",
-    "bound_m", "nash_exponents", "coercivity_exponent", "nash_check", "nash_sweep",
+    "bound_m", "nash_exponents", "coercivity_exponent", "nash_check",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
     "gaussian_profile", "gaussian_state", "probe_chunks", "probe_states",
 ]
@@ -50,11 +50,6 @@ CHARGE_FLOOR = 1e-12
 PROBE_CHUNK_POINTS = 2**15
 # factor on the empirical coercivity coefficient a
 COERCIVITY_SAFETY = 2.0
-# random fields of the interpolation-constant sweep of a run: the audit reads
-# its constant after 300 and 600 fields, choose_coercivity_params after 400
-NASH_FIELDS = 600
-# the last interpolation-constant sweep, read-only, by (grid, p, seed, n_random)
-_nash_sweeps: dict[tuple[Grid, float, int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -196,38 +191,17 @@ def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float, q: float, r: float):
     return np.where(vanishing, np.nan, ratio)
 
 
-def nash_check(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> float:
-    """Empirical constant for ||f||_p^p <= b ||f||_2^r ||grad f||_2^q.
+def nash_check(grid: Grid, p: float) -> float:
+    """Gaussian-family constant b of ||f||_p^p <= b ||f||_2^r ||grad f||_2^q.
 
-    Maximizes the scale-invariant ratio over random band-limited fields plus
-    adversarial Gaussians of 30 widths; near-constant fields (vanishing
-    gradient) are excluded.
-    """
-    return float(nash_sweep(grid, p, seed, n_random)[-1])
-
-
-def nash_sweep(grid: Grid, p: float, seed: int = 0, n_random: int = 1000) -> np.ndarray:
-    """The running constant of nash_check: entry k is its value with the
-    first k random fields of the stream (k = 0..n_random), so one sweep
-    gives the constant at every smaller sample count.
-
-    The Gaussians and the random fields are evaluated as stacks of at most
-    PROBE_CHUNK_POINTS grid points.  Each stack of random fields takes one
-    block of the stream, so every field gets the draws it would get alone,
-    and the sweep is bitwise the one-field-at-a-time loop.
-
-    The last sweep is kept, read-only, so a run's coercivity parameters and
-    its audit read one NASH_FIELDS sweep.
+    The maximum of the scale-invariant ratio over Gaussians of 30 widths,
+    evaluated as stacks of at most PROBE_CHUNK_POINTS grid points: a lower
+    bound of the sharp constant, whose maximizer is the smooth ground state
+    (Weinstein, Comm. Math. Phys. 87 (1983) 567); random band-limited
+    fields sit far below a bump, so none is sampled.  A field with vanishing
+    gradient is excluded; 0.0 when every width is.
     """
     require_subcritical(p, grid.dim)
-    key = (grid, p, seed, n_random)
-    if key not in _nash_sweeps:
-        _nash_sweeps.clear()
-        _nash_sweeps[key] = _sweep(grid, p, seed, n_random)
-    return _nash_sweeps[key]
-
-
-def _sweep(grid: Grid, p: float, seed: int, n_random: int) -> np.ndarray:
     q, r = nash_exponents(p, grid.dim)
     rows = _chunk_rows(grid)
     sig_hi = min(grid.box_length) / 8.0
@@ -236,18 +210,9 @@ def _sweep(grid: Grid, p: float, seed: int, n_random: int) -> np.ndarray:
     best = 0.0
     for i in range(0, len(sigmas), rows):
         bumps = np.stack([gaussian_profile(grid, 1.0, sigma) for sigma in sigmas[i:i + rows]])
+        # NaN (an excluded field) never wins the maximum
         best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
-    rng = SplitMix64(seed).split("nash-check")
-    ratios = [[best]]
-    for start in range(0, n_random, rows):
-        count = min(rows, n_random - start)
-        f = symmetric_from_bits(rng.next_block_u64(count * grid.size)).reshape((count,) + grid.n)
-        f = low_pass(grid, f, min(grid.n) // 4).real
-        ratios.append(_lp_gradient_ratio(grid, f, p, q, r))
-    # NaN (an excluded field) never wins the running maximum
-    sweep = np.fmax.accumulate(np.concatenate(ratios))
-    sweep.setflags(write=False)
-    return sweep
+    return float(best)
 
 
 def gaussian_profile(grid: Grid, amplitude: float, sigma: float,
@@ -437,12 +402,12 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
 
     The first rule that applies sets a, times COERCIVITY_SAFETY:
     - NLS power families below the critical power: the matched-exponent Young
-      split of the empirical interpolation inequality (module docstring),
-      with coercivity_exponent's s;
+      split of the interpolation inequality (module docstring) with
+      nash_check's Gaussian-family constant, and coercivity_exponent's s;
     - W >= 0 decided from the coefficients (nonlinearity.w_nonnegative,
       hypothesis W-i): E >= 0, so a = 0, with s = 1;
     - otherwise the supremum of -E/|C| over n_probes random probes, s = 1;
-      n_probes feeds only this fallback.
+      seed and n_probes feed only this fallback.
     The audit's EC-3i check samples E + a|C|^s whatever the rule.  delta is
     a placeholder the caller (continuation/minimizer) overrides per run.
     """
@@ -450,7 +415,7 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
     if spec.model_tag == NLS and isinstance(fam, (SinglePower, DoublePower)):
         s_exp = coercivity_exponent(fam.p, spec.grid.dim)
         q, r = nash_exponents(fam.p, spec.grid.dim)
-        b_emp = float(nash_sweep(spec.grid, fam.p, seed, NASH_FIELDS)[400])
+        b_emp = nash_check(spec.grid, fam.p)
         c3 = fam.b / fam.p
         k_young = ((1.0 - q / 2.0) * q ** (q / (2.0 - q))
                    * (c3 * b_emp) ** (2.0 / (2.0 - q)))

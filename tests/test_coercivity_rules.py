@@ -15,9 +15,9 @@ import pytest
 from hylosolve import functionals
 from hylosolve.checkers import audit, gate_passed
 from hylosolve.cli import cli_main
-from hylosolve.functionals import (COERCIVITY_SAFETY, NASH_FIELDS, _probe_supremum,
+from hylosolve.functionals import (COERCIVITY_SAFETY, _probe_supremum,
                                    choose_coercivity_params, coercivity_exponent,
-                                   nash_exponents, nash_sweep)
+                                   nash_exponents)
 from hylosolve.grid import Grid
 from hylosolve.models import ModelSpec, charge_of, energy_of
 from hylosolve.nonlinearity import (DoublePower, Saturating, SinglePower, WSpec,
@@ -25,6 +25,7 @@ from hylosolve.nonlinearity import (DoublePower, Saturating, SinglePower, WSpec,
 from hylosolve.rng import SplitMix64
 
 from helpers import sech_profile
+from test_nash_sweep import _reference_sweep
 
 NLS_GRID = Grid((512,), (40.0,))
 WAVE_GRID = Grid((256,), (40.0,))
@@ -56,13 +57,14 @@ FAMILIES = [
 
 def _older_rule(spec, seed):
     """The coefficient before the closed forms: the probe supremum on the
-    "coercivity-probes" stream, folded into the Young split on NLS."""
+    "coercivity-probes" stream, folded into the Young split on NLS, whose
+    constant came from the Gaussians and 400 random fields."""
     rng = SplitMix64(seed).split("coercivity-probes")
     if spec.model_tag != "NLS":
         return COERCIVITY_SAFETY * _probe_supremum(spec, rng, 1.0, 2000)
     p = spec.w.family.p
     q, _ = nash_exponents(p, 1)
-    b_emp = float(nash_sweep(spec.grid, p, seed, NASH_FIELDS)[400])
+    b_emp = float(_reference_sweep(spec.grid, p, seed, 400)[-1])
     k_young = (1.0 - q / 2.0) * q ** (q / (2.0 - q)) * (spec.w.family.b / p * b_emp) ** (
         2.0 / (2.0 - q))
     a_probe = _probe_supremum(spec, rng, coercivity_exponent(p, 1), 2000)

@@ -8,8 +8,7 @@ from hylosolve import (DoublePower, FieldState, Grid, LatticeShift, ModelSpec,
                        lambda_ratio, nash_check, nash_exponents, phi,
                        translate)
 from hylosolve.checkers import _nash_stability_check
-from hylosolve.functionals import (coercivity_exponent, gaussian_state, nash_sweep,
-                                   probe_states)
+from hylosolve.functionals import coercivity_exponent, gaussian_state, probe_states
 from hylosolve.nonlinearity import critical_exponent
 from hylosolve.grid import x_norm
 from hylosolve.rng import SplitMix64
@@ -107,11 +106,11 @@ def test_exactly_critical_power_is_refused_with_one_message(dim):
     p = critical_exponent(dim)
     grid = Grid((16,) * dim, (10.0,) * dim)
     message = f"supercritical power p = {p} in dimension {dim}"
-    for refuse in (lambda: coercivity_exponent(p, dim), lambda: nash_sweep(grid, p)):
+    for refuse in (lambda: coercivity_exponent(p, dim), lambda: nash_check(grid, p)):
         with pytest.raises(Inadmissible) as err:
             refuse()
         assert str(err.value) == message
-    nash = _nash_stability_check(ModelSpec("NLS", grid, WSpec(1.0, SinglePower(1.0, p))), 0)
+    nash = _nash_stability_check(ModelSpec("NLS", grid, WSpec(1.0, SinglePower(1.0, p))))
     assert (nash.verdict, nash.parameters) == ("skipped", {"reason": message})
 
 
@@ -143,10 +142,12 @@ def test_nash_check_scale_invariance_and_stability():
     scaled = _lp_gradient_ratio(GRID, 7.0 * f, 4.0, q, r)
     assert scaled == pytest.approx(ratio, rel=1e-10)
     assert np.isnan(_lp_gradient_ratio(GRID, np.full(GRID.n, 2.0), 4.0, q, r))
-    b1 = nash_check(GRID, 4.0, seed=1, n_random=250)
-    b2 = nash_check(GRID, 4.0, seed=1, n_random=500)
-    assert np.isfinite(b2)
-    assert abs(b2 - b1) <= 0.10 * b1
+    # a Gaussian's ratio is 1/sqrt(pi) at every width in the continuum, below
+    # the sharp constant 1/sqrt(3) of the sech ground state
+    b = nash_check(GRID, 4.0)
+    assert b == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-6)
+    assert b < 1.0 / np.sqrt(3.0)
+    assert nash_check(GRID, 4.0) == b
     with pytest.raises(ValueError):
         nash_check(GRID, 8.0)
 

@@ -317,6 +317,22 @@ def test_cli_invalid_config_exits_2(tmp_path, text):
     assert set(os.listdir(out)) == {"manifest.json"}
 
 
+def test_cli_caps_an_oversized_config_error(tmp_path, capsys):
+    cfg = _small_config()
+    cfg["model"]["box_length"] = [40.0] * 5000
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as full:
+        load_config(bad)
+    message = str(full.value)
+    assert len(message) > 20000 and message.endswith("is too long")
+    out = tmp_path / "out"
+    assert cli_main(["check", "--config", str(bad), "--out", str(out), "--quiet"]) == 2
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error == (f"{message[:250]} ... {message[-250:]} ({len(message)} characters)")
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
 def _unreadable_config(tmp_path, kind):
     path = tmp_path / "cfg.json"
     if kind == "directory":
@@ -669,6 +685,43 @@ def test_cli_stability_subcommand(tmp_path):
     assert "empirical" in data["note"]
     assert (out / "stability_trace_00.csv").exists()
     assert (out / "stability_trace_01.csv").exists()
+
+
+def _stability_config():
+    cfg = _small_config()
+    cfg["stability"] = {
+        "T": 0.5, "dt": 1e-2, "record_every": 10,
+        "perturbations": [{"kind": "additive_noise", "eps": 0.01, "band_limit": 6, "seed": 3},
+                          {"kind": "amplitude_scale", "eps": 0.02}],
+    }
+    return cfg
+
+
+def _as_float(cfg, path):
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = float(block[path[-1]])
+    return cfg
+
+
+@pytest.mark.parametrize("command, path", [
+    ("evolve", ("evolve", "record_every")),
+    ("stability", ("stability", "record_every")),
+    ("stability", ("stability", "perturbations", 0, "seed")),
+], ids=["evolve.record_every", "stability.record_every", "perturbation.seed"])
+def test_cli_integral_float_in_an_integer_slot_runs_as_the_integer(tmp_path, command, path):
+    # the schema admits 5.0 where it asks for an integer
+    base = _stability_config()
+    outputs = []
+    for name, cfg in (("int", base), ("float", _as_float(json.loads(json.dumps(base)), path))):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if f.name != "manifest.json"})
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 @pytest.mark.parametrize("delta,status", [(0.03, "ok"), (5.0, "numerical_failure")])
