@@ -73,45 +73,56 @@ def _zero_state_check(spec: ModelSpec) -> CheckResult:
 def _largest_shift_change(spec: ModelSpec, rng: SplitMix64, count: int):
     """The largest relative change of E or C under a lattice shift over
     count random probes, and its first case (None while no change is
-    positive).
+    positive); the case is the first non-finite change instead, if any.
 
     Each probe takes a fixed number of draws: its amplitude, the draws of a
     random probe (functionals._probe_draws) and one per axis for its shift.
-    A stack of _chunk_rows probes takes one block of the stream and is
-    measured by one evaluate unshifted and one shifted, so every probe gets
-    the draws and the values it would get alone."""
+    A stack of _chunk_rows probes takes one block of the stream; its E and
+    C come from the spectrum its draw carries unshifted and from one
+    evaluate shifted, so every probe gets the draws and the values it would
+    get alone."""
     g = spec.grid
     per_probe = _probe_draws(spec)
     per_item = 1 + per_probe + g.dim
     axes = tuple(range(-g.dim, 0))
     step = _chunk_rows(g)
+    buffers = {}
     worst = 0.0
     worst_case = None
+    non_finite = None
     for start in range(0, count, step):
         rows = min(step, count - start)
         bits = rng.next_block_u64(rows * per_item).reshape(rows, per_item)
         amp = 0.1 + 2.0 * uniform_from_bits(bits[:, 0])
-        comps = _probe_stack(spec, bits[:, 1:1 + per_probe], np.log(amp),
-                             np.log(amp * 1.0000001))
+        stack = _probe_stack(spec, bits[:, 1:1 + per_probe], np.log(amp),
+                             np.log(amp * 1.0000001), buffers)
+        comps, spectrum = stack.components, stack.spectrum
         shifts = (bits[:, 1 + per_probe:] % np.uint64(max(g.n))).astype(np.int64)
         moved = tuple(np.stack([np.roll(row, tuple(z), axis=axes) for row, z in zip(c, shifts)])
                       for c in comps)
-        here, there = evaluate(spec, comps), evaluate(spec, moved)
+        there = evaluate(spec, moved)
         # per probe, E then C: the first largest relative change wins
         rel = np.column_stack([np.abs(a - b) / np.maximum(1.0, np.abs(a)) for a, b in (
-            (here.energy, there.energy), (here.charge, there.charge))]).ravel()
-        k = int(np.argmax(np.where(np.isnan(rel), -np.inf, rel)))
+            (energy_of(spec, comps, spectrum), there.energy),
+            (charge_of(spec, comps, spectrum), there.charge))]).ravel()
+        finite = np.isfinite(rel)
+        if non_finite is None and not finite.all():
+            k = int(np.argmin(finite))
+            non_finite = {"source": "non-finite", "probe": start + k // 2,
+                          "functional": ("E", "C")[k % 2],
+                          "shift": [int(v) for v in shifts[k // 2]]}
+        k = int(np.argmax(np.where(finite, rel, -np.inf)))
         if rel[k] > worst:
             worst = float(rel[k])
             worst_case = {"functional": ("E", "C")[k % 2],
                           "shift": [int(v) for v in shifts[k // 2]], "rel": worst}
-    return worst, worst_case
+    return worst, non_finite or worst_case
 
 
 def _shift_invariance_check(spec: ModelSpec, rng: SplitMix64, count: int) -> CheckResult:
     """EC-2: E and C of random probes are unchanged by lattice shifts."""
     worst, worst_case = _largest_shift_change(spec, rng, count)
-    ok = worst <= 1e-12
+    ok = worst <= 1e-12 and (worst_case or {}).get("source") != "non-finite"
     return CheckResult("pass" if ok else "fail", "sampled",
                        {"states": count, "worst_rel": worst},
                        None if ok else worst_case)
@@ -121,6 +132,13 @@ def _random_probe(spec: ModelSpec, rng: SplitMix64, amplitude: float) -> tuple:
     """The components of one random probe at this amplitude."""
     comps = next(probe_chunks(spec, rng, 1, amp_range=(amplitude, amplitude * 1.0000001)))
     return tuple(comp[0] for comp in comps)
+
+
+def _drawn_probe(stack, start: int, k: int) -> dict:
+    """What redraws row k of a probe stack whose first row is probe start of
+    its scan: the probe's index, amplitude and band limit."""
+    return {"probe": start + k, "amplitude": float(stack.amplitude[k]),
+            "band": int(stack.band[k])}
 
 
 def _bulk_of(params: PenaltyParams, e, c):
@@ -147,16 +165,27 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
 
     The width sweep is the supercriticality detector: at fixed charge the
     energy of a narrowing bump must stay floored, otherwise the trend is
-    the counterexample."""
+    the counterexample.  Otherwise it is the first random probe below the
+    floor, named by its index in the scan, its amplitude and its band so
+    that it can be redrawn.  A non-finite value fails the check before
+    either, with a `non-finite` counterexample."""
     tol = 1e-9
     worst = np.inf
-    bad = None
-    for comps in probe_chunks(spec, rng, count):
-        vals = _bulk_of(params, energy_of(spec, comps), charge_of(spec, comps))
-        worst = min(worst, float(np.min(vals, initial=np.inf, where=~np.isnan(vals))))
-        below = np.flatnonzero(vals < -tol)
-        if below.size and bad is None:
-            bad = {"source": "random-probe", "value": float(vals[below[0]])}
+    non_finite = below = None
+    start = 0
+    for stack in probe_chunks(spec, rng, count, scan=True):
+        comps, spectrum = stack.components, stack.spectrum
+        vals = _bulk_of(params, energy_of(spec, comps, spectrum),
+                        charge_of(spec, comps, spectrum))
+        finite = np.isfinite(vals)
+        worst = min(worst, float(np.min(vals, initial=np.inf, where=finite)))
+        if non_finite is None and not finite.all():
+            non_finite = _drawn_probe(stack, start, int(np.argmin(finite)))
+        if below is None and np.any(vals < -tol):
+            k = int(np.argmax(vals < -tol))
+            below = {"source": "random-probe", **_drawn_probe(stack, start, k),
+                     "value": float(vals[k])}
+        start += len(vals)
     g = spec.grid
     sig_hi = min(g.box_length) / 8.0
     sig_lo = max(3.0 * max(g.spacing), sig_hi / 32.0)
@@ -166,13 +195,16 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
         amp = mass_scale * (sig_hi / sigma) ** (g.dim / 2.0)
         bulk, _ = _gaussian_bulk(spec, params, gaussian_profile(g, amp, sigma))
         sweep.append((float(sigma), bulk))
-    sweep_vals = [v for _, v in sweep]
-    worst = min(worst, min(sweep_vals))
-    if min(sweep_vals) < -tol:
-        bad = {"source": "width-sweep", "sweep": sweep,
-               "trend": "bulk decreases without floor as width shrinks"}
-    ok = worst >= -tol
-    return CheckResult("pass" if ok else "fail", "sampled",
+    sweep_vals = np.array([v for _, v in sweep])
+    finite = np.isfinite(sweep_vals)
+    worst = min(worst, float(np.min(sweep_vals, initial=np.inf, where=finite)))
+    if non_finite is None and not finite.all():
+        non_finite = {"sweep": sweep}
+    if np.any(sweep_vals < -tol):
+        below = {"source": "width-sweep", "sweep": sweep,
+                 "trend": "bulk decreases without floor as width shrinks"}
+    bad = {"source": "non-finite", **non_finite} if non_finite else below
+    return CheckResult("pass" if bad is None else "fail", "sampled",
                        {"probes": count, "min_bulk": float(worst), "width_sweep": sweep},
                        bad)
 

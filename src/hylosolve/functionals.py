@@ -22,26 +22,28 @@ supremum; the audit's EC-3i check samples E + a|C|^s whatever the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import grid as gridmod
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
-                   apply_multiplier, band_limited_noise, integrate, k_squared,
+                   apply_multiplier, band_limited_spectrum, integrate, k_squared,
                    min_image_distances, require_finite, spectral_sum, symbols, transform,
                    x_norm_of)
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
                      evaluate)
 from .nonlinearity import (DoublePower, SinglePower, critical_exponent, power, w_nonnegative,
                            w_value)
-from .rng import SplitMix64, uniform_from_bits
+from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
     "penalized_value",
     "bound_m", "nash_exponents", "coercivity_exponent", "nash_check",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
-    "gaussian_profile", "gaussian_state", "probe_chunks", "probe_states",
+    "gaussian_profile", "gaussian_state", "ProbeStack", "probe_chunks", "probe_states",
 ]
 
 CHARGE_FLOOR = 1e-12
@@ -349,33 +351,77 @@ def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> 
     return value(e, c)
 
 
+def _probe_width(grid: Grid) -> int:
+    """The largest band limit of a random probe, min(n) // 4: every probe
+    draws the modes of index magnitude at most this along every axis."""
+    return min(grid.n) // 4
+
+
 def _probe_draws(spec: ModelSpec) -> int:
     """The stream draws of one random probe: its log-amplitude, its band
-    limit, then the noise of each component."""
-    per_field = spec.grid.size * (2 if spec.model_tag in COMPLEX_MODELS else 1)
-    return 2 + len(COMPONENT_NAMES[spec.model_tag]) * per_field
+    limit, then per component the real and then the imaginary parts of its
+    (2 _probe_width + 1)^d drawn modes."""
+    modes = (2 * _probe_width(spec.grid) + 1) ** spec.grid.dim
+    return 2 + len(COMPONENT_NAMES[spec.model_tag]) * 2 * modes
 
 
-def _probe_stack(spec: ModelSpec, bits: np.ndarray, log_lo, log_hi) -> tuple:
-    """The components of the random probes drawn from bits, one probe per
-    row of _probe_draws(spec) raw outputs, with log-amplitudes uniform in
-    [log_lo, log_hi) (scalars or one window per row)."""
+class ProbeStack(NamedTuple):
+    """A stack of random probes: the component arrays, the field
+    component's spectrum, and each probe's rms amplitude and band limit."""
+
+    components: tuple
+    spectrum: np.ndarray
+    amplitude: np.ndarray
+    band: np.ndarray
+
+
+def _probe_stack(spec: ModelSpec, bits: np.ndarray, log_lo, log_hi,
+                 buffers: dict) -> ProbeStack:
+    """The random probes drawn from bits, one probe per row of
+    _probe_draws(spec) raw outputs, with log-amplitudes uniform in
+    [log_lo, log_hi) (scalars or one window per row).
+
+    Each probe is drawn in the spectrum (grid.band_limited_spectrum) and
+    takes one inverse transform per component.  The arrays live in
+    buffers, a dict the caller keeps for the stacks of one scan: the first
+    stack allocates them for its rows, the spectrum zeroed once, and every
+    later (no larger) stack overwrites them."""
     g = spec.grid
+    rows = len(bits)
+    width = _probe_width(g)
     amp = np.exp(log_lo + (log_hi - log_lo) * uniform_from_bits(bits[:, 0]))
-    band = 2 + (bits[:, 1] % np.uint64(min(g.n) // 4 - 1)).astype(np.int64)
-    noise = np.split(bits[:, 2:], len(COMPONENT_NAMES[spec.model_tag]), axis=1)
-    comps = tuple(band_limited_noise(g, field, band, amp, spec.model_tag in COMPLEX_MODELS)
-                  for field in noise)
+    band = 2 + (bits[:, 1] % np.uint64(width - 1)).astype(np.int64)
+    ncomp = len(COMPONENT_NAMES[spec.model_tag])
+    if not buffers:
+        buffers["spectrum"] = np.zeros((rows,) + g.n, np.complex128)
+        buffers["fields"] = tuple(np.empty((rows,) + g.n, np.complex128) for _ in range(ncomp))
+    spectrum = buffers["spectrum"][:rows]
+    fields = tuple(f[:rows] for f in buffers["fields"])
+    box = (rows,) + (2 * width + 1,) * g.dim
+    modes = (2 * width + 1) ** g.dim
+    real = spec.model_tag not in COMPLEX_MODELS
+    # the field component last, so that its spectrum stays in the buffer
+    for i in reversed(range(ncomp)):
+        first = 2 + 2 * i * modes
+        coefficients = np.empty(box, np.complex128)
+        coefficients.real = symmetric_from_bits(bits[:, first:first + modes]).reshape(box)
+        coefficients.imag = symmetric_from_bits(
+            bits[:, first + modes:first + 2 * modes]).reshape(box)
+        band_limited_spectrum(g, coefficients, band, amp, real, out=spectrum)
+        gridmod.ifft(spectrum, g.axes, out=fields[i])
+    comps = tuple(f.real for f in fields) if real else fields
     for comp in comps:
         require_finite(comp)
-    return comps
+    return ProbeStack(comps, spectrum, amp, band)
 
 
 def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
-                 amp_range: tuple[float, float] = (1e-2, 3.0)):
-    """Seeded random smooth states with log-uniform amplitudes, yielded as
-    component stacks of at most PROBE_CHUNK_POINTS grid points (one probe
-    per stack when a single field is larger).
+                 amp_range: tuple[float, float] = (1e-2, 3.0), scan: bool = False):
+    """Seeded random smooth states with log-uniform amplitudes, as stacks of
+    at most PROBE_CHUNK_POINTS grid points (one probe per stack when a
+    single field is larger): component tuples of arrays the caller owns,
+    or with scan, each stack's ProbeStack, whose arrays the next stack
+    overwrites.
 
     Each probe takes a fixed number of draws (_probe_draws).  One block of
     the stream per stack therefore gives every probe the draws it would get
@@ -384,16 +430,19 @@ def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
     per_probe = _probe_draws(spec)
     rows = _chunk_rows(spec.grid)
     lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
+    buffers = {}
     for start in range(0, count, rows):
         bits = rng.next_block_u64(min(rows, count - start) * per_probe).reshape(-1, per_probe)
-        yield _probe_stack(spec, bits, lo, hi)
+        stack = _probe_stack(spec, bits, lo, hi, buffers)
+        yield stack if scan else tuple(comp.copy() for comp in stack.components)
 
 
 def probe_states(spec: ModelSpec, rng: SplitMix64, count: int,
                  amp_range: tuple[float, float] = (1e-2, 3.0)) -> list[FieldState]:
-    """The probes of probe_chunks, one state each."""
+    """The probes of probe_chunks, one state (a copy) each."""
     return [FieldState(spec.model_tag, spec.grid, row)
-            for comps in probe_chunks(spec, rng, count, amp_range) for row in zip(*comps)]
+            for stack in probe_chunks(spec, rng, count, amp_range, scan=True)
+            for row in zip(*stack.components)]
 
 
 def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0,
@@ -432,15 +481,17 @@ def _probe_supremum(spec: ModelSpec, rng: SplitMix64, s_exp: float,
     """sup of -E/|C|^s over the random probes with E < 0, skipping those
     whose charge is negligible against their norm."""
     worst = 0.0
-    for comps in probe_chunks(spec, rng, n_probes):
-        e = energy_of(spec, comps)
+    for stack in probe_chunks(spec, rng, n_probes, scan=True):
+        comps, spectrum = stack.components, stack.spectrum
+        e = energy_of(spec, comps, spectrum)
         neg = e < 0.0
         if not np.any(neg):
             continue
         comps = tuple(comp[neg] for comp in comps)
+        spectrum = spectrum[neg]
         e = e[neg]
-        c = np.abs(charge_of(spec, comps))
-        keep = c >= 1e-9 * (1.0 + x_norm_of(spec.model_tag, spec.grid, comps))
+        c = np.abs(charge_of(spec, comps, spectrum))
+        keep = c >= 1e-9 * (1.0 + x_norm_of(spec.model_tag, spec.grid, comps, spectrum))
         if np.any(keep):
             worst = max(worst, float(np.max(-e[keep] / c[keep] ** s_exp)))
     return worst

@@ -363,15 +363,16 @@ def spectral_sum(grid: Grid, multiplier: np.ndarray, spec: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def _max_mode(grid: Grid) -> np.ndarray:
-    """Largest Fourier mode index magnitude over the axes, per spectral point."""
-    top = np.zeros(grid.n, dtype=np.int64)
-    for axis in range(grid.dim):
-        idx = np.arange(grid.n[axis])
-        mode = np.minimum(idx, grid.n[axis] - idx)
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        top = np.maximum(top, mode.reshape(shape))
+def _max_mode(shape: tuple[int, ...]) -> np.ndarray:
+    """Largest Fourier mode index magnitude over the axes, per point of a
+    spectrum of this shape in transform order."""
+    top = np.zeros(shape, dtype=np.int64)
+    for axis, n in enumerate(shape):
+        idx = np.arange(n)
+        mode = np.minimum(idx, n - idx)
+        reshaped = [1] * len(shape)
+        reshaped[axis] = n
+        top = np.maximum(top, mode.reshape(reshaped))
     top.setflags(write=False)
     return top
 
@@ -385,8 +386,40 @@ def low_pass(grid: Grid, values, band_limit, out: np.ndarray | None = None) -> n
     arr = _on_grid(grid, values)
     spec = fft(arr, grid.axes, out=out)
     limit = np.reshape(band_limit, np.shape(band_limit) + (1,) * grid.dim)
-    np.copyto(spec, 0.0, where=_max_mode(grid) > limit)
+    np.copyto(spec, 0.0, where=_max_mode(grid.n) > limit)
     return ifft(spec, grid.axes, out=spec)
+
+
+def band_limited_spectrum(grid: Grid, coefficients: np.ndarray, band_limit, rms,
+                          real: bool, out: np.ndarray) -> np.ndarray:
+    """Write the spectra of band-limited fields drawn in the spectrum into out.
+
+    The trailing axes of coefficients (complex) hold the modes of index
+    magnitude at most w along every axis, 2w + 1 per axis in transform order
+    (0..w, then -w..-1); leading axes are a batch, and band_limit and rms
+    are scalars or one value per batch index.  The modes above band_limit
+    are zeroed (low_pass's mask), the Hermitian part is taken for real
+    fields, and the coefficients are scaled so that each field has the rms
+    sample value, sqrt(sum |F|^2) / N by Parseval.  They are written to
+    their places in out, complex spectra of the grid shape with the same
+    leading axes; out's other modes are left as they are, so zero them once.
+    coefficients is overwritten."""
+    box = coefficients.shape[coefficients.ndim - grid.dim:]
+    batch = coefficients.shape[:coefficients.ndim - grid.dim]
+    trailing = (1,) * grid.dim
+    limit = np.reshape(band_limit, np.shape(band_limit) + trailing)
+    np.copyto(coefficients, 0.0, where=_max_mode(box) > limit)
+    if real:
+        # the mode -k sits at position (2w + 1 - i) mod (2w + 1) of mode k's i
+        coefficients += np.conj(np.roll(np.flip(coefficients, grid.axes), 1, grid.axes))
+        coefficients *= 0.5
+    parts = coefficients.reshape(batch + (-1,)).view(np.float64)
+    current = np.sqrt(np.add.reduce(np.square(parts), axis=-1)) / grid.size
+    scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
+    coefficients *= np.reshape(scale, batch + trailing)
+    width = box[0] // 2
+    out[(...,) + np.ix_(*(np.r_[0:width + 1, n - width:n] for n in grid.n))] = coefficients
+    return out
 
 
 def min_image_distances(grid: Grid, center) -> list[np.ndarray]:

@@ -14,12 +14,12 @@ from hylosolve import (DoublePower, FieldState, Grid, ModelSpec, PenaltyParams,
 from hylosolve import functionals
 from hylosolve.checkers import (_coercivity_floor_check, _coercivity_growth_check,
                                 _coercivity_vanishing_check, _largest_shift_change,
-                                _random_probe, _shift_invariance_check, _splitting_check)
+                                _shift_invariance_check, _splitting_check)
 from hylosolve.functionals import (PROBE_CHUNK_POINTS, choose_coercivity_params,
                                    default_probe_bounds, gaussian_profile, gaussian_state,
                                    penalized_probe_seed, probe_chunks, probe_states)
-from hylosolve.grid import random_state, spectral_derivative
-from hylosolve.models import evaluate
+from hylosolve.grid import spectral_derivative
+from hylosolve.models import charge_of, energy_of, evaluate
 from hylosolve.nonlinearity import w_value
 from hylosolve.rng import SplitMix64
 
@@ -101,16 +101,9 @@ def test_penalized_seed_matches_per_state_reference(name):
     assert val == pytest.approx(ref_val, rel=1e-12, abs=0)
 
 
-def _reference_probe_states(spec, rng, count, amp_range=(1e-2, 3.0)):
-    """One probe at a time: amplitude draw, band draw, then random_state."""
-    lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
-    out = []
-    for _ in range(count):
-        amp = float(np.exp(lo + (hi - lo) * rng.uniform()))
-        band = 2 + int(rng.integers(1, min(spec.grid.n) // 4 - 1)[0])
-        out.append(random_state(spec.model_tag, spec.grid, rng, amplitude=amp,
-                                band_limit=band))
-    return out
+def _one_probe_per_stack(spec, rng, count):
+    """The probes of probe_chunks drawn one stack of one probe at a time."""
+    return [tuple(comp[0] for comp in next(probe_chunks(spec, rng, 1))) for _ in range(count)]
 
 
 @pytest.mark.parametrize("spec", [
@@ -124,10 +117,10 @@ def test_probe_chunks_reproduce_one_probe_at_a_time(spec):
     rng_a, rng_b, rng_c = (SplitMix64(17).split("chunks") for _ in range(3))
     rows = [row for comps in probe_chunks(spec, rng_a, count) for row in zip(*comps)]
     states = probe_states(spec, rng_b, count)
-    reference = _reference_probe_states(spec, rng_c, count)
+    reference = _one_probe_per_stack(spec, rng_c, count)
     assert len(rows) == len(states) == len(reference) == count
     for row, st, ref in zip(rows, states, reference):
-        for x, y, z in zip(row, st.components, ref.components):
+        for x, y, z in zip(row, st.components, ref):
             assert np.array_equal(x, z) and np.array_equal(y, z)
     # the stream continues where the one-probe-at-a-time loop leaves it
     assert rng_a.next_u64() == rng_b.next_u64() == rng_c.next_u64()
@@ -139,9 +132,9 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     seen = []
     energy_of = functionals.energy_of
 
-    def recording_energy_of(spec_, comps):
+    def recording_energy_of(spec_, comps, *spectrum):
         seen.append(comps[0].size)
-        return energy_of(spec_, comps)
+        return energy_of(spec_, comps, *spectrum)
 
     evaluate = functionals.evaluate
 
@@ -283,17 +276,19 @@ def test_power_potentials_match_the_quadrature(where, family, m_sq):
 
 def _reference_shift_change(spec, rng, count):
     """EC-2's sampling one probe at a time: amplitude draw, one random
-    probe, shift draws, then one evaluate of the probe and one of its
-    shift."""
+    probe with its spectrum, shift draws, then E and C of the probe from
+    that spectrum and one evaluate of its shift."""
     worst, worst_case = 0.0, None
     axes = tuple(range(spec.grid.dim))
     for _ in range(count):
         amp = 0.1 + 2.0 * rng.uniform()
-        comps = _random_probe(spec, rng, amp)
+        probe = next(probe_chunks(spec, rng, 1, amp_range=(amp, amp * 1.0000001), scan=True))
+        comps = tuple(c[0] for c in probe.components)
         z = tuple(int(v) for v in rng.integers(spec.grid.dim, max(spec.grid.n)))
-        here = evaluate(spec, comps)
+        spectrum = probe.spectrum[0]
+        here = energy_of(spec, comps, spectrum), charge_of(spec, comps, spectrum)
         moved = evaluate(spec, tuple(np.roll(c, z, axis=axes) for c in comps))
-        for a, b, name in ((here.energy, moved.energy, "E"), (here.charge, moved.charge, "C")):
+        for a, b, name in ((here[0], moved.energy, "E"), (here[1], moved.charge, "C")):
             a, b = float(a), float(b)
             rel = abs(a - b) / max(1.0, abs(a))
             if rel > worst:
