@@ -6,6 +6,8 @@ potential conditions, the Gaussian-family interpolation constant, and the
 hylomorphy verdict) under a probe budget, and emits a machine-readable
 certificate.  Failures are verdicts with counterexample descriptors, not
 exceptions; the CLI pipeline gates continuation runs on the certificate.
+The coercivity floor (EC-3i) is tested on a random scan whose size the grid
+bounds, a fixed-mass width sweep and a Gaussian-family descent.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import Inadmissible
-from .functionals import (PenaltyParams, _chunk_rows, _gaussian_components, _probe_draws,
-                          _probe_stack, choose_coercivity_params, gaussian_profile,
-                          hylomorphy_check, nash_check, probe_chunks)
-from .grid import NBE, NLS, NWE, min_image_distances
+from .functionals import (RANDOM_SCAN_POINTS, PenaltyParams, _chunk_rows, _gaussian_components,
+                          _probe_draws, _probe_stack, bulk_descent, choose_coercivity_params,
+                          gaussian_profile, hylomorphy_check, nash_check, probe_chunks)
+from .grid import COMPONENT_NAMES, NBE, NLS, NWE, min_image_distances
 from .models import (ModelSpec, charge, charge_of, energy, energy_of, evaluate, grad_charge,
                      grad_energy)
 from .nonlinearity import DoublePower, SinglePower, check_w_conditions
@@ -161,14 +163,23 @@ def _gaussian_bulk(spec: ModelSpec, params: PenaltyParams, bump: np.ndarray):
 
 def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
                             rng: SplitMix64, count: int) -> CheckResult:
-    """EC-3i: E + a|C|^s >= 0 on random probes plus a fixed-mass width sweep.
+    """EC-3i: E + a|C|^s >= 0 on count random probes, a fixed-mass width
+    sweep and a descent of the Gaussian family (functionals.bulk_descent).
 
     The width sweep is the supercriticality detector: at fixed charge the
-    energy of a narrowing bump must stay floored, otherwise the trend is
-    the counterexample.  Otherwise it is the first random probe below the
+    energy of a bump narrowing from L/8 to 3 cells (to one cell where 3 are
+    wider than L/8) must stay floored, otherwise the trend is the
+    counterexample.  Otherwise it is the first random probe below the
     floor, named by its index in the scan, its amplitude and its band so
-    that it can be redrawn.  A non-finite value fails the check before
-    either, with a `non-finite` counterexample."""
+    that it can be redrawn.  Otherwise it is the descent's end, with its
+    bulk, width, amplitude, charge, the window bounds it sits on and the
+    columns it took.  The descent starts from the sweep's lowest state and
+    searches widths from one cell to L/8 with amplitudes up to 16 times the
+    sweep's charge: the ground states of a too small a concentrate there.
+    A non-finite value fails the check before any of them, with a
+    `non-finite` counterexample.  The parameters give count as `probes`,
+    the lowest value of all three as `min_bulk`, the sweep and the
+    descent's end."""
     tol = 1e-9
     worst = np.inf
     non_finite = below = None
@@ -188,7 +199,9 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
         start += len(vals)
     g = spec.grid
     sig_hi = min(g.box_length) / 8.0
-    sig_lo = max(3.0 * max(g.spacing), sig_hi / 32.0)
+    cell = min(max(g.spacing), sig_hi)
+    # narrowing to 3 cells, or to one where 3 are wider than L/8
+    sig_lo = max(3.0 * cell if 3.0 * cell <= sig_hi else cell, sig_hi / 32.0)
     sweep = []
     mass_scale = 2.0
     for sigma in np.geomspace(sig_hi, sig_lo, 8):
@@ -203,9 +216,21 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
     if np.any(sweep_vals < -tol):
         below = {"source": "width-sweep", "sweep": sweep,
                  "trend": "bulk decreases without floor as width shrinks"}
+    # the descent starts from the sweep's lowest state; its amplitudes reach
+    # 16 times the sweep's charge at every width of its window
+    sigma = sweep[int(np.argmin(np.where(finite, sweep_vals, np.inf)))][0]
+    descent = bulk_descent(spec, params, sigma, (cell, sig_hi), (
+        mass_scale / 16.0, 4.0 * mass_scale * (sig_hi / cell) ** (g.dim / 2.0)))
+    descent_non_finite = descent.pop("non_finite")
+    worst = min(worst, descent["bulk"])
+    if non_finite is None and descent_non_finite:
+        non_finite = {"descent": descent_non_finite}
+    if below is None and descent["bulk"] < -tol:
+        below = {"source": "family-descent", **descent}
     bad = {"source": "non-finite", **non_finite} if non_finite else below
     return CheckResult("pass" if bad is None else "fail", "sampled",
-                       {"probes": count, "min_bulk": float(worst), "width_sweep": sweep},
+                       {"probes": count, "min_bulk": float(worst), "width_sweep": sweep,
+                        "family_descent": descent},
                        bad)
 
 
@@ -297,7 +322,9 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
     budget = 0 marks everything skipped.  When params is omitted the
     coercivity parameters are chosen automatically; if no admissible
     exponent exists (supercritical power) a fixed fallback is used so the
-    coercivity checks can exhibit their counterexample.
+    coercivity checks can exhibit their counterexample.  EC-3i's random
+    scan takes min(budget, 2000) probes, fewer where they would transform
+    more than RANDOM_SCAN_POINTS grid points (one probe at least).
     """
     results: dict[str, CheckResult] = {}
     params_note = {}
@@ -318,8 +345,9 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
     results["EC-1"] = _zero_state_check(spec)
     results["EC-2"] = _shift_invariance_check(spec, root.split("ec2"),
                                               count=min(50, budget))
+    scan = RANDOM_SCAN_POINTS // (len(COMPONENT_NAMES[spec.model_tag]) * spec.grid.size)
     results["EC-3i"] = _coercivity_floor_check(spec, params, root.split("ec3i"),
-                                               count=min(budget, 2000))
+                                               count=max(1, min(budget, 2000, scan)))
     results["EC-3ii"] = _coercivity_growth_check(spec, params, root.split("ec3ii"))
     results["EC-3iii"] = _coercivity_vanishing_check(spec, params)
     results["EC-4-disjoint"] = _splitting_check(spec)

@@ -16,7 +16,11 @@ the constant, which nash_check takes from the Gaussian family).
 
 The coefficient a of E + a|C|^s >= 0 comes from that Young split (NLS power
 families), from W >= 0 (then E >= 0 and a = 0), or else from a random-probe
-supremum; the audit's EC-3i check samples E + a|C|^s whatever the rule.
+supremum; the audit's EC-3i check tests E + a|C|^s whatever the rule, on a
+random scan of at most RANDOM_SCAN_POINTS grid points, a fixed-mass width
+sweep and a descent of the bulk over the Gaussian family (bulk_descent),
+where the infimum is approached: by concentrating bumps, the ground states,
+not by random band-limited fields.
 """
 
 from __future__ import annotations
@@ -44,12 +48,20 @@ __all__ = [
     "bound_m", "nash_exponents", "coercivity_exponent", "nash_check",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
     "gaussian_profile", "gaussian_state", "ProbeStack", "probe_chunks", "probe_states",
+    "bulk_descent",
 ]
 
 CHARGE_FLOOR = 1e-12
 # grid points per probe stack (one probe when the grid alone is larger):
 # bounds the memory of every probe family independently of its size
 PROBE_CHUNK_POINTS = 2**15
+# grid points (times components) of the audit's EC-3i random scan, at least
+# one probe: 256 probes on NLS 512 and NWE 256, one on 64^3
+RANDOM_SCAN_POINTS = 2**17
+# width columns of the EC-3i bulk descent (bulk_descent), at most, and the
+# amplitudes of each column
+DESCENT_COLUMNS = 48
+DESCENT_AMPLITUDES = 64
 # factor on the empirical coercivity coefficient a
 COERCIVITY_SAFETY = 2.0
 
@@ -316,16 +328,17 @@ def _potential_integrals(spec: ModelSpec, amps: np.ndarray, profile: np.ndarray)
                            for i in range(0, len(amps), rows)])
 
 
-def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> np.ndarray:
-    """value(E, C) of the Gaussian probes of one width, one per amplitude,
-    under the ratio's charge floor.
+def _gaussian_column(spec: ModelSpec, amps: np.ndarray, sigma: float, paired: bool = True):
+    """E, signed C and the squared phase-space norm of the Gaussian probes
+    of one width, one per amplitude.
 
     The probe of amplitude A is A (g, w h), with (g, h) the unit probe and
-    w its optimal pair parameter.  Its kinetic energy, charge and
-    phase-space norm are A^2 (w A^2, w^2 A^2) times the unit probe's, all
-    taken from one transform of g; only the potential integral of W(A g)
-    depends on A otherwise (_potential_integrals).  The values agree with
-    evaluating each probe on its own to rounding (1e-13 relative).
+    w its optimal pair parameter, or w = 0 (a still second component) when
+    not paired.  Its kinetic energy, charge and phase-space norm are A^2
+    (w A^2, w^2 A^2) times the unit probe's, all taken from one transform
+    of g; only the potential integral of W(A g) depends on A otherwise
+    (_potential_integrals).  The values agree with evaluating each probe on
+    its own to rounding (1e-13 relative).
     """
     g = spec.grid
     amps = np.asarray(amps, dtype=np.float64)
@@ -342,11 +355,19 @@ def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> 
     norm_sq = scale * spectral_sum(g, sym.weights[0], spectrum)
     if spec.model_tag != NLS:
         second = scale * integrate(g, np.abs(unit[1]) ** 2)
-        pair = _pair_param(spec, e, second)  # e is still the frozen-field energy
+        # e is still the frozen-field energy
+        pair = _pair_param(spec, e, second) if paired else 0.0
         require_finite(pair)
         e = e + 0.5 * pair**2 * second
         c = pair * c
         norm_sq = norm_sq + pair**2 * second
+    return e, c, norm_sq
+
+
+def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> np.ndarray:
+    """value(E, C) of the paired Gaussian probes of one width, one per
+    amplitude (_gaussian_column), under the ratio's charge floor."""
+    e, c, norm_sq = _gaussian_column(spec, amps, sigma)
     _require_charge(c, np.sqrt(norm_sq))
     return value(e, c)
 
@@ -457,7 +478,7 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
       hypothesis W-i): E >= 0, so a = 0, with s = 1;
     - otherwise the supremum of -E/|C| over n_probes random probes, s = 1;
       seed and n_probes feed only this fallback.
-    The audit's EC-3i check samples E + a|C|^s whatever the rule.  delta is
+    The audit's EC-3i check tests E + a|C|^s whatever the rule.  delta is
     a placeholder the caller (continuation/minimizer) overrides per run.
     """
     fam = spec.w.family
@@ -588,6 +609,76 @@ def _window_bounds_hit(amp: float, sigma: float, amp_bounds, sig_bounds) -> list
         if np.isclose(value, hi, rtol=1e-12, atol=0.0):
             hits.append(f"{name}_upper")
     return hits
+
+
+def bulk_descent(spec: ModelSpec, params: PenaltyParams, sigma: float,
+                 sig_bounds: tuple[float, float], amp_bounds: tuple[float, float]) -> dict:
+    """Descent of the bulk E + a|C|^s over the Gaussian probes with a still
+    second component (pair parameter 0, where the bulk is lowest over the
+    pair on NWE and NBE), in log width from sigma and in log amplitude
+    along each width's column, inside the window.
+
+    A column is one width (_gaussian_column, one transform) at
+    DESCENT_AMPLITUDES log-spaced amplitudes spanning the window.  Columns
+    are compared by their lowest bulk per unit mass, the bulk over
+    A^2 sigma^d.  Its sign is the bulk's, but it does not tend to 0 as the
+    amplitude vanishes, where the bulk tends to 0 from above and would hold
+    a descent.  The comparison takes the vertex of the parabola through the
+    lowest value and its two neighbours in log amplitude, since the lowest
+    value alone jumps as the width moves the optimum between amplitudes.
+    The incumbent width moves to the first of its narrower and wider
+    neighbours that is lower, the step doubling up to an octave; when
+    neither is, the step halves.  The descent ends when the step falls
+    below a 32nd of an octave or after DESCENT_COLUMNS columns.  NaN never
+    wins.
+
+    Returns where it ended, the lowest probe of its last column: its
+    `bulk`, `width`, `amplitude` and `charge` magnitude, the window bounds
+    it sits on (`on_window_bound`), the `columns` it took, and `non_finite`,
+    the width and amplitude of the first probe whose bulk was not finite
+    (None while every value was)."""
+    d = spec.grid.dim
+    lo, hi = np.log(sig_bounds)
+    amps = np.geomspace(amp_bounds[0], amp_bounds[1], DESCENT_AMPLITUDES)
+    non_finite = None
+    ends = {}  # log width -> (lowest bulk per mass, log width, bulk, amplitude, charge)
+
+    def column(x):
+        nonlocal non_finite
+        if x not in ends:
+            e, c, _ = _gaussian_column(spec, amps, np.exp(x), paired=False)
+            charge = np.abs(c)
+            bulk = e + params.a * charge ** params.s_exp
+            finite = np.isfinite(bulk)
+            if non_finite is None and not finite.all():
+                non_finite = {"width": float(np.exp(x)),
+                              "amplitude": float(amps[np.argmin(finite)])}
+            per_mass = np.where(finite, bulk / (amps**2 * np.exp(d * x)), np.inf)
+            k = int(np.argmin(per_mass))
+            level = per_mass[k]
+            if 0 < k < len(amps) - 1:
+                g0, g1, g2 = per_mass[k - 1:k + 2]
+                if np.isfinite(g0 + g2) and g0 + g2 > 2.0 * g1:
+                    level = g1 - (g2 - g0) ** 2 / (8.0 * (g0 - 2.0 * g1 + g2))
+            ends[x] = (level, x, float(bulk[k]), float(amps[k]), float(charge[k]))
+        return ends[x]
+
+    here = column(float(np.clip(np.log(sigma), lo, hi)))
+    step = np.log(2.0) / 2.0
+    while step >= np.log(2.0) / 32.0 and len(ends) < DESCENT_COLUMNS:
+        x = here[1]
+        for there in (max(lo, x - step), min(hi, x + step)):
+            if len(ends) < DESCENT_COLUMNS and column(there)[0] < here[0]:
+                here = ends[there]
+                step = min(2.0 * step, np.log(2.0))
+                break
+        else:
+            step /= 2.0
+    _, x, bulk, amplitude, charge = here
+    width = float(np.exp(x))
+    return {"bulk": bulk, "width": width, "amplitude": amplitude, "charge": charge,
+            "on_window_bound": _window_bounds_hit(amplitude, width, amp_bounds, sig_bounds),
+            "columns": len(ends), "non_finite": non_finite}
 
 
 def hylomorphy_check(spec: ModelSpec, margin: float | None = None, grid_size: int = 40,

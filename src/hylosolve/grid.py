@@ -9,6 +9,7 @@ operations (no interpolation).
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 import threading
@@ -417,8 +418,14 @@ def band_limited_spectrum(grid: Grid, coefficients: np.ndarray, band_limit, rms,
     current = np.sqrt(np.add.reduce(np.square(parts), axis=-1)) / grid.size
     scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
     coefficients *= np.reshape(scale, batch + trailing)
+    # one slice copy per corner of the box: the modes 0..w and -w..-1 of
+    # each axis sit at the start and at the end of the spectrum's axis
     width = box[0] // 2
-    out[(...,) + np.ix_(*(np.r_[0:width + 1, n - width:n] for n in grid.n))] = coefficients
+    halves = [((slice(0, width + 1),) * 2, (slice(width + 1, None), slice(n - width, n)))
+              for n in grid.n]
+    for corner in itertools.product(*halves):
+        source, target = zip(*corner)
+        out[(...,) + target] = coefficients[(...,) + source]
     return out
 
 

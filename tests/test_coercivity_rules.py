@@ -170,7 +170,8 @@ def test_the_young_split_covers_the_sharp_sech_constant(tmp_path):
     assert (a, cert["params"]["s_exp"]) == (choose_coercivity_params(
         ModelSpec("NLS", NLS_GRID, FOCUSING), seed=6).a, 3.0)
     assert a >= 1.0 / 96.0
-    assert cert["results"]["EC-3i"]["parameters"]["probes"] == 2000
+    # the random scan's size budget: 2^17 points of 512 each
+    assert cert["results"]["EC-3i"]["parameters"]["probes"] == 256
     # a sech of charge 30 on the grid (E + (0.9/96) C^3 = -13.1 there)
     spec = ModelSpec("NLS", NLS_GRID, FOCUSING)
     psi = (sech_profile(spec, 56.25, 20.0) + 0j,)

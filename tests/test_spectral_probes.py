@@ -10,13 +10,15 @@ from its raw stream words with numpy alone.
 import numpy as np
 import pytest
 
-from hylosolve import (DoublePower, Grid, ModelSpec, PenaltyParams, Saturating, SinglePower,
-                       WSpec, choose_coercivity_params)
-from hylosolve import models
-from hylosolve.checkers import _coercivity_floor_check, _shift_invariance_check
-from hylosolve.functionals import _probe_draws, probe_chunks, probe_states
+from hylosolve import (DoublePower, Grid, Inadmissible, ModelSpec, PenaltyParams, Saturating,
+                       SinglePower, WSpec, choose_coercivity_params)
+from hylosolve import audit, checkers, models
+from hylosolve.checkers import _coercivity_floor_check, _drawn_probe, _shift_invariance_check
+from hylosolve.functionals import (DESCENT_COLUMNS, RANDOM_SCAN_POINTS, _probe_draws,
+                                   probe_chunks, probe_states)
+from hylosolve.grid import band_limited_spectrum
 from hylosolve.models import charge_of, energy_of
-from hylosolve.rng import SplitMix64
+from hylosolve.rng import SplitMix64, symmetric_from_bits
 
 DOUBLE_POWER = WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))
 SPECS = {
@@ -227,3 +229,107 @@ def test_ec3i_names_the_random_probe_that_fails():
     bulk = (energy_of(spec, stack.components, stack.spectrum)
             + params.a * np.abs(charge_of(spec, stack.components)) ** params.s_exp)
     assert float(bulk[0]) == case["value"]
+
+
+@pytest.mark.parametrize("name", ["NLS-512", "NWE-2d", "NLS-3d"])
+def test_the_drawn_modes_land_where_a_fancy_index_puts_them(name):
+    # band_limited_spectrum's slice copies against one np.ix_ assignment of
+    # the coefficients it scaled in place
+    g = SPECS[name].grid
+    width = min(g.n) // 4
+    box = (max(1, 2**15 // g.size),) + (2 * width + 1,) * g.dim
+    parts = symmetric_from_bits(SplitMix64(3).split("placement").next_block_u64(
+        2 * int(np.prod(box)))).reshape((2,) + box)
+    coefficients = parts[0] + 1j * parts[1]
+    bands = 2 + np.arange(box[0]) % (width - 1)
+    amps = np.geomspace(1e-2, 3.0, box[0])
+    got = band_limited_spectrum(g, coefficients, bands, amps, False,
+                                np.zeros(box[:1] + g.n, np.complex128))
+    want = np.zeros_like(got)
+    want[(...,) + np.ix_(*(np.r_[0:width + 1, n - width:n] for n in g.n))] = coefficients
+    assert got.tobytes() == want.tobytes()
+
+
+SCAN_SPECS = {
+    "NLS-512": SPECS["NLS-512"],
+    "NWE-256": SPECS["NWE-256"],
+    "NWE-32^3": ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)), DOUBLE_POWER),
+}
+GATE_PARAMS = PenaltyParams(delta=0.02, a=0.05, s_exp=2.0)
+
+
+@pytest.mark.parametrize("name", ["NLS-512", "NWE-256"])
+def test_the_budgeted_scan_draws_the_first_probes_of_the_full_scan(monkeypatch, name):
+    spec = SCAN_SPECS[name]
+    seen = []
+    chunks = checkers.probe_chunks
+
+    def recording(*args, **kwargs):
+        for stack in chunks(*args, **kwargs):
+            if kwargs.get("scan"):  # EC-3i's scan, not EC-3ii's one probe
+                seen.append(tuple(comp.copy() for comp in stack.components))
+            yield stack
+
+    monkeypatch.setattr(checkers, "probe_chunks", recording)
+    cert = audit(spec, GATE_PARAMS, budget=2000, seed=6)
+    count = cert.results["EC-3i"].parameters["probes"]
+    assert count == 2**17 // (_components(spec) * spec.grid.size) == 256
+    full = list(probe_chunks(spec, SplitMix64(6).split("ec3i"), 2000))
+    for got, want in zip(zip(*seen), zip(*full)):
+        assert np.concatenate(got).tobytes() == np.concatenate(want)[:count].tobytes()
+
+
+def test_a_random_probe_counterexample_under_the_budget_is_redrawn():
+    # a thousandth of the Young split on a grid where the budget binds: the
+    # descent goes below the floor too, but the random probe comes first
+    spec = ModelSpec("NLS", Grid((256,), (5.0,)), WSpec(1.0, SinglePower(1.0, 4.0)))
+    young = choose_coercivity_params(spec, seed=6)
+    params = PenaltyParams(delta=0.02, a=1e-3 * young.a, s_exp=young.s_exp)
+    result = audit(spec, params, budget=2000, seed=6).results["EC-3i"]
+    assert result.parameters["probes"] == 512
+    assert result.parameters["family_descent"]["bulk"] < -1e-9
+    case = result.counterexample
+    assert case["source"] == "random-probe" and case["value"] < -1e-9
+    rng = SplitMix64(6).split("ec3i")
+    for _ in probe_chunks(spec, rng, case["probe"]):
+        pass
+    stack = next(probe_chunks(spec, rng, 1, scan=True))
+    assert case == {"source": "random-probe", **_drawn_probe(stack, case["probe"], 0),
+                    "value": case["value"]}
+    bulk = (energy_of(spec, stack.components, stack.spectrum)
+            + params.a * np.abs(charge_of(spec, stack.components)) ** params.s_exp)
+    assert float(bulk[0]) == case["value"]
+
+
+@pytest.mark.parametrize("name", SCAN_SPECS)
+def test_ec3i_transforms_inside_the_audit_stay_within_the_budget(transform_sizes, monkeypatch,
+                                                                  name):
+    # the random scan within RANDOM_SCAN_POINTS and the descent within its
+    # column cap, one transform of the grid per column
+    spec = SCAN_SPECS[name]
+    calls = {}
+
+    def marked(label, function):
+        def wrapper(*args, **kwargs):
+            start = len(transform_sizes)
+            result = function(*args, **kwargs)
+            calls.setdefault(label, []).append((start, len(transform_sizes), result))
+            return result
+        return wrapper
+
+    for label in ("_coercivity_floor_check", "_gaussian_bulk", "bulk_descent"):
+        monkeypatch.setattr(checkers, label, marked(label, getattr(checkers, label)))
+    if spec.grid.dim == 3:  # too coarse for the hylomorphy search, which follows EC-3i
+        with pytest.raises(Inadmissible):
+            audit(spec, GATE_PARAMS, budget=2000, seed=6)
+    else:
+        audit(spec, GATE_PARAMS, budget=2000, seed=6)
+    [(start, end, result)] = calls["_coercivity_floor_check"]
+    sweep_start = min(s for s, _, _ in calls["_gaussian_bulk"] if start <= s < end)
+    [(d_start, d_end, descent)] = calls["bulk_descent"]
+    random = transform_sizes[start:sweep_start]
+    probes = result.parameters["probes"]
+    assert sum(random) == probes * _components(spec) * spec.grid.size <= RANDOM_SCAN_POINTS
+    assert transform_sizes[d_start:d_end] == [spec.grid.size] * descent["columns"]
+    assert descent["columns"] <= DESCENT_COLUMNS
+    assert start < sweep_start < d_start < d_end == end
