@@ -322,9 +322,11 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
     budget = 0 marks everything skipped.  When params is omitted the
     coercivity parameters are chosen automatically; if no admissible
     exponent exists (supercritical power) a fixed fallback is used so the
-    coercivity checks can exhibit their counterexample.  EC-3i's random
-    scan takes min(budget, 2000) probes, fewer where they would transform
-    more than RANDOM_SCAN_POINTS grid points (one probe at least).
+    coercivity checks can exhibit their counterexample.  The random probes
+    of EC-2 and of EC-3i's scan take min(budget, 50) and min(budget, 2000)
+    probes, fewer where they would transform more than RANDOM_SCAN_POINTS
+    grid points (one probe at least): 50 and 256 on NLS 512 and NWE 256,
+    one each on 64^3.
     """
     results: dict[str, CheckResult] = {}
     params_note = {}
@@ -343,9 +345,9 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
     params_note.update(delta=params.delta, a=params.a, s_exp=params.s_exp)
     root = SplitMix64(seed)
     results["EC-1"] = _zero_state_check(spec)
-    results["EC-2"] = _shift_invariance_check(spec, root.split("ec2"),
-                                              count=min(50, budget))
     scan = RANDOM_SCAN_POINTS // (len(COMPONENT_NAMES[spec.model_tag]) * spec.grid.size)
+    results["EC-2"] = _shift_invariance_check(spec, root.split("ec2"),
+                                              count=max(1, min(budget, 50, scan)))
     results["EC-3i"] = _coercivity_floor_check(spec, params, root.split("ec3i"),
                                                count=max(1, min(budget, 2000, scan)))
     results["EC-3ii"] = _coercivity_growth_check(spec, params, root.split("ec3ii"))

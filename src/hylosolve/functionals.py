@@ -25,6 +25,7 @@ not by random band-limited fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,9 +34,9 @@ import numpy as np
 from . import grid as gridmod
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
-                   apply_multiplier, band_limited_spectrum, integrate, k_squared,
-                   min_image_distances, require_finite, spectral_sum, symbols, transform,
-                   x_norm_of)
+                   apply_multiplier, apply_to_spectrum, band_limited_spectrum, integrate,
+                   k_squared, min_image_distances, require_finite, spectral_sum, symbols,
+                   transform, x_norm_of)
 from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
                      evaluate)
 from .nonlinearity import (DoublePower, SinglePower, critical_exponent, power, w_nonnegative,
@@ -87,9 +88,14 @@ class PenaltyParams:
 
 
 def _require_charge(c, xnorm) -> None:
-    """Raise NearZeroCharge where |C| < CHARGE_FLOOR (1 + ||u||_X), per row."""
+    """Raise NearZeroCharge where |C| < CHARGE_FLOOR (1 + ||u||_X), per row;
+    for an amplitude x width table, from the first width that has such a
+    probe."""
     low = np.abs(c) < CHARGE_FLOOR * (1.0 + xnorm)
     if low.any():
+        if low.ndim == 2:
+            first = int(np.argmax(low.any(axis=0)))
+            c, low = c[:, first], low[:, first]
         raise NearZeroCharge(
             f"charge magnitude {float(np.min(np.abs(c)[low])):.3e} below the ratio floor")
 
@@ -193,38 +199,51 @@ def coercivity_exponent(p: float, dim: int) -> float:
     return r / (2.0 - q)
 
 
-def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float, q: float, r: float):
-    """||f||_p^p / (||f||_2^r ||grad f||_2^q), one per leading (batch) index
-    of f; NaN where the gradient vanishes."""
-    norm2_sq = integrate(grid, np.abs(f) ** 2)
-    grad_sq = spectral_sum(grid, k_squared(grid), transform(grid, f))
-    num = integrate(grid, power(np.abs(f), p))
+def _nash_ratio(num, norm2_sq, grad_sq, q: float, r: float):
+    """num / (norm2_sq^(r/2) grad_sq^(q/2)) from the moments of fields (arrays
+    of one value per field); NaN where the gradient vanishes."""
     vanishing = (grad_sq <= 1e-20 * np.maximum(norm2_sq, 1.0)) | (norm2_sq <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / (norm2_sq ** (r / 2.0) * grad_sq ** (q / 2.0))
     return np.where(vanishing, np.nan, ratio)
 
 
+def _lp_gradient_ratio(grid: Grid, f: np.ndarray, p: float, q: float, r: float):
+    """||f||_p^p / (||f||_2^r ||grad f||_2^q), one per leading (batch) index
+    of f; NaN where the gradient vanishes."""
+    norm2_sq = integrate(grid, np.abs(f) ** 2)
+    grad_sq = spectral_sum(grid, k_squared(grid), transform(grid, f))
+    num = integrate(grid, power(np.abs(f), p))
+    return _nash_ratio(num, norm2_sq, grad_sq, q, r)
+
+
 def nash_check(grid: Grid, p: float) -> float:
     """Gaussian-family constant b of ||f||_p^p <= b ||f||_2^r ||grad f||_2^q.
 
-    The maximum of the scale-invariant ratio over Gaussians of 30 widths,
-    evaluated as stacks of at most PROBE_CHUNK_POINTS grid points: a lower
-    bound of the sharp constant, whose maximizer is the smooth ground state
-    (Weinstein, Comm. Math. Phys. 87 (1983) 567); random band-limited
-    fields sit far below a bump, so none is sampled.  A field with vanishing
-    gradient is excluded; 0.0 when every width is.
+    The maximum of the scale-invariant ratio over Gaussians of 30 widths: a
+    lower bound of the sharp constant, whose maximizer is the smooth ground
+    state (Weinstein, Comm. Math. Phys. 87 (1983) 567); random band-limited
+    fields sit far below a bump, so none is sampled.  On a line the bumps
+    are evaluated as stacks of at most PROBE_CHUNK_POINTS grid points; on a
+    2-d or 3-d grid the three moments come from the bumps' per-axis factors
+    (_gaussian_sums), with no grid-sized array, and agree with the full-grid
+    moments to rounding (1e-13 relative).  A field with vanishing gradient
+    is excluded; 0.0 when every width is.
     """
     require_subcritical(p, grid.dim)
     q, r = nash_exponents(p, grid.dim)
-    rows = _chunk_rows(grid)
     sig_hi = min(grid.box_length) / 8.0
     sig_lo = max(4.0 * max(grid.spacing), sig_hi / 64.0)
     sigmas = np.geomspace(sig_lo, sig_hi, 30)
+    # NaN (an excluded field) never wins the maximum
+    if grid.dim > 1:
+        sums = _gaussian_sums(NLS, grid, sigmas, (p,))
+        return float(np.fmax.reduce(_nash_ratio(sums.powers[0], sums.mass, sums.kinetic, q, r),
+                                    initial=0.0))
+    rows = _chunk_rows(grid)
     best = 0.0
     for i in range(0, len(sigmas), rows):
         bumps = np.stack([gaussian_profile(grid, 1.0, sigma) for sigma in sigmas[i:i + rows]])
-        # NaN (an excluded field) never wins the maximum
         best = np.fmax.reduce(_lp_gradient_ratio(grid, bumps, p, q, r), initial=best)
     return float(best)
 
@@ -306,70 +325,175 @@ def _chunk_rows(grid: Grid) -> int:
     return max(1, PROBE_CHUNK_POINTS // grid.size)
 
 
-def _potential_integrals(spec: ModelSpec, amps: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """The integral of W(A g) for each amplitude A > 0 of a non-negative
-    profile g.
+class _GaussianSums(NamedTuple):
+    """Sums over unit periodic Gaussians (gaussian_profile at amplitude 1),
+    one value per width: the kinetic and the phase-space-norm spectral sums
+    (grid.spectral_sum with the model's kinetic symbol and with 1 + kinetic),
+    the mass (the integral of g^2), for NBE the integral of g_x^2 (None
+    otherwise), and the integral of g^e per exponent asked for."""
+
+    kinetic: np.ndarray
+    norm: np.ndarray
+    mass: np.ndarray
+    slope: np.ndarray | None
+    powers: tuple
+
+
+def _gaussian_sums(model_tag: str, grid: Grid, sigmas: np.ndarray,
+                   exponents=()) -> _GaussianSums:
+    """The sums (_GaussianSums) of the unit Gaussians of these widths, from
+    their per-axis factors.
+
+    The periodic Gaussian is the product over the axes of its 1-d factors
+    g_a = exp(-d_a^2 / (2 sigma^2)), d_a the min-image distance along axis
+    a, and its spectrum is the product of theirs.  With S0_a = sum |F_a|^2
+    and S2_a = sum k_a^2 |F_a|^2 over the spectrum F_a of g_a, the kinetic
+    sum is cv/N sum_a S2_a prod_{b != a} S0_b, the norm sum takes the
+    weight 1 + k_0^2 in place of k_0^2 on axis 0, and each quadrature is
+    the product of the factors' 1-d quadratures.  The widths go in stacks
+    of at most PROBE_CHUNK_POINTS // max(n) rows: one 1-d transform per
+    axis and stack, and no array of the grid's size.  On a line the one
+    factor is the profile and every sum is the full field's, operation for
+    operation (the norm one reduce of (1 + k^2)|F|^2); on 2-d and 3-d grids
+    the sums agree with the full-grid ones to rounding.  NBE is
+    one-dimensional: its k^4 and its derivative act along its one axis.
+    """
+    center = tuple(L / 2.0 for L in grid.box_length)
+    r_sq = [d.reshape(-1) ** 2 for d in min_image_distances(grid, center)]
+    order = 4 if model_tag == NBE else 2
+    rows = max(1, PROBE_CHUNK_POINTS // max(grid.n))
+    stacks = []
+    for start in range(0, len(sigmas), rows):
+        # 2 sigma^2 per width, as gaussian_profile takes it
+        spread = np.array([[2.0 * sigma**2] for sigma in sigmas[start:start + rows]])
+        s0, s2, masses, powers = [], [], [], []
+        for axis in range(grid.dim):
+            factor = np.exp(-r_sq[axis] / spread)
+            require_finite(factor)
+            spectrum = gridmod.fft(factor, (-1,))
+            density = np.abs(spectrum) ** 2
+            k = grid.wavenumbers(axis) ** order
+            if axis == 0:
+                first, norm0 = spectrum, np.add.reduce((1.0 + k) * density, axis=-1)
+            s0.append(np.add.reduce(density, axis=-1))
+            s2.append(np.add.reduce(k * density, axis=-1))
+            h = grid.spacing[axis]
+            masses.append(h * np.add.reduce(factor**2, axis=-1))
+            powers.append([h * np.add.reduce(power(factor, e), axis=-1) for e in exponents])
+        others = [math.prod(s0[:a] + s0[a + 1:]) for a in range(grid.dim)]
+        cross = [s2[a] * others[a] for a in range(grid.dim)]
+        slope = None
+        if model_tag == NBE:
+            ux = apply_to_spectrum(symbols(NBE, grid).ddx, first, real=True)
+            require_finite(ux)
+            slope = integrate(grid, ux * ux)
+        stacks.append((grid.cell_volume / grid.size * sum(cross),
+                       grid.cell_volume / grid.size * (norm0 * others[0] + sum(cross[1:])),
+                       math.prod(masses), slope) + tuple(math.prod(p) for p in zip(*powers)))
+    kinetic, norm, mass, slope, *moments = (
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*stacks))
+    return _GaussianSums(kinetic, norm, mass, slope, tuple(moments))
+
+
+def _power_terms(w) -> list[tuple[float, float]] | None:
+    """The terms (e, k), k s^e, of a power-family W, its m^2 s^2 / 2 first;
+    None for the saturating family."""
+    fam = w.family
+    if not isinstance(fam, (SinglePower, DoublePower)):
+        return None
+    terms = [(2.0, 0.5 * w.m_sq), (fam.p, -fam.b / fam.p)]
+    if isinstance(fam, DoublePower):
+        terms.append((fam.q_tilde, fam.c / fam.q_tilde))
+    return terms
+
+
+def _potential_integrals(spec: ModelSpec, amps: np.ndarray, sigmas: np.ndarray,
+                         powers: tuple) -> np.ndarray:
+    """The integral of W(A g) for each amplitude A > 0 (rows) and the unit
+    Gaussian g of each width (columns).
 
     For the power families W(A g) is the sum of k A^e g^e, so the integral
-    is a polynomial in A over one quadrature of g^e per term (2-3 in all);
-    it agrees with the quadrature of W(A g) to rounding of the larger term
-    (1e-13 relative).  The saturating family is summed per amplitude, on
-    real stacks of at most PROBE_CHUNK_POINTS grid points."""
+    is a polynomial in A over powers, the integrals of g^e of the family's
+    terms (_power_terms, _gaussian_sums); it agrees with the quadrature of
+    W(A g) to rounding of the larger term (1e-13 relative).  The saturating
+    family is not separable: it is summed over the full profile, per width
+    and amplitude, on real stacks of at most PROBE_CHUNK_POINTS grid
+    points."""
     g = spec.grid
-    fam = spec.w.family
-    if isinstance(fam, (SinglePower, DoublePower)):
-        terms = [(2.0, 0.5 * spec.w.m_sq), (fam.p, -fam.b / fam.p)]
-        if isinstance(fam, DoublePower):
-            terms.append((fam.q_tilde, fam.c / fam.q_tilde))
-        return sum(k * integrate(g, power(profile, e)) * amps**e for e, k in terms)
+    terms = _power_terms(spec.w)
+    if terms is not None:
+        return sum(np.multiply.outer(amps**e, k * moment)
+                   for (e, k), moment in zip(terms, powers))
     rows = _chunk_rows(g)
     amps = amps.reshape(amps.shape + (1,) * g.dim)
-    return np.concatenate([integrate(g, w_value(spec.w, amps[i:i + rows] * profile))
-                           for i in range(0, len(amps), rows)])
+    return np.column_stack([
+        np.concatenate([integrate(g, w_value(spec.w, amps[i:i + rows] * profile))
+                        for i in range(0, len(amps), rows)])
+        for profile in (gaussian_profile(g, 1.0, sigma) for sigma in sigmas)])
 
 
-def _gaussian_column(spec: ModelSpec, amps: np.ndarray, sigma: float, paired: bool = True):
-    """E, signed C and the squared phase-space norm of the Gaussian probes
-    of one width, one per amplitude.
+class _GaussianColumn(NamedTuple):
+    """E, signed C, the squared phase-space norm and the pair parameter of
+    Gaussian probes (None for NLS, 0.0 when not paired)."""
+
+    energy: np.ndarray
+    charge: np.ndarray
+    norm_sq: np.ndarray
+    pair: np.ndarray | float | None
+
+
+def _gaussian_column(spec: ModelSpec, amps: np.ndarray, sigma,
+                     paired: bool = True) -> _GaussianColumn:
+    """E, signed C, the squared phase-space norm and the pair parameter of
+    the Gaussian probes of the given amplitudes and widths: tables with one
+    row per amplitude and one column per width, or one value per amplitude
+    for a scalar sigma.
 
     The probe of amplitude A is A (g, w h), with (g, h) the unit probe and
     w its optimal pair parameter, or w = 0 (a still second component) when
     not paired.  Its kinetic energy, charge and phase-space norm are A^2
-    (w A^2, w^2 A^2) times the unit probe's, all taken from one transform
-    of g; only the potential integral of W(A g) depends on A otherwise
+    (w A^2, w^2 A^2) times the unit probe's, all taken from the sums of the
+    unit Gaussian (_gaussian_sums: on a line one transform per stack of
+    widths, on a 2-d or 3-d grid one 1-d transform per axis and stack);
+    only the potential integral of W(A g) depends on A otherwise
     (_potential_integrals).  The values agree with evaluating each probe on
-    its own to rounding (1e-13 relative).
+    its own to rounding (1e-13 relative); on a line each column is bitwise
+    the one its width gives alone.
     """
-    g = spec.grid
     amps = np.asarray(amps, dtype=np.float64)
-    profile = gaussian_profile(g, 1.0, sigma)
-    unit = _gaussian_components(spec, profile, 1.0)
-    for comp in unit:
-        require_finite(comp)
-    spectrum = transform(g, unit[0])
-    sym = symbols(spec.model_tag, g)
+    sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
+    sums = _gaussian_sums(spec.model_tag, spec.grid, sigmas,
+                          [e for e, _ in _power_terms(spec.w) or ()])
     scale = amps**2
-    e = scale * (0.5 * spectral_sum(g, sym.kinetic, spectrum)) + _potential_integrals(
-        spec, amps, profile)
-    c = scale * charge_of(spec, unit, spectrum)
-    norm_sq = scale * spectral_sum(g, sym.weights[0], spectrum)
+    e = np.multiply.outer(scale, 0.5 * sums.kinetic) + _potential_integrals(
+        spec, amps, sigmas, sums.powers)
+    # the unit probe's charge and second-component mass: g^2 for NLS, -g^2
+    # and g^2 for NWE's (g, -i g), g_x^2 for both of NBE's (g, -g_x)
+    charge, second = {NLS: (sums.mass, None), NWE: (-sums.mass, sums.mass),
+                      NBE: (sums.slope, sums.slope)}[spec.model_tag]
+    c = np.multiply.outer(scale, charge)
+    norm_sq = np.multiply.outer(scale, sums.norm)
+    pair = None
     if spec.model_tag != NLS:
-        second = scale * integrate(g, np.abs(unit[1]) ** 2)
+        second = np.multiply.outer(scale, second)
         # e is still the frozen-field energy
         pair = _pair_param(spec, e, second) if paired else 0.0
         require_finite(pair)
         e = e + 0.5 * pair**2 * second
         c = pair * c
         norm_sq = norm_sq + pair**2 * second
-    return e, c, norm_sq
+    column = _GaussianColumn(e, c, norm_sq, pair)
+    if np.ndim(sigma) == 0:
+        return _GaussianColumn(*(x[:, 0] if np.ndim(x) == 2 else x for x in column))
+    return column
 
 
-def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma: float, value) -> np.ndarray:
-    """value(E, C) of the paired Gaussian probes of one width, one per
-    amplitude (_gaussian_column), under the ratio's charge floor."""
-    e, c, norm_sq = _gaussian_column(spec, amps, sigma)
-    _require_charge(c, np.sqrt(norm_sq))
-    return value(e, c)
+def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma, value) -> np.ndarray:
+    """value(E, C) of the paired Gaussian probes of these amplitudes and
+    widths (_gaussian_column), under the ratio's charge floor."""
+    column = _gaussian_column(spec, amps, sigma)
+    _require_charge(column.charge, np.sqrt(column.norm_sq))
+    return value(column.energy, column.charge)
 
 
 def _probe_width(grid: Grid) -> int:
@@ -567,18 +691,26 @@ def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
     (best value, amplitude, width, the winner's components, its pair
     parameter or None for NLS).
 
-    Each width column is evaluated from one transform (_gaussian_values).
-    The winner is the first strict minimum in amplitude-major order; NaN
-    never wins.  Its value is taken again from the winner alone, so it is
-    bitwise the value of a one-probe-at-a-time search with the same winner.
+    Each round is one amplitude x width table (_gaussian_values): on a line
+    one transform per stack of widths, on a 2-d or 3-d grid one 1-d
+    transform per axis.  The winner is the first strict minimum in
+    amplitude-major order; NaN never wins.  Its value is taken again from
+    the winner alone: on a line from evaluating its state, so it is bitwise
+    the value of a one-probe-at-a-time search with the same winner; on a
+    2-d or 3-d grid from its own column, which makes no grid-sized
+    transform.  ValueError unless grid_size >= 2 and refinements >= 0.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    if refinements < 0:
+        raise ValueError(f"refinements must be at least 0, got {refinements}")
     a_lo, a_hi = amp_bounds
     s_lo, s_hi = sig_bounds
     best = (np.inf, a_lo, s_lo)
     for _ in range(refinements + 1):
         amps = np.geomspace(a_lo, a_hi, grid_size)
         sigs = np.geomspace(s_lo, s_hi, grid_size)
-        table = np.column_stack([_gaussian_values(spec, amps, sig, value) for sig in sigs])
+        table = _gaussian_values(spec, amps, sigs, value)
         table[np.isnan(table)] = np.inf
         i, j = np.unravel_index(np.argmin(table), table.shape)
         if table[i, j] < best[0]:
@@ -588,9 +720,18 @@ def _family_search(spec: ModelSpec, value, amp_bounds: tuple[float, float],
         rs = (s_hi / s_lo) ** (2.0 / (grid_size - 1))
         a_lo, a_hi = max(amp_bounds[0], best[1] / ra), min(amp_bounds[1], best[1] * ra)
         s_lo, s_hi = max(sig_bounds[0], best[2] / rs), min(sig_bounds[1], best[2] * rs)
-    comps, pair = _gaussian_probe(spec, best[1], best[2])
-    ev = _floored(spec, comps)
-    return float(value(ev.energy, ev.charge)), best[1], best[2], comps, pair
+    _, amp, sigma = best
+    if spec.grid.dim == 1:
+        comps, pair = _gaussian_probe(spec, amp, sigma)
+        ev = _floored(spec, comps)
+        return float(value(ev.energy, ev.charge)), amp, sigma, comps, pair
+    column = _gaussian_column(spec, [amp], sigma)
+    _require_charge(column.charge, np.sqrt(column.norm_sq))
+    pair = None if column.pair is None else float(column.pair[0])
+    comps = _gaussian_components(spec, gaussian_profile(spec.grid, amp, sigma), pair or 0.0)
+    for comp in comps:
+        require_finite(comp)
+    return float(value(column.energy[0], column.charge[0])), amp, sigma, comps, pair
 
 
 def default_probe_bounds(spec: ModelSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -618,7 +759,8 @@ def bulk_descent(spec: ModelSpec, params: PenaltyParams, sigma: float,
     pair on NWE and NBE), in log width from sigma and in log amplitude
     along each width's column, inside the window.
 
-    A column is one width (_gaussian_column, one transform) at
+    A column is one width (_gaussian_column: one transform on a line, one
+    1-d transform per axis on a 2-d or 3-d grid) at
     DESCENT_AMPLITUDES log-spaced amplitudes spanning the window.  Columns
     are compared by their lowest bulk per unit mass, the bulk over
     A^2 sigma^d.  Its sign is the bulk's, but it does not tend to 0 as the
@@ -646,7 +788,7 @@ def bulk_descent(spec: ModelSpec, params: PenaltyParams, sigma: float,
     def column(x):
         nonlocal non_finite
         if x not in ends:
-            e, c, _ = _gaussian_column(spec, amps, np.exp(x), paired=False)
+            e, c, _, _ = _gaussian_column(spec, amps, np.exp(x), paired=False)
             charge = np.abs(c)
             bulk = e + params.a * charge ** params.s_exp
             finite = np.isfinite(bulk)

@@ -119,8 +119,8 @@ def test_a_non_finite_descent_value_fails_ec3i(monkeypatch):
     column = functionals._gaussian_column
 
     def poisoned(spec, amps, sigma, paired=True):
-        e, c, norm_sq = column(spec, amps, sigma, paired)
-        return np.full_like(e, np.nan), c, norm_sq
+        values = column(spec, amps, sigma, paired)
+        return values._replace(energy=np.full_like(values.energy, np.nan))
 
     monkeypatch.setattr(functionals, "_gaussian_column", poisoned)
     result = _coercivity_floor_check(NLS_512, _sech_params(1.1), SplitMix64(6).split("ec3i"), 0)

@@ -184,7 +184,8 @@ def test_saturating_potential_stacks_keep_the_chunk_bound(monkeypatch):
 
     monkeypatch.setattr(functionals, "w_value", recording_w_value)
     penalized_probe_seed(spec, PARAMS, grid_size=3, refinements=0)
-    assert len(potential_stacks) == 3 * 3  # one 32^3 probe per stack: 3 widths x 3 amplitudes
+    # one 32^3 probe per stack: 3 widths x 3 amplitudes, and the winner's own column
+    assert len(potential_stacks) == 3 * 3 + 1
     assert max(potential_stacks) <= PROBE_CHUNK_POINTS
 
 
@@ -195,22 +196,23 @@ def test_demo_witness_sits_on_the_window_corner(nls_acceptance_spec):
 
 
 def test_search_transform_budget(transform_sizes):
-    # one transform of the unit probe per width column, 3 passes x 40 widths;
+    # one transform of the 40 unit profiles of a pass as one stack, 3 passes;
     # the winner is evaluated again on its own (NWE: plus its pair parameter)
     nls = ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0)))
     hylomorphy_check(nls)
-    assert transform_sizes == [512] * 121
+    assert transform_sizes == [40 * 512] * 3 + [512]
     del transform_sizes[:]
     penalized_probe_seed(nls, PARAMS)
-    assert transform_sizes == [512] * 121
-    # evaluated probe by probe, the searches transformed 4800 rows on NLS and 9601 on NWE
+    assert transform_sizes == [40 * 512] * 3 + [512]
+    # evaluated probe by probe, the searches transformed 4800 rows on NLS and 9601 on NWE;
+    # one transform per width column, 121 and 122
     nwe = ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
     del transform_sizes[:]
     hylomorphy_check(nwe)  # the witness's pair parameter is the winner's, not taken again
-    assert transform_sizes == [256] * 122
+    assert transform_sizes == [40 * 256] * 3 + [256] * 2
     del transform_sizes[:]
     penalized_probe_seed(nwe, PARAMS)
-    assert transform_sizes == [256] * 122
+    assert transform_sizes == [40 * 256] * 3 + [256] * 2
 
 
 @pytest.mark.parametrize("spec", [
@@ -262,7 +264,9 @@ def test_power_potentials_match_the_quadrature(where, family, m_sq):
     amps = np.geomspace(*amp_bounds, 40)
     for sigma in (s_lo, np.sqrt(s_lo * s_hi), s_hi):
         profile = gaussian_profile(g, 1.0, sigma)
-        got = functionals._potential_integrals(spec, amps, profile)
+        moments = functionals._gaussian_sums(tag, g, [sigma], [e for e, _ in
+                                                              functionals._power_terms(spec.w)])
+        got = functionals._potential_integrals(spec, amps, [sigma], moments.powers)[:, 0]
         want = np.array([integrate(g, w_value(spec.w, a * profile)) for a in amps])
         terms = [0.5 * m_sq * amps**2 * integrate(g, profile**2),
                  fam.b / fam.p * amps**fam.p * integrate(g, profile**fam.p)]

@@ -305,7 +305,7 @@ def test_a_random_probe_counterexample_under_the_budget_is_redrawn():
 def test_ec3i_transforms_inside_the_audit_stay_within_the_budget(transform_sizes, monkeypatch,
                                                                   name):
     # the random scan within RANDOM_SCAN_POINTS and the descent within its
-    # column cap, one transform of the grid per column
+    # column cap, one transform per column and axis, of that axis's length
     spec = SCAN_SPECS[name]
     calls = {}
 
@@ -330,6 +330,6 @@ def test_ec3i_transforms_inside_the_audit_stay_within_the_budget(transform_sizes
     random = transform_sizes[start:sweep_start]
     probes = result.parameters["probes"]
     assert sum(random) == probes * _components(spec) * spec.grid.size <= RANDOM_SCAN_POINTS
-    assert transform_sizes[d_start:d_end] == [spec.grid.size] * descent["columns"]
+    assert transform_sizes[d_start:d_end] == list(spec.grid.n) * descent["columns"]
     assert descent["columns"] <= DESCENT_COLUMNS
     assert start < sweep_start < d_start < d_end == end
