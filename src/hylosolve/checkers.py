@@ -6,12 +6,14 @@ potential conditions, the Gaussian-family interpolation constant, and the
 hylomorphy verdict) under a probe budget, and emits a machine-readable
 certificate.  Failures are verdicts with counterexample descriptors, not
 exceptions; the CLI pipeline gates continuation runs on the certificate.
-The coercivity floor (EC-3i) is tested on a random scan whose size the grid
-bounds, a fixed-mass width sweep and a Gaussian-family descent.
+The coercivity floor (EC-3i) is tested on the closed-form plateau at a dip
+of W (NWE and NBE), a random scan whose size the grid bounds, a fixed-mass
+width sweep and a Gaussian-family descent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ from .functionals import (RANDOM_SCAN_POINTS, PenaltyParams, _chunk_rows, _gauss
 from .grid import COMPONENT_NAMES, NBE, NLS, NWE, min_image_distances
 from .models import (ModelSpec, charge, charge_of, energy, energy_of, evaluate, grad_charge,
                      grad_energy)
-from .nonlinearity import DoublePower, SinglePower, check_w_conditions
+from .nonlinearity import DoublePower, SinglePower, check_w_conditions, w_dip, w_value
 from .rng import SplitMix64, uniform_from_bits
 
 __all__ = ["CheckResult", "HypothesisCertificate", "audit", "gate_passed"]
@@ -163,26 +165,37 @@ def _gaussian_bulk(spec: ModelSpec, params: PenaltyParams, bump: np.ndarray):
 
 def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
                             rng: SplitMix64, count: int) -> CheckResult:
-    """EC-3i: E + a|C|^s >= 0 on count random probes, a fixed-mass width
-    sweep and a descent of the Gaussian family (functionals.bulk_descent).
+    """EC-3i: E + a|C|^s >= 0 on the plateau at a dip of W (NWE and NBE),
+    count random probes, a fixed-mass width sweep and a descent of the
+    Gaussian family (functionals.bulk_descent).
 
-    The width sweep is the supercriticality detector: at fixed charge the
-    energy of a bump narrowing from L/8 to 3 cells (to one cell where 3 are
-    wider than L/8) must stay floored, otherwise the trend is the
-    counterexample.  Otherwise it is the first random probe below the
-    floor, named by its index in the scan, its amplitude and its band so
-    that it can be redrawn.  Otherwise it is the descent's end, with its
-    bulk, width, amplitude, charge, the window bounds it sits on and the
-    columns it took.  The descent starts from the sweep's lowest state and
-    searches widths from one cell to L/8 with amplitudes up to 16 times the
-    sweep's charge: the ground states of a too small a concentrate there.
-    A non-finite value fails the check before any of them, with a
-    `non-finite` counterexample.  The parameters give count as `probes`,
-    the lowest value of all three as `min_bulk`, the sweep and the
-    descent's end."""
+    The plateau at a dip s0 of W (nonlinearity.w_dip), field s0 and second
+    component 0, has C = 0 and E = |box| W(s0) < 0 for every a: no
+    coefficient exists, and the plateau is the counterexample, with its s0,
+    W, E and C.  (On NLS its charge |box| s0^2 is positive, so the other
+    sources test it.)  Otherwise the width sweep is the supercriticality
+    detector: at fixed charge the energy of a bump narrowing from L/8 to 3
+    cells (to one cell where 3 are wider than L/8) must stay floored,
+    otherwise the trend is the counterexample.  Otherwise it is the first
+    random probe below the floor, named by its index in the scan, its
+    amplitude and its band so that it can be redrawn.  Otherwise it is the
+    descent's end, with its bulk, width, amplitude, charge, the window
+    bounds it sits on and the columns it took.  The descent starts from the
+    sweep's lowest state and searches widths from one cell to L/8 with
+    amplitudes up to 16 times the sweep's charge: the ground states of a
+    too small a concentrate there.  A non-finite value fails the check
+    before any of them, with a `non-finite` counterexample.  The parameters
+    give count as `probes`, the lowest value of all of them as `min_bulk`,
+    the sweep and the descent's end."""
     tol = 1e-9
     worst = np.inf
-    non_finite = below = None
+    non_finite = below = plateau = None
+    s0 = None if spec.model_tag == NLS else w_dip(spec.w)
+    if s0 is not None:
+        w = float(w_value(spec.w, s0))
+        worst = math.prod(spec.grid.box_length) * w
+        if worst < -tol:
+            plateau = {"source": "plateau", "s0": s0, "W": w, "E": worst, "C": 0.0}
     start = 0
     for stack in probe_chunks(spec, rng, count, scan=True):
         comps, spectrum = stack.components, stack.spectrum
@@ -227,7 +240,7 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams,
         non_finite = {"descent": descent_non_finite}
     if below is None and descent["bulk"] < -tol:
         below = {"source": "family-descent", **descent}
-    bad = {"source": "non-finite", **non_finite} if non_finite else below
+    bad = {"source": "non-finite", **non_finite} if non_finite else plateau or below
     return CheckResult("pass" if bad is None else "fail", "sampled",
                        {"probes": count, "min_bulk": float(worst), "width_sweep": sweep,
                         "family_descent": descent},
@@ -320,13 +333,13 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
     """Run every hypothesis check under the probe budget.
 
     budget = 0 marks everything skipped.  When params is omitted the
-    coercivity parameters are chosen automatically; if no admissible
-    exponent exists (supercritical power) a fixed fallback is used so the
-    coercivity checks can exhibit their counterexample.  The random probes
-    of EC-2 and of EC-3i's scan take min(budget, 50) and min(budget, 2000)
-    probes, fewer where they would transform more than RANDOM_SCAN_POINTS
-    grid points (one probe at least): 50 and 256 on NLS 512 and NWE 256,
-    one each on 64^3.
+    coercivity parameters are those of choose_coercivity_params, which
+    draws nothing; if no admissible exponent exists (supercritical power)
+    fixed ones are used so the coercivity checks can exhibit their
+    counterexample.  The random probes of EC-2 and of EC-3i's scan take
+    min(budget, 50) and min(budget, 2000) probes, fewer where they would
+    transform more than RANDOM_SCAN_POINTS grid points (one probe at
+    least): 50 and 256 on NLS 512 and NWE 256, one each on 64^3.
     """
     results: dict[str, CheckResult] = {}
     params_note = {}
@@ -336,8 +349,7 @@ def audit(spec: ModelSpec, params: PenaltyParams | None = None,
         return HypothesisCertificate(spec.model_tag, results, budget, seed, params_note)
     if params is None:
         try:
-            params = choose_coercivity_params(spec, seed=seed,
-                                              n_probes=min(budget, 2000))
+            params = choose_coercivity_params(spec)
             params_note["source"] = "auto"
         except ValueError as err:
             params = PenaltyParams(delta=0.01, a=1.0, s_exp=2.0)

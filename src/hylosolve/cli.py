@@ -163,7 +163,7 @@ def resolve_deltas(config: dict) -> list[float]:
                   reverse=True)
 
 
-def resolve_penalty(config: dict, spec: ModelSpec, seed: int) -> tuple[PenaltyParams, list[float]]:
+def resolve_penalty(config: dict, spec: ModelSpec) -> tuple[PenaltyParams, list[float]]:
     """The penalty parameters at the largest configured weight, and all the
     weights (resolve_deltas); a and s do not depend on the weight."""
     block = config.get("penalty", {})
@@ -171,7 +171,7 @@ def resolve_penalty(config: dict, spec: ModelSpec, seed: int) -> tuple[PenaltyPa
     a = block.get("a", "auto")
     s_exp = block.get("s_exp", "auto")
     if a == "auto" or s_exp == "auto":
-        params = choose_coercivity_params(spec, delta=deltas[0], seed=seed)
+        params = choose_coercivity_params(spec, delta=deltas[0])
         if a != "auto":
             params = replace(params, a=float(a))
         if s_exp != "auto":
@@ -282,7 +282,7 @@ def cmd_lambda0(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 
 def cmd_minimize(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
-    params, deltas = resolve_penalty(config, spec, seed)
+    params, deltas = resolve_penalty(config, spec)
     family = _gated_chain(run, config, spec, params, deltas, seed)
     return EXIT_GATE if family is None else EXIT_OK
 
@@ -293,7 +293,7 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     if block is None:
         raise ConfigError("evolve subcommand needs an 'evolve' config block")
     _require_span(block["T"], block["dt"])
-    start = [_start_state(run, config, spec, seed, state_path)]
+    start = [_start_state(run, config, spec, state_path)]
     run.stage("evolve")
     # pop leaves no name here bound to the start state, so evolve holds the
     # only reference and frees it when the first record block replaces it
@@ -306,13 +306,12 @@ def cmd_evolve(run: _Run, config: dict, spec: ModelSpec, seed: int,
     return EXIT_OK
 
 
-def _start_state(run: _Run, config: dict, spec: ModelSpec, seed: int,
-                 state_path: str | None):
+def _start_state(run: _Run, config: dict, spec: ModelSpec, state_path: str | None):
     """The state evolve starts from: the --state field file, else the best
     penalized Gaussian probe."""
     if not state_path:
         require_probe_widths(spec.grid)
-        params, _ = resolve_penalty(config, spec, seed)
+        params, _ = resolve_penalty(config, spec)
         state, _ = penalized_probe_seed(spec, params)
         run.say("no --state given: evolving the best penalized Gaussian probe")
         return state
@@ -335,7 +334,7 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     T, dt = block.get("T", 10.0), block.get("dt", 1e-3)
     _require_span(T, dt)
     perturbations = _perturbations(config, spec)
-    params, deltas = resolve_penalty(config, spec, seed)
+    params, deltas = resolve_penalty(config, spec)
     family = _gated_chain(run, config, spec, params, deltas[:1], seed)
     if family is None:
         return EXIT_GATE
@@ -381,7 +380,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
         try:
             combo = idx // len(deltas)
             if combo not in combo_params:
-                combo_params[combo] = resolve_penalty(config, sub_spec, seed)[0]
+                combo_params[combo] = resolve_penalty(config, sub_spec)[0]
             params = replace(combo_params[combo], delta=delta)
             if _gated_chain(sub_run, sub, sub_spec, params, [delta], seed) is None:
                 statuses[name] = {"label": label, "status": "gate_failed"}
@@ -398,7 +397,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 
 def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
-    params, deltas = resolve_penalty(config, spec, seed)
+    params, deltas = resolve_penalty(config, spec)
     family = _gated_chain(run, config, spec, params, deltas[:1], seed)
     if family is None:
         return EXIT_GATE

@@ -15,12 +15,13 @@ mass-scaling law of the ground-state energy, so the bound is sharp up to
 the constant, which nash_check takes from the Gaussian family).
 
 The coefficient a of E + a|C|^s >= 0 comes from that Young split (NLS power
-families), from W >= 0 (then E >= 0 and a = 0), or else from a random-probe
-supremum; the audit's EC-3i check tests E + a|C|^s whatever the rule, on a
-random scan of at most RANDOM_SCAN_POINTS grid points, a fixed-mass width
-sweep and a descent of the bulk over the Gaussian family (bulk_descent),
-where the infimum is approached: by concentrating bumps, the ground states,
-not by random band-limited fields.
+families) and is 0 otherwise, exact when W >= 0 (then E >= 0); where W dips
+on NWE or NBE no coefficient exists.  The audit's EC-3i check tests
+E + a|C|^s whatever the rule: on the still plateau at a dip of W (NWE and
+NBE), on a random scan of at most RANDOM_SCAN_POINTS grid points, a
+fixed-mass width sweep and a descent of the bulk over the Gaussian family
+(bulk_descent), where the infimum is approached: by concentrating bumps,
+the ground states, not by random band-limited fields.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
 from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
                    apply_multiplier, apply_to_spectrum, band_limited_spectrum, integrate,
                    k_squared, min_image_distances, require_finite, spectral_sum, symbols,
-                   transform, x_norm_of)
-from .models import (Evaluation, ModelSpec, charge, charge_of, check_state, energy, energy_of,
-                     evaluate)
-from .nonlinearity import (DoublePower, SinglePower, critical_exponent, power, w_nonnegative,
-                           w_value)
+                   transform)
+from .models import Evaluation, ModelSpec, charge, check_state, energy, energy_of, evaluate
+from .nonlinearity import DoublePower, SinglePower, critical_exponent, power, w_value
 from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
@@ -590,18 +589,17 @@ def probe_states(spec: ModelSpec, rng: SplitMix64, count: int,
             for row in zip(*stack.components)]
 
 
-def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0,
-                             n_probes: int = 2000) -> PenaltyParams:
+def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02) -> PenaltyParams:
     """Coercivity coefficient and exponent making E + a|C|^s >= 0 hold.
 
-    The first rule that applies sets a, times COERCIVITY_SAFETY:
-    - NLS power families below the critical power: the matched-exponent Young
-      split of the interpolation inequality (module docstring) with
-      nash_check's Gaussian-family constant, and coercivity_exponent's s;
-    - W >= 0 decided from the coefficients (nonlinearity.w_nonnegative,
-      hypothesis W-i): E >= 0, so a = 0, with s = 1;
-    - otherwise the supremum of -E/|C| over n_probes random probes, s = 1;
-      seed and n_probes feed only this fallback.
+    - NLS power families below the critical power: the matched-exponent
+      Young split of the interpolation inequality (module docstring) with
+      nash_check's Gaussian-family constant, times COERCIVITY_SAFETY, and
+      coercivity_exponent's s;
+    - everything else: a = 0 with s = 1, exact when W >= 0 (then E >= 0).
+      Where W dips (nonlinearity.w_dip) no a exists on NWE and NBE: the
+      still plateau at the dip has C = 0 and E < 0, and the audit's EC-3i
+      check fails by it.
     The audit's EC-3i check tests E + a|C|^s whatever the rule.  delta is
     a placeholder the caller (continuation/minimizer) overrides per run.
     """
@@ -615,31 +613,7 @@ def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02, seed: int = 0
                    * (c3 * b_emp) ** (2.0 / (2.0 - q)))
         return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * k_young,
                              s_exp=s_exp, nash_q=q, nash_r=r, nash_b=b_emp)
-    if w_nonnegative(spec.w):
-        return PenaltyParams(delta=delta, a=0.0, s_exp=1.0)
-    a_probe = _probe_supremum(spec, SplitMix64(seed).split("coercivity-probes"), 1.0, n_probes)
-    return PenaltyParams(delta=delta, a=COERCIVITY_SAFETY * a_probe, s_exp=1.0)
-
-
-def _probe_supremum(spec: ModelSpec, rng: SplitMix64, s_exp: float,
-                    n_probes: int) -> float:
-    """sup of -E/|C|^s over the random probes with E < 0, skipping those
-    whose charge is negligible against their norm."""
-    worst = 0.0
-    for stack in probe_chunks(spec, rng, n_probes, scan=True):
-        comps, spectrum = stack.components, stack.spectrum
-        e = energy_of(spec, comps, spectrum)
-        neg = e < 0.0
-        if not np.any(neg):
-            continue
-        comps = tuple(comp[neg] for comp in comps)
-        spectrum = spectrum[neg]
-        e = e[neg]
-        c = np.abs(charge_of(spec, comps, spectrum))
-        keep = c >= 1e-9 * (1.0 + x_norm_of(spec.model_tag, spec.grid, comps, spectrum))
-        if np.any(keep):
-            worst = max(worst, float(np.max(-e[keep] / c[keep] ** s_exp)))
-    return worst
+    return PenaltyParams(delta=delta, a=0.0, s_exp=1.0)
 
 
 def lambda0_estimate(spec: ModelSpec) -> float:

@@ -13,13 +13,9 @@ import numpy as np
 
 __all__ = [
     "SinglePower", "DoublePower", "Saturating", "WSpec",
-    "power", "w_value", "w_eval", "w_nonnegative", "w_prime_over_s", "ConditionVerdict",
+    "power", "w_value", "w_eval", "w_dip", "w_prime_over_s", "ConditionVerdict",
     "WConditionReport", "check_w_conditions", "critical_exponent", "sobolev_critical",
 ]
-
-# share of its terms' sum by which a double power's minimum of W(s)/s^2 must
-# clear zero for w_nonnegative, far above the rounding of the float energies
-W_NONNEGATIVE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,26 +142,38 @@ def w_eval(spec: WSpec, s):
     return w, w1, w2
 
 
-def w_nonnegative(spec: WSpec) -> bool:
-    """True when W >= 0 on [0, inf) follows from the family's coefficients;
-    False leaves it undecided (to sampling), a tangent minimum included.
+def w_dip(spec: WSpec) -> float | None:
+    """A closed-form s0 with W(s0) < 0 finite, or None when W >= 0 on
+    [0, inf) follows from the family's coefficients (a tangent minimum
+    included) or no dip lies within the float range.
 
-    A double power's W(s)/s^2 = m^2/2 - (b/p) s^(p-2) + (c/q~) s^(q~-2) has
+    A single power with b > 0 dips where (b/p) s0^(p-2) = max(m^2, 1).  A
+    double power's W(s)/s^2 = m^2/2 - (b/p) s^(p-2) + (c/q~) s^(q~-2) has
     one interior critical point, its minimum, at
-    s0^(q~-p) = [b (p-2)/p] / [c (q~-2)/q~], where it must exceed
-    W_NONNEGATIVE_MARGIN times the sum of the three terms."""
+    s0^(q~-p) = [b (p-2)/p] / [c (q~-2)/q~], where it equals
+    m^2/2 - (b/p) s0^(p-2) (q~-p)/(q~-2); W dips there when that is
+    negative.  Where W at that s0 is not finite (the tail overflows) the
+    single power's point stands in."""
     fam = spec.family
     if isinstance(fam, Saturating) or fam.b == 0:
-        return True
-    if isinstance(fam, SinglePower) or fam.c == 0:
-        return False
-    p, q = fam.p, fam.q_tilde
+        return None
+    p = fam.p
+    points = []
     try:
-        s0 = ((fam.b * (p - 2) / p) / (fam.c * (q - 2) / q)) ** (1.0 / (q - p))
-        terms = (0.5 * spec.m_sq, fam.b / p * s0 ** (p - 2), fam.c / q * s0 ** (q - 2))
-    except (OverflowError, ZeroDivisionError):  # coefficients beyond the float range
-        return False
-    return terms[0] - terms[1] + terms[2] > W_NONNEGATIVE_MARGIN * sum(terms)
+        if isinstance(fam, DoublePower) and fam.c > 0:
+            q = fam.q_tilde
+            s0 = ((fam.b * (p - 2) / p) / (fam.c * (q - 2) / q)) ** (1.0 / (q - p))
+            if fam.b / p * s0 ** (p - 2) * (q - p) / (q - 2) <= 0.5 * spec.m_sq:
+                return None
+            points.append(s0)
+    except (OverflowError, ZeroDivisionError):  # s0 beyond the float range
+        pass
+    try:
+        points.append((p * max(spec.m_sq, 1.0) / fam.b) ** (1.0 / (p - 2)))
+    except OverflowError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        return next((s for s in points if -np.inf < w_value(spec, s) < 0.0), None)
 
 
 def w_prime_over_s(spec: WSpec, s, out: np.ndarray | None = None):

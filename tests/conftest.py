@@ -19,7 +19,7 @@ def nls_acceptance_spec():
 
 @pytest.fixture(scope="session")
 def nls_params(nls_acceptance_spec):
-    return choose_coercivity_params(nls_acceptance_spec, delta=0.03, seed=11)
+    return choose_coercivity_params(nls_acceptance_spec, delta=0.03)
 
 
 @pytest.fixture(scope="session")

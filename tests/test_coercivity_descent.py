@@ -66,12 +66,13 @@ def test_a_coefficient_at_or_above_the_sech_constant_passes(fraction, seed):
 
 
 def test_the_earlier_sources_keep_their_precedence():
-    # the dipping wave and the supercritical power fail by the width sweep,
-    # although the descent goes below the floor on both
-    dip = audit(DIPPING, choose_coercivity_params(DIPPING, seed=6), seed=6).results["EC-3i"]
+    # the dipping wave fails by its plateau and the supercritical power by
+    # the width sweep, although the descent goes below the floor on both
+    dip = audit(DIPPING, choose_coercivity_params(DIPPING), seed=6).results["EC-3i"]
     supercritical = audit(SUPERCRITICAL, budget=400, seed=1).results["EC-3i"]
+    assert dip.counterexample["source"] == "plateau"
+    assert supercritical.counterexample["source"] == "width-sweep"
     for result in (dip, supercritical):
-        assert result.counterexample["source"] == "width-sweep"
         assert result.parameters["family_descent"]["bulk"] < -1.0
     # the supercritical descent runs into the window's corner, and says so
     assert supercritical.parameters["family_descent"]["on_window_bound"] == [

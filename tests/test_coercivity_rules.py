@@ -1,10 +1,12 @@
 """Which rule sets the coercivity coefficient a of E + a|C|^s >= 0.
 
 The NLS power families take the Young split of the interpolation
-inequality, a W that is nonnegative by its coefficients takes a = 0, and
-only the rest draws random probes.  On the workload models the rules give
-bit for bit the coefficient of the older rule, 2 max(k_young, a_probe) on
-NLS and 2 a_probe elsewhere, whose probe supremum never bound there.
+inequality and every other model a = 0, which is exact when W >= 0.  Where
+W dips on NWE or NBE no coefficient exists: the still plateau at the dip
+has C = 0 and E < 0, and EC-3i fails by it.  On the workload models the
+rules give bit for bit the coefficient of the older rule, 2 max(k_young,
+a_probe) on NLS and 2 a_probe elsewhere, whose probe supremum never bound
+there; that supremum is kept here as the older rule's reference.
 """
 
 import json
@@ -15,13 +17,13 @@ import pytest
 from hylosolve import functionals
 from hylosolve.checkers import audit, gate_passed
 from hylosolve.cli import cli_main
-from hylosolve.functionals import (COERCIVITY_SAFETY, _probe_supremum,
-                                   choose_coercivity_params, coercivity_exponent,
-                                   nash_exponents)
-from hylosolve.grid import Grid
+from hylosolve.fileio import wspec_to_json
+from hylosolve.functionals import (COERCIVITY_SAFETY, choose_coercivity_params,
+                                   coercivity_exponent, nash_exponents, probe_chunks)
+from hylosolve.grid import Grid, x_norm_of
 from hylosolve.models import ModelSpec, charge_of, energy_of
 from hylosolve.nonlinearity import (DoublePower, Saturating, SinglePower, WSpec,
-                                    _positivity_verdict, w_nonnegative, w_value)
+                                    _positivity_verdict, w_dip, w_value)
 from hylosolve.rng import SplitMix64
 
 from helpers import sech_profile
@@ -55,6 +57,27 @@ FAMILIES = [
 ]
 
 
+def _probe_supremum(spec, rng, s_exp, n_probes):
+    """sup of -E/|C|^s over the random probes with E < 0, skipping those
+    whose charge is negligible against their norm: the older rule's
+    random-probe coefficient."""
+    worst = 0.0
+    for stack in probe_chunks(spec, rng, n_probes, scan=True):
+        comps, spectrum = stack.components, stack.spectrum
+        e = energy_of(spec, comps, spectrum)
+        neg = e < 0.0
+        if not np.any(neg):
+            continue
+        comps = tuple(comp[neg] for comp in comps)
+        spectrum = spectrum[neg]
+        e = e[neg]
+        c = np.abs(charge_of(spec, comps, spectrum))
+        keep = c >= 1e-9 * (1.0 + x_norm_of(spec.model_tag, spec.grid, comps, spectrum))
+        if np.any(keep):
+            worst = max(worst, float(np.max(-e[keep] / c[keep] ** s_exp)))
+    return worst
+
+
 def _older_rule(spec, seed):
     """The coefficient before the closed forms: the probe supremum on the
     "coercivity-probes" stream, folded into the Young split on NLS, whose
@@ -75,7 +98,7 @@ def _older_rule(spec, seed):
 @pytest.mark.parametrize("spec", [ModelSpec("NLS", NLS_GRID, FOCUSING),
                                   ModelSpec("NWE", WAVE_GRID, TAILED)], ids=["NLS", "NWE"])
 def test_a_is_the_older_rule_bit_for_bit_on_the_workload_models(spec, seed):
-    assert choose_coercivity_params(spec, seed=seed).a == _older_rule(spec, seed)
+    assert choose_coercivity_params(spec).a == _older_rule(spec, seed)
 
 
 @pytest.fixture
@@ -89,7 +112,7 @@ def no_probes(monkeypatch):
 @pytest.mark.parametrize("w", [FOCUSING, WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))],
                          ids=["single", "double"])
 def test_nls_power_families_take_the_young_split_without_probes(no_probes, w):
-    params = choose_coercivity_params(ModelSpec("NLS", NLS_GRID, w), seed=6)
+    params = choose_coercivity_params(ModelSpec("NLS", NLS_GRID, w))
     assert params.a > 0 and params.s_exp == 3.0
 
 
@@ -100,41 +123,59 @@ def test_nls_power_families_take_the_young_split_without_probes(no_probes, w):
 ], ids=["NWE-tailed", "NBE-tailed", "NWE-saturating", "NBE-saturating", "NLS-saturating",
         "NWE-free"])
 def test_a_nonnegative_w_gives_a_zero_without_probes(no_probes, tag, w):
-    params = choose_coercivity_params(ModelSpec(tag, WAVE_GRID, w), seed=6)
+    params = choose_coercivity_params(ModelSpec(tag, WAVE_GRID, w))
     assert (params.a, params.s_exp) == (0.0, 1.0)
     assert np.copysign(1.0, params.a) == 1.0
 
 
-@pytest.mark.parametrize("w", [DIPPING, DEEP_DIP, TANGENT, FOCUSING],
-                         ids=["dipping", "deep-dip", "tangent", "focusing"])
-def test_an_undecided_w_still_takes_the_probe_supremum(monkeypatch, w):
-    drawn = []
-    chunks = functionals.probe_chunks
-
-    def counting(*args, **kwargs):
-        drawn.append(1)
-        return chunks(*args, **kwargs)
-
-    monkeypatch.setattr(functionals, "probe_chunks", counting)
-    spec = ModelSpec("NWE", WAVE_GRID, w)
-    params = choose_coercivity_params(spec, seed=6)
-    assert drawn and params.s_exp == 1.0
-    monkeypatch.setattr(functionals, "probe_chunks", chunks)
-    assert params.a == _older_rule(spec, 6)
-    if w in (DEEP_DIP, FOCUSING):
-        assert params.a > 0
+# the plateau at each dip: s0^2 at the minimum of W(s)/s^2 of the double
+# powers (7.5 and 15), and s0 = 2 for the single power, where
+# (b/p) s0^(p-2) = max(m^2, 1); W(s0), and E = 40 W(s0) on the wave grid
+DIPS = {"dipping": (DIPPING, 7.5, -3.28125, -131.25),
+        "deep-dip": (DEEP_DIP, 15.0, -48.75, -1950.0),
+        "focusing": (FOCUSING, 4.0, -2.0, -80.0)}
 
 
-def test_the_sampled_checks_catch_a_dip_the_probe_supremum_misses():
-    """The random probes give the velocity-like component the field's rms,
-    whose kinetic term outweighs the shallow dip, so the supremum reads 0;
-    EC-3i and W-i still fail the gate."""
-    spec = ModelSpec("NWE", WAVE_GRID, DIPPING)
-    params = choose_coercivity_params(spec, seed=6)
-    assert params.a == 0.0
-    cert = audit(spec, params, seed=6)
-    assert cert.results["EC-3i"].verdict == "fail"
+@pytest.mark.parametrize("tag", ["NWE", "NBE"])
+@pytest.mark.parametrize("dip", DIPS)
+def test_a_dipping_w_fails_ec3i_by_its_plateau(no_probes, tag, dip):
+    w, s0_sq, w_s0, e = DIPS[dip]
+    spec = ModelSpec(tag, WAVE_GRID, w)
+    params = choose_coercivity_params(spec)
+    assert (params.a, params.s_exp) == (0.0, 1.0)
+    s0 = w_dip(w)
+    assert s0**2 == pytest.approx(s0_sq, rel=1e-14)
+    assert w_value(w, s0) == pytest.approx(w_s0, rel=1e-14)
+    cert = audit(spec, params, budget=2000, seed=6)
+    result = cert.results["EC-3i"]
+    assert result.verdict == "fail"
+    assert result.counterexample == {"source": "plateau", "s0": s0,
+                                     "W": float(w_value(w, s0)),
+                                     "E": 40.0 * float(w_value(w, s0)), "C": 0.0}
+    assert result.counterexample["E"] == pytest.approx(e, rel=1e-14)
+    assert result.parameters["min_bulk"] <= result.counterexample["E"]
     assert cert.results["W-conditions"].verdict == "fail"
+    assert not gate_passed(cert)
+
+
+def test_a_tangent_minimum_takes_a_zero_and_no_plateau(no_probes):
+    assert w_dip(TANGENT) is None
+    assert _positivity_verdict(TANGENT, strict=False).passed
+    for tag in ("NWE", "NBE"):
+        params = choose_coercivity_params(ModelSpec(tag, WAVE_GRID, TANGENT))
+        assert (params.a, params.s_exp) == (0.0, 1.0)
+
+
+def test_the_3d_gate_fails_a_dipping_wave_by_its_plateau():
+    """On the 64^3 evolve grid the random scan takes one probe, which, with
+    the sweep and the descent, passes the dipping W at a = 0: the plateau
+    fails the gate."""
+    spec = ModelSpec("NWE", Grid((64, 64, 64), (16.0, 16.0, 16.0)), DIPPING)
+    cert = audit(spec, budget=2000, seed=6)
+    result = cert.results["EC-3i"]
+    assert cert.params["a"] == 0.0
+    assert result.verdict == "fail" and result.counterexample["source"] == "plateau"
+    assert result.counterexample["E"] == pytest.approx(16.0**3 * -3.28125, rel=1e-14)
     assert not gate_passed(cert)
 
 
@@ -149,15 +190,26 @@ def test_the_tailed_minimum_of_w_over_s_squared():
 
 @pytest.mark.parametrize("w, nonnegative", FAMILIES)
 def test_the_closed_form_agrees_with_the_sampled_w_i_verdict(w, nonnegative):
-    assert w_nonnegative(w) is nonnegative
+    s0 = w_dip(w)
+    assert (s0 is None) is nonnegative
+    if s0 is not None:
+        assert w_value(w, s0) < 0.0
     assert _positivity_verdict(w, strict=False).passed is nonnegative
 
 
-def test_a_tangent_minimum_is_left_to_sampling():
-    assert not w_nonnegative(TANGENT)
-    assert _positivity_verdict(TANGENT, strict=False).passed
-    beyond = WSpec(1.0, DoublePower(1.0, 4.0, 1e-300, 6.0))  # s0 past the float range
-    assert not w_nonnegative(beyond)
+def test_a_dip_beyond_the_float_range_takes_the_single_power_point():
+    # the critical point 8.7e149 has a non-finite W: its tail overflows
+    beyond = WSpec(1.0, DoublePower(1.0, 4.0, 1e-300, 6.0))
+    assert w_dip(beyond) == 2.0
+    assert w_value(beyond, 2.0) == -2.0
+
+
+@pytest.mark.parametrize("fam", [SinglePower(4e-308, 4.0), SinglePower(1e-300, 2.5)],
+                         ids=["w-minus-inf", "point-overflows"])
+def test_no_dip_is_named_outside_the_float_range(fam):
+    # the dip point 1e154 gives W = -inf (its power overflows), and
+    # (2.5/1e-300)^2 is itself beyond the float range
+    assert w_dip(WSpec(1.0, fam)) is None
 
 
 def test_the_young_split_covers_the_sharp_sech_constant(tmp_path):
@@ -168,7 +220,7 @@ def test_the_young_split_covers_the_sharp_sech_constant(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     a = cert["params"]["a"]
     assert (a, cert["params"]["s_exp"]) == (choose_coercivity_params(
-        ModelSpec("NLS", NLS_GRID, FOCUSING), seed=6).a, 3.0)
+        ModelSpec("NLS", NLS_GRID, FOCUSING)).a, 3.0)
     assert a >= 1.0 / 96.0
     # the random scan's size budget: 2^17 points of 512 each
     assert cert["results"]["EC-3i"]["parameters"]["probes"] == 256
@@ -178,3 +230,40 @@ def test_the_young_split_covers_the_sharp_sech_constant(tmp_path):
     c = float(charge_of(spec, psi))
     assert c == pytest.approx(30.0, rel=1e-3)
     assert float(energy_of(spec, psi)) + a * c**3 > 0.0
+
+
+def _wave_config(tag, w):
+    """The config of a run of W on the wave grid at delta 0.01, seed 6."""
+    return {"model": {"tag": tag, "n": [256], "box_length": [40.0], "w": wspec_to_json(w)},
+            "penalty": {"delta": 0.01}, "seed": 6}
+
+
+@pytest.mark.parametrize("tag", ["NWE", "NBE"])
+@pytest.mark.parametrize("dip", DIPS)
+def test_minimize_on_a_dipping_w_exits_by_the_gate(no_probes, tmp_path, tag, dip):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_wave_config(tag, DIPS[dip][0])))
+    out = tmp_path / "out"
+    assert cli_main(["minimize", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 4
+    assert json.loads((out / "manifest.json").read_text())["status"] == "gate_failed"
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["params"]["a"] == 0.0
+    ec3i = cert["results"]["EC-3i"]
+    assert ec3i["verdict"] == "fail"
+    assert ec3i["counterexample"]["source"] == "plateau"
+    assert ec3i["counterexample"]["E"] == pytest.approx(DIPS[dip][3], rel=1e-14)
+
+
+def test_a_sweep_across_the_tangent_tail_draws_no_coercivity_probe(no_probes, tmp_path):
+    # c = 0.1 dips, c = 0.1875 is the tangent minimum, c = 0.3 the workload's W
+    cfg = _wave_config("NWE", TAILED)
+    cfg["sweep"] = {"w_params": {"c": [0.1, 0.1875, 0.3]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    runs = json.loads((out / "manifest.json").read_text())["sweep_runs"]
+    assert [r["status"] for r in runs.values()] == ["gate_failed", "ok", "ok"]
+    for name in runs:
+        cert = json.loads((out / name / "certificate.json").read_text())
+        assert cert["params"]["a"] == 0.0

@@ -26,7 +26,7 @@ TOL = {"e_delta": 2e-5, "c_delta": 2e-5, "j_value": 2e-11, "lambda_mult": 1e-6}
 
 @pytest.fixture(scope="module")
 def params():
-    return choose_coercivity_params(SPEC, delta=DELTAS[0], seed=6)
+    return choose_coercivity_params(SPEC, delta=DELTAS[0])
 
 
 @pytest.fixture(scope="module")

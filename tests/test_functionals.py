@@ -115,19 +115,19 @@ def test_exactly_critical_power_is_refused_with_one_message(dim):
 
 
 def test_choose_params_reports_exponents_and_zero_for_free_field():
-    params = choose_coercivity_params(SPEC, delta=0.03, seed=3, n_probes=200)
+    params = choose_coercivity_params(SPEC, delta=0.03)
     assert (params.nash_q, params.nash_r) == (1.0, 3.0)
     assert params.s_exp == pytest.approx(3.0)
     assert params.a > 0
     free = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(0.0, 4.0)))
-    params0 = choose_coercivity_params(free, delta=0.03, seed=3, n_probes=200)
+    params0 = choose_coercivity_params(free, delta=0.03)
     assert params0.a == 0.0
     with pytest.raises(ValueError):
         choose_coercivity_params(ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(1.0, 8.0))))
 
 
 def test_chosen_params_floor_fresh_probes():
-    params = choose_coercivity_params(SPEC, delta=0.03, seed=5, n_probes=500)
+    params = choose_coercivity_params(SPEC, delta=0.03)
     rng = SplitMix64(999).split("fresh-probes")
     for state in probe_states(SPEC, rng, 1000):
         bulk = energy(SPEC, state) + params.a * abs(charge(SPEC, state)) ** params.s_exp

@@ -144,7 +144,7 @@ def test_the_coercivity_params_and_the_audit_read_one_constant(monkeypatch):
     assert (nash.verdict, nash.kind) == ("pass", "probe-family")
     assert set(nash.parameters) == {"b_emp", "note"}
     assert nash.parameters["b_emp"] == b
-    # no stream: the constant, and so a, are the same at every seed
-    params = [choose_coercivity_params(spec, seed=seed, n_probes=100) for seed in (6, 7)]
-    assert params[0].nash_b == params[1].nash_b == b
-    assert params[0].a == params[1].a == cert.params["a"]
+    # no stream: the coefficient takes the same constant as the audit
+    params = choose_coercivity_params(spec)
+    assert params.nash_b == b
+    assert params.a == cert.params["a"]

@@ -156,7 +156,7 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     monkeypatch.setattr(functionals, "w_value", recording_w_value)
     monkeypatch.setattr("hylosolve.checkers.energy_of", recording_energy_of)
     monkeypatch.setattr("hylosolve.checkers.evaluate", recording_evaluate)
-    params = choose_coercivity_params(spec, n_probes=3)
+    params = choose_coercivity_params(spec)
     penalized_probe_seed(spec, params, grid_size=3, refinements=0)
     assert potential_stacks == []
     _coercivity_floor_check(spec, params, SplitMix64(1).split("ec3i"), count=3)

@@ -188,7 +188,7 @@ def _nan_in_row(function, row):
 
 def test_a_non_finite_probe_fails_ec3i(monkeypatch):
     spec = SPECS["NLS-512"]
-    params = choose_coercivity_params(spec, seed=6)
+    params = choose_coercivity_params(spec)
     monkeypatch.setattr("hylosolve.checkers.energy_of", _nan_in_row(energy_of, 3))
     result = _coercivity_floor_check(spec, params, SplitMix64(6).split("ec3i"), 100)
     assert result.verdict == "fail"
@@ -214,7 +214,7 @@ def test_ec3i_names_the_random_probe_that_fails():
     # a thousandth of the Young split: random probes go below the floor,
     # while the width sweep's charge (about 4.4) keeps its energy positive
     spec = ModelSpec("NLS", Grid((64,), (5.0,)), WSpec(1.0, SinglePower(1.0, 4.0)))
-    young = choose_coercivity_params(spec, seed=6)
+    young = choose_coercivity_params(spec)
     params = PenaltyParams(delta=0.02, a=1e-3 * young.a, s_exp=young.s_exp)
     result = _coercivity_floor_check(spec, params, SplitMix64(6).split("ec3i"), 2000)
     assert result.verdict == "fail"
@@ -283,7 +283,7 @@ def test_a_random_probe_counterexample_under_the_budget_is_redrawn():
     # a thousandth of the Young split on a grid where the budget binds: the
     # descent goes below the floor too, but the random probe comes first
     spec = ModelSpec("NLS", Grid((256,), (5.0,)), WSpec(1.0, SinglePower(1.0, 4.0)))
-    young = choose_coercivity_params(spec, seed=6)
+    young = choose_coercivity_params(spec)
     params = PenaltyParams(delta=0.02, a=1e-3 * young.a, s_exp=young.s_exp)
     result = audit(spec, params, budget=2000, seed=6).results["EC-3i"]
     assert result.parameters["probes"] == 512
