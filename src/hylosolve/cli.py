@@ -217,11 +217,10 @@ def _require_span(T, dt) -> None:
         raise ConfigError(f"invalid evolution span: {err}") from err
 
 
-def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams | None, seed: int,
-              stage: str):
+def _run_gate(run: _Run, spec: ModelSpec, params: PenaltyParams | None, stage: str):
     """Audit in the named stage and write certificate.json; True iff the gate passed."""
     run.stage(stage)
-    cert = audit(spec, params, budget=2000, seed=seed)
+    cert = audit(spec, params, budget=2000)
     run.write("certificate.json", dump_json, certificate_to_json(cert))
     ok = gate_passed(cert)
     summary = {k: v.verdict for k, v in cert.results.items()}
@@ -259,16 +258,16 @@ def _minimize_chain(run: _Run, spec: ModelSpec, params: PenaltyParams,
 
 
 def _gated_chain(run: _Run, config: dict, spec: ModelSpec, params: PenaltyParams,
-                 deltas: list[float], seed: int):
+                 deltas: list[float]):
     """The audit gate, then the minimizer chain over deltas; None when the
     gate fails."""
-    if not _run_gate(run, spec, params, seed, "audit-gate"):
+    if not _run_gate(run, spec, params, "audit-gate"):
         return None
     return _minimize_chain(run, spec, params, deltas, resolve_options(config))
 
 
 def cmd_check(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
-    _run_gate(run, spec, None, seed, "audit")
+    _run_gate(run, spec, None, "audit")
     return EXIT_OK
 
 
@@ -283,7 +282,7 @@ def cmd_lambda0(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 def cmd_minimize(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec)
-    family = _gated_chain(run, config, spec, params, deltas, seed)
+    family = _gated_chain(run, config, spec, params, deltas)
     return EXIT_GATE if family is None else EXIT_OK
 
 
@@ -335,7 +334,7 @@ def cmd_stability(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     _require_span(T, dt)
     perturbations = _perturbations(config, spec)
     params, deltas = resolve_penalty(config, spec)
-    family = _gated_chain(run, config, spec, params, deltas[:1], seed)
+    family = _gated_chain(run, config, spec, params, deltas[:1])
     if family is None:
         return EXIT_GATE
     result = family.results[0]
@@ -382,7 +381,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
             if combo not in combo_params:
                 combo_params[combo] = resolve_penalty(config, sub_spec)[0]
             params = replace(combo_params[combo], delta=delta)
-            if _gated_chain(sub_run, sub, sub_spec, params, [delta], seed) is None:
+            if _gated_chain(sub_run, sub, sub_spec, params, [delta]) is None:
                 statuses[name] = {"label": label, "status": "gate_failed"}
                 sub_run.finish("gate_failed", failure_stage="audit-gate")
                 continue
@@ -398,7 +397,7 @@ def cmd_sweep(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
 
 def cmd_demo(run: _Run, config: dict, spec: ModelSpec, seed: int) -> int:
     params, deltas = resolve_penalty(config, spec)
-    family = _gated_chain(run, config, spec, params, deltas[:1], seed)
+    family = _gated_chain(run, config, spec, params, deltas[:1])
     if family is None:
         return EXIT_GATE
     result = family.results[0]
@@ -433,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output directory (default: config out_dir, else ./hylosolve-out)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (unsigned 64-bit)")
+                        help="override the config seed (unsigned 64-bit), which drives the "
+                             "stability lab's random perturbations")
     parser.add_argument("--state", default=None,
                         help="field file with the initial state (evolve)")
     parser.add_argument("--quiet", action="store_true")

@@ -372,7 +372,6 @@ def certificate_to_json(cert: HypothesisCertificate) -> dict:
     return {
         "model_tag": cert.model_tag,
         "budget": cert.budget,
-        "seed": cert.seed,
         "params": cert.params,
         "results": {k: asdict(v) for k, v in cert.results.items()},
     }

@@ -18,10 +18,9 @@ The coefficient a of E + a|C|^s >= 0 comes from that Young split (NLS power
 families) and is 0 otherwise, exact when W >= 0 (then E >= 0); where W dips
 on NWE or NBE no coefficient exists.  The audit's EC-3i check tests
 E + a|C|^s whatever the rule: on the still plateau at a dip of W (NWE and
-NBE), on a random scan of at most RANDOM_SCAN_POINTS grid points, a
-fixed-mass width sweep and a descent of the bulk over the Gaussian family
-(bulk_descent), where the infimum is approached: by concentrating bumps,
-the ground states, not by random band-limited fields.
+NBE), a fixed-mass width sweep and a descent of the bulk over the Gaussian
+family (bulk_descent), where the infimum is approached: by concentrating
+bumps, the ground states.  Nothing here draws a random state.
 """
 
 from __future__ import annotations
@@ -34,30 +33,24 @@ import numpy as np
 
 from . import grid as gridmod
 from .exceptions import Inadmissible, NearZeroCharge, NumericalFailure
-from .grid import (COMPLEX_MODELS, COMPONENT_NAMES, NBE, NLS, NWE, FieldState, Grid,
-                   apply_multiplier, apply_to_spectrum, band_limited_spectrum, integrate,
-                   k_squared, min_image_distances, require_finite, spectral_sum, symbols,
-                   transform)
+from .grid import (NBE, NLS, NWE, FieldState, Grid, apply_multiplier, apply_to_spectrum,
+                   integrate, k_squared, min_image_distances, require_finite, spectral_sum,
+                   symbols, transform)
 from .models import Evaluation, ModelSpec, charge, check_state, energy, energy_of, evaluate
 from .nonlinearity import DoublePower, SinglePower, critical_exponent, power, w_value
-from .rng import SplitMix64, symmetric_from_bits, uniform_from_bits
 
 __all__ = [
     "PenaltyParams", "HylomorphyReport", "lambda_ratio", "phi", "j_delta", "penalized_terms",
     "penalized_value",
     "bound_m", "nash_exponents", "coercivity_exponent", "nash_check",
     "choose_coercivity_params", "lambda0_estimate", "hylomorphy_check",
-    "gaussian_profile", "gaussian_state", "ProbeStack", "probe_chunks", "probe_states",
-    "bulk_descent",
+    "gaussian_profile", "gaussian_state", "gaussian_bulk_column", "bulk_descent",
 ]
 
 CHARGE_FLOOR = 1e-12
 # grid points per probe stack (one probe when the grid alone is larger):
 # bounds the memory of every probe family independently of its size
 PROBE_CHUNK_POINTS = 2**15
-# grid points (times components) of the audit's EC-3i random scan, at least
-# one probe: 256 probes on NLS 512 and NWE 256, one on 64^3
-RANDOM_SCAN_POINTS = 2**17
 # width columns of the EC-3i bulk descent (bulk_descent), at most, and the
 # amplitudes of each column
 DESCENT_COLUMNS = 48
@@ -487,106 +480,21 @@ def _gaussian_column(spec: ModelSpec, amps: np.ndarray, sigma,
     return column
 
 
+def gaussian_bulk_column(spec: ModelSpec, params: PenaltyParams, amps: np.ndarray,
+                         sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """E + a|C|^s and the phase-space norm of the Gaussian probes of these
+    amplitudes and one width with a still second component, one value per
+    amplitude (_gaussian_column, not paired)."""
+    e, c, norm_sq, _ = _gaussian_column(spec, amps, sigma, paired=False)
+    return e + params.a * np.abs(c) ** params.s_exp, np.sqrt(norm_sq)
+
+
 def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma, value) -> np.ndarray:
     """value(E, C) of the paired Gaussian probes of these amplitudes and
     widths (_gaussian_column), under the ratio's charge floor."""
     column = _gaussian_column(spec, amps, sigma)
     _require_charge(column.charge, np.sqrt(column.norm_sq))
     return value(column.energy, column.charge)
-
-
-def _probe_width(grid: Grid) -> int:
-    """The largest band limit of a random probe, min(n) // 4: every probe
-    draws the modes of index magnitude at most this along every axis."""
-    return min(grid.n) // 4
-
-
-def _probe_draws(spec: ModelSpec) -> int:
-    """The stream draws of one random probe: its log-amplitude, its band
-    limit, then per component the real and then the imaginary parts of its
-    (2 _probe_width + 1)^d drawn modes."""
-    modes = (2 * _probe_width(spec.grid) + 1) ** spec.grid.dim
-    return 2 + len(COMPONENT_NAMES[spec.model_tag]) * 2 * modes
-
-
-class ProbeStack(NamedTuple):
-    """A stack of random probes: the component arrays, the field
-    component's spectrum, and each probe's rms amplitude and band limit."""
-
-    components: tuple
-    spectrum: np.ndarray
-    amplitude: np.ndarray
-    band: np.ndarray
-
-
-def _probe_stack(spec: ModelSpec, bits: np.ndarray, log_lo, log_hi,
-                 buffers: dict) -> ProbeStack:
-    """The random probes drawn from bits, one probe per row of
-    _probe_draws(spec) raw outputs, with log-amplitudes uniform in
-    [log_lo, log_hi) (scalars or one window per row).
-
-    Each probe is drawn in the spectrum (grid.band_limited_spectrum) and
-    takes one inverse transform per component.  The arrays live in
-    buffers, a dict the caller keeps for the stacks of one scan: the first
-    stack allocates them for its rows, the spectrum zeroed once, and every
-    later (no larger) stack overwrites them."""
-    g = spec.grid
-    rows = len(bits)
-    width = _probe_width(g)
-    amp = np.exp(log_lo + (log_hi - log_lo) * uniform_from_bits(bits[:, 0]))
-    band = 2 + (bits[:, 1] % np.uint64(width - 1)).astype(np.int64)
-    ncomp = len(COMPONENT_NAMES[spec.model_tag])
-    if not buffers:
-        buffers["spectrum"] = np.zeros((rows,) + g.n, np.complex128)
-        buffers["fields"] = tuple(np.empty((rows,) + g.n, np.complex128) for _ in range(ncomp))
-    spectrum = buffers["spectrum"][:rows]
-    fields = tuple(f[:rows] for f in buffers["fields"])
-    box = (rows,) + (2 * width + 1,) * g.dim
-    modes = (2 * width + 1) ** g.dim
-    real = spec.model_tag not in COMPLEX_MODELS
-    # the field component last, so that its spectrum stays in the buffer
-    for i in reversed(range(ncomp)):
-        first = 2 + 2 * i * modes
-        coefficients = np.empty(box, np.complex128)
-        coefficients.real = symmetric_from_bits(bits[:, first:first + modes]).reshape(box)
-        coefficients.imag = symmetric_from_bits(
-            bits[:, first + modes:first + 2 * modes]).reshape(box)
-        band_limited_spectrum(g, coefficients, band, amp, real, out=spectrum)
-        gridmod.ifft(spectrum, g.axes, out=fields[i])
-    comps = tuple(f.real for f in fields) if real else fields
-    for comp in comps:
-        require_finite(comp)
-    return ProbeStack(comps, spectrum, amp, band)
-
-
-def probe_chunks(spec: ModelSpec, rng: SplitMix64, count: int,
-                 amp_range: tuple[float, float] = (1e-2, 3.0), scan: bool = False):
-    """Seeded random smooth states with log-uniform amplitudes, as stacks of
-    at most PROBE_CHUNK_POINTS grid points (one probe per stack when a
-    single field is larger): component tuples of arrays the caller owns,
-    or with scan, each stack's ProbeStack, whose arrays the next stack
-    overwrites.
-
-    Each probe takes a fixed number of draws (_probe_draws).  One block of
-    the stream per stack therefore gives every probe the draws it would get
-    alone.
-    """
-    per_probe = _probe_draws(spec)
-    rows = _chunk_rows(spec.grid)
-    lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
-    buffers = {}
-    for start in range(0, count, rows):
-        bits = rng.next_block_u64(min(rows, count - start) * per_probe).reshape(-1, per_probe)
-        stack = _probe_stack(spec, bits, lo, hi, buffers)
-        yield stack if scan else tuple(comp.copy() for comp in stack.components)
-
-
-def probe_states(spec: ModelSpec, rng: SplitMix64, count: int,
-                 amp_range: tuple[float, float] = (1e-2, 3.0)) -> list[FieldState]:
-    """The probes of probe_chunks, one state (a copy) each."""
-    return [FieldState(spec.model_tag, spec.grid, row)
-            for stack in probe_chunks(spec, rng, count, amp_range, scan=True)
-            for row in zip(*stack.components)]
 
 
 def choose_coercivity_params(spec: ModelSpec, delta: float = 0.02) -> PenaltyParams:

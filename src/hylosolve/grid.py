@@ -9,7 +9,6 @@ operations (no interpolation).
 from __future__ import annotations
 
 import contextvars
-import itertools
 import math
 import os
 import threading
@@ -389,44 +388,6 @@ def low_pass(grid: Grid, values, band_limit, out: np.ndarray | None = None) -> n
     limit = np.reshape(band_limit, np.shape(band_limit) + (1,) * grid.dim)
     np.copyto(spec, 0.0, where=_max_mode(grid.n) > limit)
     return ifft(spec, grid.axes, out=spec)
-
-
-def band_limited_spectrum(grid: Grid, coefficients: np.ndarray, band_limit, rms,
-                          real: bool, out: np.ndarray) -> np.ndarray:
-    """Write the spectra of band-limited fields drawn in the spectrum into out.
-
-    The trailing axes of coefficients (complex) hold the modes of index
-    magnitude at most w along every axis, 2w + 1 per axis in transform order
-    (0..w, then -w..-1); leading axes are a batch, and band_limit and rms
-    are scalars or one value per batch index.  The modes above band_limit
-    are zeroed (low_pass's mask), the Hermitian part is taken for real
-    fields, and the coefficients are scaled so that each field has the rms
-    sample value, sqrt(sum |F|^2) / N by Parseval.  They are written to
-    their places in out, complex spectra of the grid shape with the same
-    leading axes; out's other modes are left as they are, so zero them once.
-    coefficients is overwritten."""
-    box = coefficients.shape[coefficients.ndim - grid.dim:]
-    batch = coefficients.shape[:coefficients.ndim - grid.dim]
-    trailing = (1,) * grid.dim
-    limit = np.reshape(band_limit, np.shape(band_limit) + trailing)
-    np.copyto(coefficients, 0.0, where=_max_mode(box) > limit)
-    if real:
-        # the mode -k sits at position (2w + 1 - i) mod (2w + 1) of mode k's i
-        coefficients += np.conj(np.roll(np.flip(coefficients, grid.axes), 1, grid.axes))
-        coefficients *= 0.5
-    parts = coefficients.reshape(batch + (-1,)).view(np.float64)
-    current = np.sqrt(np.add.reduce(np.square(parts), axis=-1)) / grid.size
-    scale = np.divide(rms, current, out=np.ones_like(current), where=current > 0.0)
-    coefficients *= np.reshape(scale, batch + trailing)
-    # one slice copy per corner of the box: the modes 0..w and -w..-1 of
-    # each axis sit at the start and at the end of the spectrum's axis
-    width = box[0] // 2
-    halves = [((slice(0, width + 1),) * 2, (slice(width + 1, None), slice(n - width, n)))
-              for n in grid.n]
-    for corner in itertools.product(*halves):
-        source, target = zip(*corner)
-        out[(...,) + target] = coefficients[(...,) + source]
-    return out
 
 
 def min_image_distances(grid: Grid, center) -> list[np.ndarray]:

@@ -258,6 +258,13 @@ def _hylomorphy_verdict(spec: WSpec) -> ConditionVerdict:
 
 
 def _positivity_verdict(spec: WSpec, strict: bool) -> ConditionVerdict:
+    """W >= 0, or W > 0 away from 0 when strict.  A dip of W (w_dip) fails
+    it wherever the dip lies; otherwise W is sampled, which decides the
+    strict zeros."""
+    s0 = w_dip(spec)
+    if s0 is not None:
+        return ConditionVerdict(False, "analytic", "W dips below zero",
+                                {"s": s0, "W": float(w_value(spec, s0))})
     s = _sample_grid()
     w = w_eval(spec, s)[0]
     bad = np.where(w < 0)[0] if not strict else np.where(w <= 0)[0]

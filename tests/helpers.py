@@ -1,5 +1,7 @@
 import numpy as np
 
+from hylosolve.grid import random_state
+
 
 def sech_profile(spec, mu, center):
     """Closed-form standing-wave amplitude sqrt(2 mu) sech(sqrt(mu) x),
@@ -24,3 +26,15 @@ def aligned_l2_error(psi, oracle):
         err = np.linalg.norm(psi - phase * moved) / np.linalg.norm(oracle)
         best = min(best, err)
     return best
+
+
+def random_states(spec, rng, count, amp_range=(1e-2, 3.0)):
+    """count random smooth states of the model (grid.random_state) from rng,
+    each at an rms amplitude log-uniform in amp_range and with a band limit
+    drawn from 2 to min(n) // 4."""
+    lo, hi = np.log(amp_range)
+    top = min(spec.grid.n) // 4
+    for _ in range(count):
+        amplitude = float(np.exp(lo + (hi - lo) * rng.uniform()))
+        band = 2 + int(rng.integers(1, top - 1)[0])
+        yield random_state(spec.model_tag, spec.grid, rng, amplitude, band)

@@ -83,7 +83,7 @@ def outcome(spec, params) -> str:
     if callable(params):
         params = params(spec)
     try:
-        cert = audit(spec, params, budget=2000, seed=6)
+        cert = audit(spec, params, budget=2000)
     except Exception as err:  # the pin names the exception
         return type(err).__name__
     letters = "".join(cert.results[cid].verdict[0] for cid in GATE_IDS)
@@ -164,11 +164,11 @@ PINS = {
     "NWE p3 256/40": "ppffppp plateau",
     "NWE p3 64/20": "ppffppp plateau",
     "NWE p3 512/40": "ppffppp plateau",
-    "NWE p3 64/5": "ppfpppf plateau",
+    "NWE p3 64/5": "ppffppf plateau",
     "NBE focusing 256/40": "ppffppp plateau",
     "NBE focusing 64/20": "ppffppp plateau",
     "NBE focusing 512/40": "ppffppp plateau",
-    "NBE focusing 64/5": "ppfpppf plateau",
+    "NBE focusing 64/5": "ppffppf plateau",
     "NBE tailed 256/40": "ppppppf -",
     "NBE tailed 64/20": "ppppppf -",
     "NBE tailed 512/40": "ppppppf -",
@@ -232,20 +232,20 @@ PINS = {
     "NLS 512/40 a=0.99/96": "ppppppp -",
     "NLS 512/40 a=1.0/96": "ppppppp -",
     "NLS 512/40 a=1.1/96": "ppppppp -",
-    "NLS 64/5 a=0.001*young": "ppffppp random-probe",
-    "NLS 64/5 a=0.01*young": "ppfpppp random-probe",
-    "NLS 64/5 a=0.1*young": "ppfpppp family-descent",
+    "NLS 64/5 a=0.001*young": "ppffppp family-descent",
+    "NLS 64/5 a=0.01*young": "ppffppp family-descent",
+    "NLS 64/5 a=0.1*young": "ppffppp family-descent",
     "NLS 64/5 a=0.45*young": "ppfpppp family-descent",
     "NLS 64/5 a=0.495*young": "ppfpppp family-descent",
     "NLS 64/5 a=1.0*young": "ppppppp -",
-    "NLS 256/5 a=0.001*young": "ppffppp random-probe",
-    "NLS 256/5 a=0.01*young": "ppfpppp random-probe",
-    "NLS 256/5 a=0.1*young": "ppfpppp random-probe",
+    "NLS 256/5 a=0.001*young": "ppffppp family-descent",
+    "NLS 256/5 a=0.01*young": "ppffppp family-descent",
+    "NLS 256/5 a=0.1*young": "ppffppp family-descent",
     "NLS 256/5 a=0.45*young": "ppfpppp family-descent",
     "NLS 256/5 a=0.495*young": "ppfpppp family-descent",
     "NLS 256/5 a=1.0*young": "ppppppp -",
     "NLS 64/20 a=0.001*young": "ppffppp width-sweep",
-    "NLS 64/20 a=0.01*young": "ppfpppp width-sweep",
+    "NLS 64/20 a=0.01*young": "ppffppp width-sweep",
     "NLS 64/20 a=0.1*young": "ppfpppp width-sweep",
     "NLS 64/20 a=0.45*young": "ppppppp -",
     "NLS 64/20 a=0.495*young": "ppppppp -",

@@ -13,7 +13,7 @@ FOCUSING = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(1.0, 4.0)))
 
 @pytest.fixture(scope="module")
 def focusing_cert():
-    return audit(FOCUSING, budget=400, seed=1)
+    return audit(FOCUSING, budget=400)
 
 
 def test_focusing_model_passes_gate(focusing_cert):
@@ -34,7 +34,7 @@ def test_every_verdict_has_evidence(focusing_cert):
 
 def test_supercritical_fails_coercivity_with_width_sweep():
     spec = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(1.0, 8.0)))
-    cert = audit(spec, budget=400, seed=1)
+    cert = audit(spec, budget=400)
     ec3 = cert.results["EC-3i"]
     assert ec3.verdict == "fail"
     assert ec3.counterexample["source"] == "width-sweep"
@@ -49,20 +49,20 @@ def test_supercritical_fails_coercivity_with_width_sweep():
 
 def test_quadratic_model_fails_hylomorphy_only():
     spec = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(0.0, 4.0)))
-    cert = audit(spec, budget=300, seed=2)
+    cert = audit(spec, budget=300)
     assert cert.results["hh"].verdict == "fail"
     assert cert.results["EC-3i"].verdict == "pass"
     assert not gate_passed(cert)
 
 
 def test_zero_budget_skips_everything():
-    cert = audit(FOCUSING, budget=0, seed=1)
+    cert = audit(FOCUSING, budget=0)
     assert all(r.verdict == "skipped" for r in cert.results.values())
     assert not gate_passed(cert)
 
 
 def test_certificate_reproducible(focusing_cert):
-    again = audit(FOCUSING, budget=400, seed=1)
+    again = audit(FOCUSING, budget=400)
     a = json.dumps(certificate_to_json(focusing_cert), sort_keys=True)
     b = json.dumps(certificate_to_json(again), sort_keys=True)
     assert a == b
@@ -70,7 +70,7 @@ def test_certificate_reproducible(focusing_cert):
 
 def test_explicit_params_recorded():
     params = PenaltyParams(delta=0.05, a=0.1, s_exp=3.0)
-    cert = audit(FOCUSING, params, budget=100, seed=3)
+    cert = audit(FOCUSING, params, budget=100)
     assert cert.params["a"] == 0.1
     assert cert.params["delta"] == 0.05
 

@@ -103,12 +103,23 @@ def test_the_manifest_records_the_seed_that_ran(runs):
     assert traces[0] == traces[1]
     for name in RUNS:
         assert manifest(name)["seed"] == (5 if name.endswith("seed-5") else 11)
-        # the audit certificate records the seed it drew its probes from
-        cert = runs[name] / "certificate.json"
-        if cert.exists():
-            assert json.loads(cert.read_text())["seed"] == manifest(name)["seed"]
     for point in runs["sweep"].glob("run_*"):
         assert json.loads((point / "manifest.json").read_text())["seed"] == 11
+
+
+def test_the_certificate_does_not_depend_on_the_seed(tmp_path):
+    # the audit draws nothing: check writes the same bytes at every seed
+    cfg_path = tmp_path / "check.json"
+    cfg_path.write_text(json.dumps(_config()))
+    certs = []
+    for seed in ("6", "7"):
+        out = tmp_path / f"seed-{seed}"
+        argv = ["check", "--config", str(cfg_path), "--out", str(out), "--seed", seed, "--quiet"]
+        assert cli_main(argv) == 0
+        certs.append((out / "certificate.json").read_bytes())
+        assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
+    assert certs[0] == certs[1]
+    assert b'"seed"' not in certs[0]
 
 
 def test_a_sweep_point_echoes_the_config_it_ran(runs):

@@ -5,8 +5,8 @@ inequality and every other model a = 0, which is exact when W >= 0.  Where
 W dips on NWE or NBE no coefficient exists: the still plateau at the dip
 has C = 0 and E < 0, and EC-3i fails by it.  On the workload models the
 rules give bit for bit the coefficient of the older rule, 2 max(k_young,
-a_probe) on NLS and 2 a_probe elsewhere, whose probe supremum never bound
-there; that supremum is kept here as the older rule's reference.
+a_probe) on NLS and 2 a_probe elsewhere, whose random-probe supremum
+a_probe never bound there; its bits are pinned below.
 """
 
 import json
@@ -14,20 +14,17 @@ import json
 import numpy as np
 import pytest
 
-from hylosolve import functionals
 from hylosolve.checkers import audit, gate_passed
 from hylosolve.cli import cli_main
 from hylosolve.fileio import wspec_to_json
-from hylosolve.functionals import (COERCIVITY_SAFETY, choose_coercivity_params,
-                                   coercivity_exponent, nash_exponents, probe_chunks)
-from hylosolve.grid import Grid, x_norm_of
+from hylosolve.functionals import choose_coercivity_params
+from hylosolve.grid import Grid
 from hylosolve.models import ModelSpec, charge_of, energy_of
 from hylosolve.nonlinearity import (DoublePower, Saturating, SinglePower, WSpec,
-                                    _positivity_verdict, w_dip, w_value)
-from hylosolve.rng import SplitMix64
+                                    _positivity_verdict, _sample_grid, check_w_conditions,
+                                    w_dip, w_value)
 
 from helpers import sech_profile
-from test_nash_sweep import _reference_sweep
 
 NLS_GRID = Grid((512,), (40.0,))
 WAVE_GRID = Grid((256,), (40.0,))
@@ -57,61 +54,18 @@ FAMILIES = [
 ]
 
 
-def _probe_supremum(spec, rng, s_exp, n_probes):
-    """sup of -E/|C|^s over the random probes with E < 0, skipping those
-    whose charge is negligible against their norm: the older rule's
-    random-probe coefficient."""
-    worst = 0.0
-    for stack in probe_chunks(spec, rng, n_probes, scan=True):
-        comps, spectrum = stack.components, stack.spectrum
-        e = energy_of(spec, comps, spectrum)
-        neg = e < 0.0
-        if not np.any(neg):
-            continue
-        comps = tuple(comp[neg] for comp in comps)
-        spectrum = spectrum[neg]
-        e = e[neg]
-        c = np.abs(charge_of(spec, comps, spectrum))
-        keep = c >= 1e-9 * (1.0 + x_norm_of(spec.model_tag, spec.grid, comps, spectrum))
-        if np.any(keep):
-            worst = max(worst, float(np.max(-e[keep] / c[keep] ** s_exp)))
-    return worst
-
-
-def _older_rule(spec, seed):
-    """The coefficient before the closed forms: the probe supremum on the
-    "coercivity-probes" stream, folded into the Young split on NLS, whose
-    constant came from the Gaussians and 400 random fields."""
-    rng = SplitMix64(seed).split("coercivity-probes")
-    if spec.model_tag != "NLS":
-        return COERCIVITY_SAFETY * _probe_supremum(spec, rng, 1.0, 2000)
-    p = spec.w.family.p
-    q, _ = nash_exponents(p, 1)
-    b_emp = float(_reference_sweep(spec.grid, p, seed, 400)[-1])
-    k_young = (1.0 - q / 2.0) * q ** (q / (2.0 - q)) * (spec.w.family.b / p * b_emp) ** (
-        2.0 / (2.0 - q))
-    a_probe = _probe_supremum(spec, rng, coercivity_exponent(p, 1), 2000)
-    return COERCIVITY_SAFETY * max(k_young, a_probe)
-
-
-@pytest.mark.parametrize("seed", [6, 7])
-@pytest.mark.parametrize("spec", [ModelSpec("NLS", NLS_GRID, FOCUSING),
-                                  ModelSpec("NWE", WAVE_GRID, TAILED)], ids=["NLS", "NWE"])
-def test_a_is_the_older_rule_bit_for_bit_on_the_workload_models(spec, seed):
-    assert choose_coercivity_params(spec).a == _older_rule(spec, seed)
-
-
-@pytest.fixture
-def no_probes(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a closed-form coefficient drew a random probe")
-
-    monkeypatch.setattr(functionals, "probe_chunks", refuse)
+@pytest.mark.parametrize("spec, a", [
+    (ModelSpec("NLS", NLS_GRID, FOCUSING), float.fromhex("0x1.45f3129dd788fp-6")),
+    (ModelSpec("NWE", WAVE_GRID, TAILED), 0.0)], ids=["NLS", "NWE"])
+def test_a_is_the_older_rule_bit_for_bit_on_the_workload_models(spec, a):
+    # the bits of the older rule's coefficient on the workload models
+    got = choose_coercivity_params(spec).a
+    assert got.hex() == a.hex()
 
 
 @pytest.mark.parametrize("w", [FOCUSING, WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))],
                          ids=["single", "double"])
-def test_nls_power_families_take_the_young_split_without_probes(no_probes, w):
+def test_nls_power_families_take_the_young_split_without_probes(w):
     params = choose_coercivity_params(ModelSpec("NLS", NLS_GRID, w))
     assert params.a > 0 and params.s_exp == 3.0
 
@@ -122,7 +76,7 @@ def test_nls_power_families_take_the_young_split_without_probes(no_probes, w):
     ("NWE", WSpec(1.0, SinglePower(0.0, 4.0))),
 ], ids=["NWE-tailed", "NBE-tailed", "NWE-saturating", "NBE-saturating", "NLS-saturating",
         "NWE-free"])
-def test_a_nonnegative_w_gives_a_zero_without_probes(no_probes, tag, w):
+def test_a_nonnegative_w_gives_a_zero_without_probes(tag, w):
     params = choose_coercivity_params(ModelSpec(tag, WAVE_GRID, w))
     assert (params.a, params.s_exp) == (0.0, 1.0)
     assert np.copysign(1.0, params.a) == 1.0
@@ -138,7 +92,7 @@ DIPS = {"dipping": (DIPPING, 7.5, -3.28125, -131.25),
 
 @pytest.mark.parametrize("tag", ["NWE", "NBE"])
 @pytest.mark.parametrize("dip", DIPS)
-def test_a_dipping_w_fails_ec3i_by_its_plateau(no_probes, tag, dip):
+def test_a_dipping_w_fails_ec3i_by_its_plateau(tag, dip):
     w, s0_sq, w_s0, e = DIPS[dip]
     spec = ModelSpec(tag, WAVE_GRID, w)
     params = choose_coercivity_params(spec)
@@ -146,7 +100,7 @@ def test_a_dipping_w_fails_ec3i_by_its_plateau(no_probes, tag, dip):
     s0 = w_dip(w)
     assert s0**2 == pytest.approx(s0_sq, rel=1e-14)
     assert w_value(w, s0) == pytest.approx(w_s0, rel=1e-14)
-    cert = audit(spec, params, budget=2000, seed=6)
+    cert = audit(spec, params, budget=2000)
     result = cert.results["EC-3i"]
     assert result.verdict == "fail"
     assert result.counterexample == {"source": "plateau", "s0": s0,
@@ -158,7 +112,7 @@ def test_a_dipping_w_fails_ec3i_by_its_plateau(no_probes, tag, dip):
     assert not gate_passed(cert)
 
 
-def test_a_tangent_minimum_takes_a_zero_and_no_plateau(no_probes):
+def test_a_tangent_minimum_takes_a_zero_and_no_plateau():
     assert w_dip(TANGENT) is None
     assert _positivity_verdict(TANGENT, strict=False).passed
     for tag in ("NWE", "NBE"):
@@ -167,15 +121,16 @@ def test_a_tangent_minimum_takes_a_zero_and_no_plateau(no_probes):
 
 
 def test_the_3d_gate_fails_a_dipping_wave_by_its_plateau():
-    """On the 64^3 evolve grid the random scan takes one probe, which, with
-    the sweep and the descent, passes the dipping W at a = 0: the plateau
-    fails the gate."""
+    """On the 64^3 evolve grid the sweep and the descent pass the dipping W
+    at a = 0: the plateau fails the gate."""
     spec = ModelSpec("NWE", Grid((64, 64, 64), (16.0, 16.0, 16.0)), DIPPING)
-    cert = audit(spec, budget=2000, seed=6)
+    cert = audit(spec, budget=2000)
     result = cert.results["EC-3i"]
     assert cert.params["a"] == 0.0
     assert result.verdict == "fail" and result.counterexample["source"] == "plateau"
     assert result.counterexample["E"] == pytest.approx(16.0**3 * -3.28125, rel=1e-14)
+    assert min(bulk for _, bulk in result.parameters["width_sweep"]) > 0.0
+    assert result.parameters["family_descent"]["bulk"] > 0.0
     assert not gate_passed(cert)
 
 
@@ -195,6 +150,22 @@ def test_the_closed_form_agrees_with_the_sampled_w_i_verdict(w, nonnegative):
     if s0 is not None:
         assert w_value(w, s0) < 0.0
     assert _positivity_verdict(w, strict=False).passed is nonnegative
+    # the sample grid sees each of these dips as well
+    assert bool(np.all(w_value(w, _sample_grid()) >= 0.0)) is nonnegative
+
+
+@pytest.mark.parametrize("theorem, cid", [("NWE", "W-i-positivity"),
+                                          ("NBE", "W-i-positivity-floor")])
+def test_w_i_fails_a_dip_beyond_the_sample_grid(theorem, cid):
+    # the sample grid ends at s = 1e3; W dips from s = 2e4 on, where
+    # (b/p) s^2 = 1, and W(2e4) = 2e8 - 4e8
+    w = WSpec(1.0, SinglePower(1e-8, 4.0))
+    assert np.all(w_value(w, _sample_grid()) >= 0.0)
+    verdict = check_w_conditions(w, theorem).conditions[cid]
+    assert not verdict.passed
+    assert (verdict.witness["s"], verdict.witness["W"]) == (2e4, -2e8)
+    if theorem == "NWE":
+        assert (verdict.kind, verdict.detail) == ("analytic", "W dips below zero")
 
 
 def test_a_dip_beyond_the_float_range_takes_the_single_power_point():
@@ -222,8 +193,9 @@ def test_the_young_split_covers_the_sharp_sech_constant(tmp_path):
     assert (a, cert["params"]["s_exp"]) == (choose_coercivity_params(
         ModelSpec("NLS", NLS_GRID, FOCUSING)).a, 3.0)
     assert a >= 1.0 / 96.0
-    # the random scan's size budget: 2^17 points of 512 each
-    assert cert["results"]["EC-3i"]["parameters"]["probes"] == 256
+    # the plateau, the sweep and the descent: no random scan
+    assert set(cert["results"]["EC-3i"]["parameters"]) == {
+        "min_bulk", "width_sweep", "family_descent"}
     # a sech of charge 30 on the grid (E + (0.9/96) C^3 = -13.1 there)
     spec = ModelSpec("NLS", NLS_GRID, FOCUSING)
     psi = (sech_profile(spec, 56.25, 20.0) + 0j,)
@@ -240,7 +212,7 @@ def _wave_config(tag, w):
 
 @pytest.mark.parametrize("tag", ["NWE", "NBE"])
 @pytest.mark.parametrize("dip", DIPS)
-def test_minimize_on_a_dipping_w_exits_by_the_gate(no_probes, tmp_path, tag, dip):
+def test_minimize_on_a_dipping_w_exits_by_the_gate(tmp_path, tag, dip):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_wave_config(tag, DIPS[dip][0])))
     out = tmp_path / "out"
@@ -254,7 +226,7 @@ def test_minimize_on_a_dipping_w_exits_by_the_gate(no_probes, tmp_path, tag, dip
     assert ec3i["counterexample"]["E"] == pytest.approx(DIPS[dip][3], rel=1e-14)
 
 
-def test_a_sweep_across_the_tangent_tail_draws_no_coercivity_probe(no_probes, tmp_path):
+def test_a_sweep_across_the_tangent_tail_draws_no_coercivity_probe(tmp_path):
     # c = 0.1 dips, c = 0.1875 is the tangent minimum, c = 0.3 the workload's W
     cfg = _wave_config("NWE", TAILED)
     cfg["sweep"] = {"w_params": {"c": [0.1, 0.1875, 0.3]}}

@@ -8,10 +8,12 @@ from hylosolve import (DoublePower, FieldState, Grid, LatticeShift, ModelSpec,
                        lambda_ratio, nash_check, nash_exponents, phi,
                        translate)
 from hylosolve.checkers import _nash_stability_check
-from hylosolve.functionals import coercivity_exponent, gaussian_state, probe_states
+from hylosolve.functionals import coercivity_exponent, gaussian_state
 from hylosolve.nonlinearity import critical_exponent
 from hylosolve.grid import x_norm
 from hylosolve.rng import SplitMix64
+
+from helpers import random_states
 
 GRID = Grid((256,), (40.0,))
 SPEC = ModelSpec("NLS", GRID, WSpec(1.0, SinglePower(1.0, 4.0)))
@@ -83,7 +85,7 @@ def test_theorem_inequality_on_random_suite(nls_acceptance_spec, nls_params):
     m_const = bound_m(params)
     rng = SplitMix64(77).split("pli-suite")
     floor = -1e-9
-    for state in probe_states(spec, rng, 200):
+    for state in random_states(spec, rng, 200):
         j = j_delta(spec, state, params)
         ph = phi(spec, state, params)
         assert j - (0.5 * params.delta * ph - m_const) >= floor
@@ -129,7 +131,7 @@ def test_choose_params_reports_exponents_and_zero_for_free_field():
 def test_chosen_params_floor_fresh_probes():
     params = choose_coercivity_params(SPEC, delta=0.03)
     rng = SplitMix64(999).split("fresh-probes")
-    for state in probe_states(SPEC, rng, 1000):
+    for state in random_states(SPEC, rng, 1000):
         bulk = energy(SPEC, state) + params.a * abs(charge(SPEC, state)) ** params.s_exp
         assert bulk >= -1e-9
 

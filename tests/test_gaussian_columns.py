@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hylosolve import (DoublePower, Grid, ModelSpec, PenaltyParams, Saturating, SinglePower,
-                       WSpec, audit, functionals, hylomorphy_check, nash_check)
+                       WSpec, functionals, hylomorphy_check, nash_check)
 from hylosolve import grid as gridmod
 from hylosolve.exceptions import NearZeroCharge
 from hylosolve.functionals import (_gaussian_column, _gaussian_components, _gaussian_sums,
@@ -232,15 +232,3 @@ def test_the_family_search_refuses_unusable_sizes(search, kwargs, argument):
 def test_the_smallest_family_search_still_runs():
     report = hylomorphy_check(LINE, grid_size=2, refinements=0)
     assert np.isfinite(report.best_ratio)
-
-
-@pytest.mark.parametrize("spec, budget, states", [
-    (LINE, 2000, 50),
-    (LINE, 7, 7),
-    # 2^17 // 4096 points
-    (ModelSpec("NLS", Grid((64, 64), (20.0, 20.0)), WSpec(1.0, SinglePower(1.0, 3.0))), 2000, 32),
-], ids=["NLS-256", "NLS-256-budget-7", "NLS-64x64"])
-def test_ec2_takes_its_probes_under_the_random_scan_budget(spec, budget, states):
-    cert = audit(spec, PARAMS, budget=budget, seed=6)
-    assert cert.results["EC-2"].parameters["states"] == states
-    assert cert.results["EC-2"].verdict == "pass"

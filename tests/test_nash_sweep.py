@@ -138,7 +138,7 @@ def test_the_coercivity_params_and_the_audit_read_one_constant(monkeypatch):
     # both callers reach nash_check through their module globals
     monkeypatch.setattr(functionals, "nash_check", counted)
     monkeypatch.setattr(checkers, "nash_check", counted)
-    cert = audit(spec, budget=100, seed=6)
+    cert = audit(spec, budget=100)
     assert calls == [(grid, p), (grid, p)]
     nash = cert.results["Nash"]
     assert (nash.verdict, nash.kind) == ("pass", "probe-family")

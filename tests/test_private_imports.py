@@ -12,14 +12,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hylosolve"
 
 KNOWN = {
-    ("checkers.py", "_chunk_rows"):
-        "EC-2 stacks its probes by the probe families' chunk size",
     ("checkers.py", "_gaussian_components"):
-        "EC-3i's width sweep and EC-3iii take the probe families' Gaussian states",
-    ("checkers.py", "_probe_draws"):
-        "EC-2 takes a probe's stream draws in the block it shares with the shifts",
-    ("checkers.py", "_probe_stack"):
-        "EC-2's stacks come from the probe families' one random-stack builder",
+        "EC-2 and EC-3i's width sweep take the probe families' Gaussian states",
 }
 
 

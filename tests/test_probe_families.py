@@ -12,16 +12,14 @@ from hylosolve import (DoublePower, FieldState, Grid, ModelSpec, PenaltyParams,
                        Saturating, SinglePower, WSpec, energy, hylomorphy_check,
                        integrate, j_delta, lambda_ratio)
 from hylosolve import functionals
-from hylosolve.checkers import (_coercivity_floor_check, _coercivity_growth_check,
-                                _coercivity_vanishing_check, _largest_shift_change,
+from hylosolve.checkers import (_coercivity_floor_check, _coercivity_ray_checks,
                                 _shift_invariance_check, _splitting_check)
 from hylosolve.functionals import (PROBE_CHUNK_POINTS, choose_coercivity_params,
                                    default_probe_bounds, gaussian_profile, gaussian_state,
-                                   penalized_probe_seed, probe_chunks, probe_states)
+                                   penalized_probe_seed)
 from hylosolve.grid import spectral_derivative
-from hylosolve.models import charge_of, energy_of, evaluate
+from hylosolve.models import evaluate
 from hylosolve.nonlinearity import w_value
-from hylosolve.rng import SplitMix64
 
 SPECS = {
     "NLS": ModelSpec("NLS", Grid((64,), (20.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
@@ -101,31 +99,6 @@ def test_penalized_seed_matches_per_state_reference(name):
     assert val == pytest.approx(ref_val, rel=1e-12, abs=0)
 
 
-def _one_probe_per_stack(spec, rng, count):
-    """The probes of probe_chunks drawn one stack of one probe at a time."""
-    return [tuple(comp[0] for comp in next(probe_chunks(spec, rng, 1))) for _ in range(count)]
-
-
-@pytest.mark.parametrize("spec", [
-    SPECS["NLS"],
-    ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))),
-    ModelSpec("NWE", Grid((32, 16), (5.0, 3.0)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))),
-    SPECS["NBE-saturating"],
-], ids=["NLS-64", "NLS-512", "NWE-2d", "NBE-64"])
-def test_probe_chunks_reproduce_one_probe_at_a_time(spec):
-    count = 150  # 64 probes per stack at n = 512: two full stacks and a partial one
-    rng_a, rng_b, rng_c = (SplitMix64(17).split("chunks") for _ in range(3))
-    rows = [row for comps in probe_chunks(spec, rng_a, count) for row in zip(*comps)]
-    states = probe_states(spec, rng_b, count)
-    reference = _one_probe_per_stack(spec, rng_c, count)
-    assert len(rows) == len(states) == len(reference) == count
-    for row, st, ref in zip(rows, states, reference):
-        for x, y, z in zip(row, st.components, ref):
-            assert np.array_equal(x, z) and np.array_equal(y, z)
-    # the stream continues where the one-probe-at-a-time loop leaves it
-    assert rng_a.next_u64() == rng_b.next_u64() == rng_c.next_u64()
-
-
 def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     spec = ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)),
                      WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0)))
@@ -154,21 +127,18 @@ def test_no_probe_stack_exceeds_the_chunk_bound(monkeypatch):
     monkeypatch.setattr(functionals, "energy_of", recording_energy_of)
     monkeypatch.setattr(functionals, "evaluate", recording_evaluate)
     monkeypatch.setattr(functionals, "w_value", recording_w_value)
-    monkeypatch.setattr("hylosolve.checkers.energy_of", recording_energy_of)
     monkeypatch.setattr("hylosolve.checkers.evaluate", recording_evaluate)
     params = choose_coercivity_params(spec)
     penalized_probe_seed(spec, params, grid_size=3, refinements=0)
     assert potential_stacks == []
-    _coercivity_floor_check(spec, params, SplitMix64(1).split("ec3i"), count=3)
+    _shift_invariance_check(spec)
+    _coercivity_floor_check(spec, params)
     before = len(seen)
-    _coercivity_growth_check(spec, params, SplitMix64(1).split("ec3ii"))
-    _coercivity_vanishing_check(spec, params)
+    _coercivity_ray_checks(spec, params)
     _splitting_check(spec)
-    assert len(seen) == before + 8 + 8 + 3  # one evaluate per ray point, amplitude and state
+    assert len(seen) == before + 3  # the ray and its amplitudes are one column; one per state
     assert len(seen) > 5
     assert max(seen) <= PROBE_CHUNK_POINTS
-    for comps in probe_chunks(spec, SplitMix64(2), 3):
-        assert all(c.size <= PROBE_CHUNK_POINTS for c in comps)
 
 
 def test_saturating_potential_stacks_keep_the_chunk_bound(monkeypatch):
@@ -276,48 +246,3 @@ def test_power_potentials_match_the_quadrature(where, family, m_sq):
         larger = np.max(np.abs(terms), axis=0)
         assert got.shape == amps.shape
         assert np.all(np.abs(got - want) <= 1e-13 * larger)
-
-
-def _reference_shift_change(spec, rng, count):
-    """EC-2's sampling one probe at a time: amplitude draw, one random
-    probe with its spectrum, shift draws, then E and C of the probe from
-    that spectrum and one evaluate of its shift."""
-    worst, worst_case = 0.0, None
-    axes = tuple(range(spec.grid.dim))
-    for _ in range(count):
-        amp = 0.1 + 2.0 * rng.uniform()
-        probe = next(probe_chunks(spec, rng, 1, amp_range=(amp, amp * 1.0000001), scan=True))
-        comps = tuple(c[0] for c in probe.components)
-        z = tuple(int(v) for v in rng.integers(spec.grid.dim, max(spec.grid.n)))
-        spectrum = probe.spectrum[0]
-        here = energy_of(spec, comps, spectrum), charge_of(spec, comps, spectrum)
-        moved = evaluate(spec, tuple(np.roll(c, z, axis=axes) for c in comps))
-        for a, b, name in ((here[0], moved.energy, "E"), (here[1], moved.charge, "C")):
-            a, b = float(a), float(b)
-            rel = abs(a - b) / max(1.0, abs(a))
-            if rel > worst:
-                worst, worst_case = rel, {"functional": name, "shift": list(z), "rel": rel}
-    return worst, worst_case
-
-
-@pytest.mark.parametrize("spec, count", [
-    (ModelSpec("NLS", Grid((512,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))), 50),
-    # 8 probes per stack: two full stacks and a partial one
-    (ModelSpec("NLS", Grid((4096,), (40.0,)), WSpec(1.0, SinglePower(1.0, 4.0))), 20),
-    (ModelSpec("NWE", Grid((256,), (40.0,)), WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))), 50),
-    (SPECS["NBE-saturating"], 50),
-    (ModelSpec("NLS", Grid((32, 16), (5.0, 3.0)), WSpec(1.0, SinglePower(1.0, 3.0))), 50),
-    # one probe per stack
-    (ModelSpec("NWE", Grid((32, 32, 32), (16.0, 16.0, 16.0)),
-               WSpec(1.0, DoublePower(1.0, 4.0, 0.3, 6.0))), 3),
-], ids=["NLS-512", "NLS-4096", "NWE-256", "NBE-64", "NLS-2d", "NWE-32^3"])
-def test_stacked_shift_check_matches_one_probe_at_a_time(spec, count):
-    rng_a, rng_b, rng_c = (SplitMix64(6).split("ec2") for _ in range(3))
-    worst, case = _largest_shift_change(spec, rng_a, count)
-    ref_worst, ref_case = _reference_shift_change(spec, rng_b, count)
-    assert worst == ref_worst and case == ref_case
-    assert worst > 0.0  # a rounding-level change, so the case is compared too
-    result = _shift_invariance_check(spec, rng_c, count)
-    assert result.verdict == "pass" and result.parameters["worst_rel"] == ref_worst
-    # the stream continues where the one-probe-at-a-time loop leaves it
-    assert rng_a.next_u64() == rng_b.next_u64() == rng_c.next_u64()
