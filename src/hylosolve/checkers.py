@@ -162,7 +162,8 @@ def _coercivity_floor_check(spec: ModelSpec, params: PenaltyParams) -> CheckResu
     mass_scale = 2.0
     for sigma in np.geomspace(sig_hi, sig_lo, 8):
         amp = mass_scale * (sig_hi / sigma) ** (g.dim / 2.0)
-        sweep.append((float(sigma), _gaussian_bulk(spec, params, gaussian_profile(g, amp, sigma))))
+        bulk = _gaussian_bulk(spec, params, gaussian_profile(g, amp, sigma))
+        sweep.append((float(sigma), bulk))
     sweep_vals = np.array([v for _, v in sweep])
     finite = np.isfinite(sweep_vals)
     worst = min(worst, float(np.min(sweep_vals, initial=np.inf, where=finite)))
@@ -197,14 +198,17 @@ def _coercivity_ray_checks(spec: ModelSpec, params: PenaltyParams) -> tuple:
     0.5 geomspace(1, 32, 8), the shrinking sequence 0.2 2^-k, k = 0..7."""
     factors = np.geomspace(1.0, 32.0, 8)
     amps = np.concatenate([0.5 * factors, 0.2 * 2.0 ** (-np.arange(8))])
-    bulks, norms = gaussian_bulk_column(spec, params, amps, min(spec.grid.box_length) / 10.0)
+    sigma = min(spec.grid.box_length) / 10.0
+    bulks, _, norms = gaussian_bulk_column(spec, params, amps, sigma)
     vals = list(map(float, bulks[:8]))
     tail_increasing = all(b > a for a, b in zip(vals[-4:], vals[-3:]))
     ok = tail_increasing and vals[-1] > 10.0 * max(1.0, abs(vals[0]))
     growth = CheckResult("pass" if ok else "fail", "sampled",
                          {"factors": list(map(float, factors)), "values": vals},
                          None if ok else {"values": vals})
-    bulks, norms = list(map(float, bulks[8:])), list(map(float, norms[8:]))
+    # the shrinking amplitudes
+    bulks = list(map(float, bulks[8:]))
+    norms = list(map(float, norms[8:]))
     bulk_to_zero = abs(bulks[-1]) <= 1e-3 * max(abs(bulks[0]), 1e-30)
     monotone = all(b < a for a, b in zip(norms, norms[1:]))
     ok = bulk_to_zero and monotone and norms[-1] < norms[0]

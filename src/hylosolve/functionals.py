@@ -481,12 +481,13 @@ def _gaussian_column(spec: ModelSpec, amps: np.ndarray, sigma,
 
 
 def gaussian_bulk_column(spec: ModelSpec, params: PenaltyParams, amps: np.ndarray,
-                         sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """E + a|C|^s and the phase-space norm of the Gaussian probes of these
-    amplitudes and one width with a still second component, one value per
-    amplitude (_gaussian_column, not paired)."""
+                         sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E + a|C|^s, |C| and the phase-space norm of the Gaussian probes of
+    these amplitudes and one width with a still second component, one value
+    per amplitude (_gaussian_column, not paired)."""
     e, c, norm_sq, _ = _gaussian_column(spec, amps, sigma, paired=False)
-    return e + params.a * np.abs(c) ** params.s_exp, np.sqrt(norm_sq)
+    charge = np.abs(c)
+    return e + params.a * charge ** params.s_exp, charge, np.sqrt(norm_sq)
 
 
 def _gaussian_values(spec: ModelSpec, amps: np.ndarray, sigma, value) -> np.ndarray:
@@ -641,8 +642,8 @@ def bulk_descent(spec: ModelSpec, params: PenaltyParams, sigma: float,
     pair on NWE and NBE), in log width from sigma and in log amplitude
     along each width's column, inside the window.
 
-    A column is one width (_gaussian_column: one transform on a line, one
-    1-d transform per axis on a 2-d or 3-d grid) at
+    A column is one width (gaussian_bulk_column: one transform on a line,
+    one 1-d transform per axis on a 2-d or 3-d grid) at
     DESCENT_AMPLITUDES log-spaced amplitudes spanning the window.  Columns
     are compared by their lowest bulk per unit mass, the bulk over
     A^2 sigma^d.  Its sign is the bulk's, but it does not tend to 0 as the
@@ -670,9 +671,7 @@ def bulk_descent(spec: ModelSpec, params: PenaltyParams, sigma: float,
     def column(x):
         nonlocal non_finite
         if x not in ends:
-            e, c, _, _ = _gaussian_column(spec, amps, np.exp(x), paired=False)
-            charge = np.abs(c)
-            bulk = e + params.a * charge ** params.s_exp
+            bulk, charge, _ = gaussian_bulk_column(spec, params, amps, np.exp(x))
             finite = np.isfinite(bulk)
             if non_finite is None and not finite.all():
                 non_finite = {"width": float(np.exp(x)),
