@@ -4,8 +4,8 @@ Every entry is a model, a grid and penalty parameters (the audit's own
 choice where none are given), and its pin is the outcome of
 audit(spec, params, budget=2000): one letter per GATE_IDS check (p pass,
 f fail, s skipped), then EC-3i's counterexample source ("-" when it passes);
-or the name of the exception the audit raises (Inadmissible where the grid
-is too coarse for the Gaussian probe widths of the hylomorphy search).
+or "Inadmissible" where the audit raises it (a grid too coarse for the
+Gaussian probe widths of the hylomorphy search).
 gate_passed must agree with the letters.  The entries span the three
 models on 1-d, 2-d and 3-d grids, W that are nonnegative, dipping,
 focusing and supercritical, and coefficients a on both sides of the
@@ -14,8 +14,8 @@ coercivity threshold.
 
 import pytest
 
-from hylosolve import (DoublePower, Grid, ModelSpec, PenaltyParams, Saturating, SinglePower,
-                       WSpec, audit, choose_coercivity_params, gate_passed)
+from hylosolve import (DoublePower, Grid, Inadmissible, ModelSpec, PenaltyParams, Saturating,
+                       SinglePower, WSpec, audit, choose_coercivity_params, gate_passed)
 from hylosolve.checkers import GATE_IDS
 
 W = {
@@ -84,8 +84,8 @@ def outcome(spec, params) -> str:
         params = params(spec)
     try:
         cert = audit(spec, params, budget=2000)
-    except Exception as err:  # the pin names the exception
-        return type(err).__name__
+    except Inadmissible:
+        return "Inadmissible"
     letters = "".join(cert.results[cid].verdict[0] for cid in GATE_IDS)
     assert gate_passed(cert) is (letters == "p" * len(GATE_IDS))
     case = cert.results["EC-3i"].counterexample
