@@ -193,7 +193,7 @@ def test_the_young_split_covers_the_sharp_sech_constant(tmp_path):
     assert (a, cert["params"]["s_exp"]) == (choose_coercivity_params(
         ModelSpec("NLS", NLS_GRID, FOCUSING)).a, 3.0)
     assert a >= 1.0 / 96.0
-    # the plateau, the sweep and the descent: no random scan
+    # the width sweep and the family descent: no random scan
     assert set(cert["results"]["EC-3i"]["parameters"]) == {
         "min_bulk", "width_sweep", "family_descent"}
     # a sech of charge 30 on the grid (E + (0.9/96) C^3 = -13.1 there)
